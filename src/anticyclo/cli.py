@@ -222,8 +222,8 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
         if r % d == 0 and r >= d:
             s = r // d
             control_precision = max(precision, r + 2)
-            M, D = orbit_block_construct(p, control_precision, d, s, _parse_zeta(args.zeta, p, control_precision))
             zc = _parse_zeta(args.zeta, p, control_precision)
+            M, D = orbit_block_construct(p, control_precision, d, s, zc)
             exact = mat_pow_zeta(M, zc) @ D == D @ M
             refound = intertwiner_solve(M, zc, seed=args.seed)
             verdict = rank_divisibility_check(M, zc, d)

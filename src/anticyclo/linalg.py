@@ -393,7 +393,8 @@ def intertwiner_solve(
             if c:
                 full = [(a + c * b) % m for a, b in zip(full, bfull)]
         D = PadicMatrix(p, M.precision, _unvec(full, r))
-        assert B @ D == D @ M, "kernel lift failed to intertwine"
+        if B @ D != D @ M:
+            raise ArithmeticError("kernel lift failed to intertwine")
         return D
 
     if dim <= EXHAUSTIVE_KERNEL_DIM:
@@ -443,7 +444,9 @@ def orbit_block_construct(
     if s < 1:
         raise ValueError("need at least one orbit")
     if seeds is None:
-        seeds = [1 + p * (i + 1) for i in range(s)]
+        # Seeds 1 + p·k with p ∤ k give v(eta - 1) = 1, so det(M - I) has
+        # valuation exactly d·s, whatever s is.
+        seeds = [1 + p * k for k in range(1, p * s) if k % p][:s]
     if len(seeds) != s:
         raise ValueError("need one eigenvalue seed per orbit")
     blocks_m = []
@@ -461,7 +464,8 @@ def orbit_block_construct(
         )
     M = PadicMatrix.block_diag(blocks_m)
     D = PadicMatrix.block_diag(blocks_d)
-    assert mat_pow_zeta(M, zeta) @ D == D @ M, "orbit construction failed to intertwine"
+    if mat_pow_zeta(M, zeta) @ D != D @ M:
+        raise ArithmeticError("orbit construction failed to intertwine")
     return M, D
 
 

@@ -8,7 +8,9 @@ keys are ignored with a warning; structural mistakes are parse errors.
 Checking is hypothesis-gated: a record is only held against the
 non-cyclicity conclusion when n >= 1 and all five flags are asserted.
 Per label, layer exponents are fitted for growth invariants and the
-parity of the fitted lambda is reported when p does not split.
+parity of the fitted lambda is reported when p does not split.  A label
+names one tower, so records of one label at different primes are an
+input error.
 """
 
 from __future__ import annotations
@@ -143,7 +145,13 @@ def check_records(records) -> tuple[list[dict], bool]:
 
     by_label: dict[str, list[ClassGroupRecord]] = {}
     for rec in records:
-        by_label.setdefault(rec.label, []).append(rec)
+        group = by_label.setdefault(rec.label, [])
+        if group and group[0].p != rec.p:
+            raise RecordParseError(
+                f"label {rec.label!r} mixes p = {group[0].p} (line {group[0].line_number}) "
+                f"and p = {rec.p} (line {rec.line_number}); one tower has one prime"
+            )
+        group.append(rec)
     for label in sorted(by_label):
         group = by_label[label]
         base = {"kind": "growth", "label": label}

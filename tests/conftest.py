@@ -126,6 +126,48 @@ class NaiveMetacyclic:
         return found
 
 
+def subgroup_closure(mul, gens, identity=(0, 0)):
+    """The subgroup generated by ``gens``, by breadth-first closure.
+
+    In a finite group the monoid generated by ``gens`` is already a
+    subgroup, so right-multiplying from the identity reaches every word.
+    """
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for s in frontier:
+            for g in gens:
+                prod = mul(s, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        frontier = new
+    return seen
+
+
+def automorphisms_by_closure(p, u):
+    """Generator images of all automorphisms of G(p, u), in the library's
+    scan order (x-image outer, tau-image inner), found by checking the
+    defining relations naively and generation by subgroup closure."""
+    naive = NaiveMetacyclic(p, u)
+    els = naive.elements()
+    identity = (0, 0)
+    tau_candidates = [g for g in els if naive.power(g, p) == identity]
+    found = []
+    for gx in els:
+        if naive.power(gx, naive.mod_a) != identity:
+            continue
+        gx_t = naive.power(gx, naive.t)
+        for gt in tau_candidates:
+            gt_inv = naive.power(gt, p - 1)
+            if naive.mul(naive.mul(gt, gx), gt_inv) != gx_t:
+                continue
+            if len(subgroup_closure(naive.mul, (gx, gt))) == len(els):
+                found.append((gx, gt))
+    return found
+
+
 # -- tiny polynomial ring over Z/m for the charpoly oracle -------------
 
 def poly_add(a, b, m):

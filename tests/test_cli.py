@@ -76,6 +76,21 @@ def test_campaign_with_order_four_exponent():
     assert "d=4,s=1" in out
 
 
+def test_campaign_orbit_control_at_precision_floor():
+    # The r=6 control runs at precision max(8, r+2) = 8; its orbit seeds
+    # must keep det(M - I) below that precision.
+    code, out = run(
+        ["--no-timestamps", "--format", "machine", "--precision", "8",
+         "lemma2-campaign", "--p", "3", "--zeta", "-1", "--r", "6", "--trials", "5"]
+    )
+    assert code == 0
+    control = [json.loads(line) for line in out.splitlines()][2]
+    assert control["control"] == "d=2,s=3"
+    assert control["precision"] == 8
+    assert control["resolved"] == "witness"
+    assert control["rank_check"] == "consistent"
+
+
 def test_audit_parity_on_bundled_models():
     for name in ("model_d2.json", "model_d4.json"):
         code, out = run(["--no-timestamps", "audit-parity", str(DATA / name)])
@@ -119,6 +134,14 @@ def test_check_records_exit_codes(tmp_path):
     assert run(["check-records", str(broken)])[0] == 2
 
     assert run(["check-records", str(tmp_path / "missing.jsonl")])[0] == 2
+
+    # one label holding p=3 and p=5 records is an input error, not a parity verdict
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(
+        json.dumps({"p": q, "n": n, "inv": [q, q], "flags": ALL_FLAGS, "label": "m"}) + "\n"
+        for n, q in enumerate((3, 5, 3, 5))
+    ))
+    assert run(["--no-timestamps", "check-records", str(mixed)]) == (2, "")
 
 
 def test_check_records_bundled_sample():

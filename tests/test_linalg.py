@@ -14,7 +14,7 @@ from anticyclo.linalg import (
     rank_divisibility_check,
     zeta_order,
 )
-from anticyclo.padic import PadicInt, teichmuller
+from anticyclo.padic import PadicInt, teichmuller, val
 
 from conftest import charpoly_by_expansion
 
@@ -221,6 +221,15 @@ def test_rank_divisibility_on_constructions():
     zeta = teichmuller(2, 5, 8)
     M, _ = orbit_block_construct(5, 8, 4, 1, zeta)
     assert rank_divisibility_check(M, zeta, 4) == "consistent"
+
+
+def test_orbit_construct_default_seeds_with_many_orbits():
+    # With s >= p orbits the default seeds skip 1 + p^2·k, so every
+    # eigenvalue has v(lambda - 1) = 1 and det(M - I) has valuation d·s.
+    for precision, s in ((8, 3), (9, 4)):
+        M, _ = orbit_block_construct(3, precision, 2, s, -1)
+        assert val((M - PadicMatrix.identity(3, precision, M.dim)).det()) == 2 * s
+        assert rank_divisibility_check(M, -1, 2) == "consistent"
 
 
 def test_rank_divisibility_vacuous_and_errors():

@@ -1,9 +1,21 @@
 import pytest
 
+from anticyclo.cli import ENUMERATION_BUDGET
 from anticyclo.errors import SearchSpaceError
-from anticyclo.metacyclic import GeneratorImages, MetacyclicGroup
+from anticyclo.metacyclic import SEARCH_GUARD, GeneratorImages, MetacyclicGroup
 
-from conftest import NaiveMetacyclic
+from conftest import NaiveMetacyclic, automorphisms_by_closure, subgroup_closure
+
+
+def _grid(budget, primes=(3, 5, 7, 11, 13)):
+    """Every (p, u) whose candidate-pair count order² stays within budget."""
+    points = []
+    for p in primes:
+        u = 1
+        while p ** (2 * (u + 2)) <= budget:
+            points.append((p, u))
+            u += 1
+    return points
 
 
 def test_product_rule_examples():
@@ -91,8 +103,35 @@ def test_automorphisms_fix_the_quotient_by_the_cyclic_part():
             assert images.image_tau[1] == 1
 
 
+def test_burnside_criterion_matches_subgroup_closure():
+    for p, u in [(3, 1), (3, 2), (5, 1)]:
+        G = MetacyclicGroup(p, u)
+        naive = NaiveMetacyclic(p, u)
+        els = G.elements()
+        for g in els:
+            for h in els:
+                by_closure = len(subgroup_closure(naive.mul, (g, h))) == G.order
+                assert G._generates(g, h) == by_closure, (p, u, g, h)
+
+
+def test_enumeration_matches_closure_oracle_in_order():
+    for p, u in [(3, 2), (5, 1), (7, 1)]:
+        autos = MetacyclicGroup(p, u).enumerate_automorphisms()
+        assert [tuple(a) for a in autos] == automorphisms_by_closure(p, u)
+
+
+def test_automorphism_count_inside_enumeration_budget():
+    grid = _grid(ENUMERATION_BUDGET)
+    assert grid == [(3, 1), (3, 2), (3, 3), (5, 1), (7, 1)]
+    for p, u in grid:
+        # x maps to any element of order p^(u+1), tau to x^(b·p^u)·tau.
+        assert len(MetacyclicGroup(p, u).enumerate_automorphisms()) == p ** (u + 2) * (p - 1)
+
+
 def test_no_inverting_automorphism_on_the_grid():
-    for p, u in [(3, 1), (3, 2), (5, 1), (7, 1)]:
+    grid = _grid(SEARCH_GUARD)
+    assert {(3, 5), (5, 3), (7, 2), (11, 1), (13, 1)} <= set(grid)
+    for p, u in grid:
         assert MetacyclicGroup(p, u).find_inverting_automorphism() is None
 
 

@@ -122,3 +122,10 @@ def test_conflicting_layer_sizes_detected():
     assert contradiction
     growth = [c for c in checks if c["kind"] == "growth"][0]
     assert "conflicting" in growth["reason"]
+
+
+def test_mixed_primes_in_one_label_are_an_input_error():
+    records = [parse_record(_line(n=n, label="mix")) for n in range(4)]
+    records.append(parse_record(_line(p=5, n=4, inv=[25, 5], label="mix"), line_number=9))
+    with pytest.raises(RecordParseError, match=r"'mix' mixes p = 3 .* and p = 5 \(line 9\)"):
+        check_records(records)
