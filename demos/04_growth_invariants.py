@@ -1,8 +1,10 @@
 """Layer growth of elementary Lambda-modules and the parity audit.
 
 The size of E/omega_n·E grows like p^(lambda·n + mu·p^n + nu) once n is
-large; the library measures the exponents exactly (integer resultants)
-and recovers (lambda, mu, nu) from the tail of the sequence.  On matrix
+large; the library measures the exponents exactly (the resultant's
+p-adic valuation, read from a Smith normal form over Z/p^K at a precision
+K raised until it suffices) and recovers (lambda, mu, nu) from the tail
+of the sequence.  On matrix
 models carrying an intertwined torsion exponent of order d, the rank r
 satisfies r = s mod d, where s is the T-multiplicity of the
 characteristic polynomial of (generator - 1).

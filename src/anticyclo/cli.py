@@ -250,6 +250,11 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
 
 
 def cmd_growth(args, report: Report) -> int:
+    if args.n_max < 3:
+        raise ValueError(
+            f"--n-max {args.n_max} is below the minimum 3: the invariant fit needs "
+            "layers 0..3 at least; pass --n-max 3 or more"
+        )
     module = parse_module_spec(args.module, args.p)
     exponents = []
     for n in range(args.n_max + 1):

@@ -3,9 +3,12 @@ matrix models of the Galois action on a tower.
 
 Layer sizes: for E = ⊕ Λ/(p^mu_i) ⊕ ⊕ Λ/(g_j) the quotient by
 omega_n = (1+T)^(p^n) - 1 has p-exponent sum(mu_i·p^n) plus the p-adic
-valuation of the resultant of g_j and omega_n; the latter is computed as
-an exact integer determinant (multiplication by omega_n on Z[T]/(g)), so
-no precision is lost before the final valuation.
+valuation of the resultant of g_j and omega_n.  The latter is read from
+the local-ring Smith normal form of multiplication by omega_n on
+(Z/p^K)[T]/(g), with K doubled until every pivot is nonzero; each pivot
+is then the exact p-part of an invariant factor, so the valuation is
+exact.  Whether the quotient is finite at all is decided beforehand by
+exact division over Z.
 
 Parity audits: a GammaModel packages the action matrix of a topological
 generator on a free rank-r quotient, an intertwining matrix for an
@@ -32,7 +35,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, is_odd_prime, teichmuller
-from .snf import int_det, smith_normal_form
+from .snf import int_det, smith_normal_form, smith_normal_form_mod_prime_power
 
 
 # ----------------------------------------------------------------------
@@ -67,13 +70,19 @@ def _poly_mod_monic(a, g):
     return _poly_trim(a[:dg] or [0])
 
 
-def _poly_pow_mod(base, e, g):
+def _poly_mul_mod(a, b, g, m):
+    """a·b modulo the monic polynomial g, coefficients reduced mod m."""
+    return [c % m for c in _poly_mod_monic(_poly_mul(a, b), g)]
+
+
+def _poly_pow_mod(base, e, g, m):
+    """base^e in (Z/m)[T]/(g) for the monic polynomial g."""
     result = [1]
-    cur = _poly_mod_monic(base, g)
+    cur = base
     while e:
         if e & 1:
-            result = _poly_mod_monic(_poly_mul(result, cur), g)
-        cur = _poly_mod_monic(_poly_mul(cur, cur), g)
+            result = _poly_mul_mod(result, cur, g, m)
+        cur = _poly_mul_mod(cur, cur, g, m)
         e >>= 1
     return result
 
@@ -126,28 +135,51 @@ def invariants_of(module: ElementaryLambdaModule) -> tuple[int, int]:
     return lam, mu
 
 
+def _cyclotomic_factor(p: int, k: int) -> list[int]:
+    """Phi_{p^k}(1 + T), the degree-phi(p^k) irreducible factor of omega_n
+    for each k <= n; Phi_1(1 + T) = T."""
+    if k == 0:
+        return [0, 1]
+    q = p ** (k - 1)
+    return [sum(comb(i * q, j) for i in range(p)) for j in range((p - 1) * q + 1)]
+
+
 def _poly_quotient_exponent(g, p: int, n: int) -> int:
-    """p-exponent of Λ/(g, omega_n): v_p of det(mult-by-omega_n on Z[T]/(g))."""
+    """p-exponent of Λ/(g, omega_n), i.e. v_p(Res(g, omega_n)).
+
+    omega_n is the product of the irreducible Phi_{p^k}(1 + T), k <= n, so
+    the quotient is infinite exactly when one of them divides g; g and the
+    factors are monic, so exact division over Z decides it.  Otherwise the
+    exponent is the sum of the valuations of the invariant factors of
+    multiplication by omega_n on Z_p[T]/(g).  Reduction mod p^K commutes
+    with the ring operations, and a nonzero local-ring SNF pivot p^v
+    (v < K) is the exact p-part of an integer invariant factor, so the
+    matrix is built mod p^K and K doubles until every pivot is nonzero.
+    """
     deg = len(g) - 1
-    w = _poly_pow_mod([1, 1], p**n, g)
-    w = _poly_trim([w[0] - 1] + list(w[1:]))
-    cols = []
-    cur = list(w) + [0] * (deg - len(w))
-    for i in range(deg):
-        if i:
-            shifted = [0] + cur[: deg - 1]
-            spill = cur[deg - 1]
-            cur = [a - spill * b for a, b in zip(shifted, g[:deg])]
-        cols.append(list(cur))
-    det = int_det([[cols[j][i] for j in range(deg)] for i in range(deg)])
-    if det == 0:
-        raise ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
-    det = abs(det)
-    v = 0
-    while det % p == 0:
-        det //= p
-        v += 1
-    return v
+    for k in range(n + 1):
+        phi = _cyclotomic_factor(p, k)
+        if len(phi) > len(g):
+            break
+        if not any(_poly_mod_monic(g, phi)):
+            raise ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
+    K = deg * (n + 1)
+    while True:
+        m = p**K
+        w = _poly_pow_mod([1, 1], p**n, g, m)
+        w[0] -= 1
+        # row i holds omega_n·T^i mod g: the transpose of the multiplication
+        # matrix, which has the same invariant factors
+        rows = [_poly_mul_mod(w, [0] * i + [1], g, m) for i in range(deg)]
+        diag, _ = smith_normal_form_mod_prime_power([r + [0] * (deg - len(r)) for r in rows], p, K)
+        if all(diag):
+            v = 0
+            for pivot in diag:  # each pivot is exactly p^v
+                while pivot > 1:
+                    pivot //= p
+                    v += 1
+            return v
+        K *= 2
 
 
 def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:

@@ -20,6 +20,29 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+# -- layer exponents in closed form ------------------------------------
+
+def closed_form_layer_exponent(p: int, g, n: int) -> int:
+    """v_p(Res(g, omega_n)) for the two shapes with a closed form.
+
+    g = T + p^j·u (p ∤ u): the root -p^j·u lies above every root zeta - 1
+    of omega_n, so the exponent is v_p((1 - p^j·u)^(p^n) - 1) = j + n.
+    g Eisenstein of degree k, k != phi(p^m) for every m <= n: its k roots
+    have valuation 1/k; against the root 0 of omega_n they give 1 in
+    total, against the phi(p^m) roots of valuation 1/phi(p^m) they give
+    min(phi(p^m), k).
+    """
+    k = len(g) - 1
+    if k == 1:
+        return int_valuation(g[0], p) + n
+    if g[-1] != 1 or int_valuation(g[0], p) != 1 or any(c % p for c in g[1:-1]):
+        raise ValueError(f"{list(g)} is neither linear nor Eisenstein")
+    phis = [(p - 1) * p ** (m - 1) for m in range(1, n + 1)]
+    if k in phis:
+        raise ValueError(f"degree {k} is phi(p^m) for some m <= {n}: no closed form")
+    return 1 + sum(min(phi, k) for phi in phis)
+
+
 # -- finite abelian group enumeration ---------------------------------
 
 def all_elements(factors):

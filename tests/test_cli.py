@@ -43,6 +43,22 @@ def test_growth_command_examples():
     assert code == 2
 
 
+@pytest.mark.parametrize("n_max", ["2", "0", "-1"])
+def test_growth_rejects_too_few_layers(n_max, capsys):
+    code, out = run(["growth", "--p", "3", "--module", "T-3", "--n-max", n_max])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "--n-max" in err and "minimum 3" in err
+
+
+def test_growth_reaches_deep_layers():
+    argv = ["--no-timestamps", "--format", "machine", "growth", "--p", "3", "--module", "T^3+3T+6", "--n-max", "40"]
+    code, out = run(argv)
+    assert code == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary == {"record": "summary", "layers": 41, "match": 1}
+
+
 def test_inverting_search_command():
     code, out = run(["--no-timestamps", "verify-lemma1", "--p", "3", "--u-max", "1"])
     assert code == 0

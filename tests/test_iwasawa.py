@@ -21,7 +21,7 @@ from anticyclo.iwasawa import (
 from anticyclo.linalg import PadicMatrix
 from anticyclo.padic import teichmuller
 
-from conftest import int_valuation, quotient_structure
+from conftest import closed_form_layer_exponent, int_valuation, quotient_structure
 
 
 def test_omega_examples():
@@ -56,6 +56,61 @@ def test_layer_growth_examples():
     assert [layer_size_exponent(E, n) for n in range(4)] == [1, 3, 9, 27]
     with pytest.raises(ValueError, match="quotient not finite"):
         layer_size_exponent(ElementaryLambdaModule(3, poly_parts=((0, 1),)), 2)
+
+
+def _cyclotomic_at_one_plus_t(p, k):
+    """Phi_{p^k}(1 + T) = sum_{i<p} (1 + T)^(i·p^(k-1)), by Pascal's rule."""
+    out = [0] * ((p - 1) * p ** (k - 1) + 1)
+    power = [1]
+    for _ in range(p):
+        for j, c in enumerate(power):
+            out[j] += c
+        for _ in range(p ** (k - 1)):
+            power = [a + b for a, b in zip(power + [0], [0] + power)]
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_planted_cyclotomic_factor_is_not_finite_from_its_level(p, k):
+    # g = Phi_{p^k}(1+T)·(T+p) shares a root with omega_n exactly when
+    # n >= k; below that, Res(Phi_{p^k}, Phi_{p^m}) = p^phi(p^m) for m < k
+    # adds up to p^n, and T + p contributes 1 + n
+    phi = _cyclotomic_at_one_plus_t(p, k)
+    g = tuple(p * a + b for a, b in zip(phi + [0], [0] + phi))
+    module = ElementaryLambdaModule(p, poly_parts=(g,))
+    for n in range(k + 2):
+        if n >= k:
+            with pytest.raises(ValueError, match=f"quotient not finite at level {n}"):
+                layer_size_exponent(module, n)
+        else:
+            assert layer_size_exponent(module, n) == p**n + 1 + n
+
+
+def test_layer_growth_against_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("T")
+    rng = random.Random(83)
+    for _ in range(16):
+        p = rng.choice([3, 5, 7])
+        n = rng.randint(0, {3: 5, 5: 3, 7: 2}[p])
+        deg = rng.randint(1, 5)
+        g = tuple(p * rng.randint(-3, 3) for _ in range(deg)) + (1,)
+        module = ElementaryLambdaModule(p, poly_parts=(g,))
+        res = sympy.resultant(sum(c * T**i for i, c in enumerate(g)), (1 + T) ** p**n - 1, T)
+        if res == 0:
+            with pytest.raises(ValueError, match="quotient not finite"):
+                layer_size_exponent(module, n)
+        else:
+            assert layer_size_exponent(module, n) == sympy.multiplicity(p, res)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_layer_growth_closed_forms_up_to_n_100(p):
+    polys = [(p, 1), (-(p**4) * 2, 1), (p, p, 0, 1), (p * (p + 1), 0, 0, p, 0, 1)]
+    for g in polys:
+        module = ElementaryLambdaModule(p, poly_parts=(g,))
+        for n in list(range(12)) + [25, 50, 75, 100]:
+            assert layer_size_exponent(module, n) == closed_form_layer_exponent(p, g, n), (g, n)
 
 
 def test_structure_invariants():
