@@ -1,8 +1,9 @@
 """Tate cohomology of a finite cyclic action, with minus parts.
 
-All subquotients come from integer Smith normal form on the relation and
-action lattices; for finite modules the degree-0 and degree-(-1) groups
-always have the same size (Herbrand), which makes a sharp self-check.
+All subquotients come from the local-ring Smith normal form mod p^E, p^E
+the largest invariant factor, on the relation and action lattices; for
+finite modules the degree-0 and degree-(-1) groups always have the same
+size (Herbrand), which makes a sharp self-check.
 """
 
 from anticyclo import (

@@ -3,9 +3,11 @@
 A module is a list of invariant factors (p-powers) plus named integer
 matrices acting on the generators.  Fixed points, norm images, the
 degree 0 and -1 Tate groups, and minus-parts of involutions are all
-subquotients of Z^k between the relation lattice and Z^k, so everything
-reduces to integer Smith normal form.  No number-field data appears
-anywhere: class groups enter as plain invariant-factor lists.
+subquotients of Z^k between the relation lattice and Z^k.  Each such
+lattice contains p^E·Z^k, p^E the largest invariant factor, so it is a
+submodule of (Z/p^E)^k, and everything reduces to the local-ring Smith
+normal form mod p^E.  No number-field data appears anywhere: class
+groups enter as plain invariant-factor lists.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
 from .padic import is_odd_prime
-from .snf import (
-    lattice_basis,
-    mat_mul,
-    quotient_invariants,
-    smith_normal_form,
-)
+from .snf import cokernel_mod, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
 
 
 def _p_power_exponent(q: int, p: int) -> int:
@@ -116,6 +113,17 @@ class FinitePModule:
             for j in range(k)
         )
 
+    @property
+    def exponent(self) -> int:
+        """E with p^E the largest invariant factor (0 for the trivial group).
+
+        Every lattice between the relation lattice and Z^k contains
+        p^E·Z^k, so it is a submodule of (Z/p^E)^k.
+        """
+        if not self.invariant_factors:
+            return 0
+        return _p_power_exponent(self.invariant_factors[0], self.p)
+
     def action(self, name: str):
         if name not in self.actions:
             raise ValueError(f"no action named {name!r} on this module")
@@ -149,42 +157,55 @@ def _relation_columns(module: FinitePModule):
     ]
 
 
-def _int_kernel_columns(A):
-    """Basis of the integer kernel of A, as a cols×(nullity) matrix."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    S, _, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(rows, cols)) if S[i][i] != 0)
-    return [[V[r][i] for i in range(rank, cols)] for r in range(cols)]
+def _image_gens(module: FinitePModule, F):
+    """Generators of F·Z^k + relation lattice: the columns of [F | Q]."""
+    return list(zip(*F)) + _relation_columns(module)
 
 
-def _preimage_lattice(module: FinitePModule, F):
-    """Basis of {x in Z^k : F·x lies in the relation lattice}.
+def _preimage_gens(module: FinitePModule, F):
+    """Generators mod p^E of {x in Z^k : F·x lies in the relation lattice}.
 
-    Solving F·x = Q·y as an integer kernel of [F | Q] and projecting onto
-    the x-coordinates spans exactly the preimage; the relation columns are
-    appended so the generator set is visibly full rank.
+    kernel_mod([F | Q]) solves F·x ≡ -Q·y mod p^E, which puts F·x in the
+    relation lattice because that lattice contains p^E·Z^k; the
+    x-coordinates of its generators span the preimage mod p^E.
     """
-    k = len(module.invariant_factors)
+    k = len(F)
     Q = _relation_columns(module)
     stacked = [F[i] + Q[i] for i in range(k)]  # k x 2k, columns [F | Q]
-    ker = _int_kernel_columns(stacked)
-    gens = [ker[r] + Q[r] for r in range(k)]
-    return lattice_basis(gens)
+    return [vec[:k] for vec, _ in kernel_mod(stacked, module.p, module.exponent)]
 
 
-def _image_lattice(module: FinitePModule, F):
-    """Basis of F·Z^k + relation lattice."""
-    k = len(module.invariant_factors)
-    Q = _relation_columns(module)
-    return lattice_basis([F[r] + Q[r] for r in range(k)])
+def _subquotient(module: FinitePModule, X, Y) -> tuple[int, ...]:
+    """Invariant factors of X/Y for generator lists Y ⊆ X mod p^E.
+
+    The local SNF of X (one generator per row) gives an invertible V such
+    that the rows of X·V span ⊕ p^(v_i)·Z/p^E, a zero pivot meaning
+    v_i = E.  In the coordinates x·V, X is ⊕ Z/p^(E-v_i) and Y is spanned
+    by the rows (y·V)_i / p^(v_i), so X/Y is the cokernel of those
+    columns beside diag(p^(E-v_i)).  A y outside X raises ArithmeticError.
+    """
+    p, E = module.p, module.exponent
+    m = p**E
+    diag, V = smith_normal_form_mod_prime_power(X, p, E)
+    scales = [d or m for d in diag]
+    coords = [[c % m for c in row] for row in mat_mul(Y, V)]
+    k = len(scales)
+    cokernel = []
+    for i, s in enumerate(scales):
+        if any(row[i] % s for row in coords):
+            raise ArithmeticError("subquotient generators are not inside the ambient lattice")
+        cokernel.append([row[i] // s for row in coords] + [m // s if j == i else 0 for j in range(k)])
+    return cokernel_mod(cokernel, p, E)
 
 
-def _structure(module: FinitePModule, X, Y) -> tuple[int, ...]:
-    invs = quotient_invariants(X, Y)
-    for q in invs:
-        _p_power_exponent(q, module.p)
-    return invs
+def _order(module: FinitePModule, name: str, m: int | None) -> int:
+    if m is None:
+        m = module.orders.get(name)
+        if m is None:
+            raise ValueError(f"order of {name!r} neither declared nor given")
+    if m < 1:
+        raise ValueError(f"order of {name!r} must be positive, got {m}")
+    return m
 
 
 def _shift_matrix(module: FinitePModule, name: str):
@@ -194,70 +215,51 @@ def _shift_matrix(module: FinitePModule, name: str):
 
 
 def _norm_matrix(module: FinitePModule, name: str, m: int):
+    """1 + T + ... + T^(m-1); the loop ends on T^m, which must be 1."""
     T = module.action(name)
     k = len(T)
-    acc = [[0] * k for _ in range(k)]
-    power = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    for _ in range(m):
+    acc = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    power = T
+    for _ in range(m - 1):
         acc = module._reduce([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)])
         power = module._reduce(mat_mul(T, power))
-    return acc
-
-
-def _require_order(module: FinitePModule, name: str, m: int):
-    if not module._is_identity(module._matrix_power(module.action(name), m)):
+    if not module._is_identity(power):
         raise ValueError(f"action {name!r} does not satisfy {name}^{m} = identity")
+    return acc
 
 
 def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
     """Kernel of (action - 1), as a bare structure (no actions carried)."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    X = _preimage_lattice(module, _shift_matrix(module, action))
-    L = lattice_basis(_relation_columns(module))
-    return FinitePModule(module.p, _structure(module, X, L))
+    fix = _preimage_gens(module, _shift_matrix(module, action))
+    return FinitePModule(module.p, _subquotient(module, fix, _relation_columns(module)))
 
 
 def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Image of 1 + T + ... + T^(m-1) for an action T with T^m = identity."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    if m is None:
-        m = module.orders.get(action)
-        if m is None:
-            raise ValueError(f"order of {action!r} neither declared nor given")
-    _require_order(module, action, m)
-    Y = _image_lattice(module, _norm_matrix(module, action, m))
-    L = lattice_basis(_relation_columns(module))
-    return FinitePModule(module.p, _structure(module, Y, L))
+    norms = _image_gens(module, _norm_matrix(module, action, _order(module, action, m)))
+    return FinitePModule(module.p, _subquotient(module, norms, _relation_columns(module)))
 
 
 def tate_h0(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Degree-0 Tate cohomology: fixed points modulo norms."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    if m is None:
-        m = module.orders.get(action)
-        if m is None:
-            raise ValueError(f"order of {action!r} neither declared nor given")
-    _require_order(module, action, m)
-    fix = _preimage_lattice(module, _shift_matrix(module, action))
-    norms = _image_lattice(module, _norm_matrix(module, action, m))
-    return FinitePModule(module.p, _structure(module, fix, norms))
+    norms = _image_gens(module, _norm_matrix(module, action, _order(module, action, m)))
+    fix = _preimage_gens(module, _shift_matrix(module, action))
+    return FinitePModule(module.p, _subquotient(module, fix, norms))
 
 
 def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Degree-(-1) Tate cohomology: norm kernel modulo the augmentation image."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    if m is None:
-        m = module.orders.get(action)
-        if m is None:
-            raise ValueError(f"order of {action!r} neither declared nor given")
-    _require_order(module, action, m)
-    norm_kernel = _preimage_lattice(module, _norm_matrix(module, action, m))
-    aug_image = _image_lattice(module, _shift_matrix(module, action))
-    return FinitePModule(module.p, _structure(module, norm_kernel, aug_image))
+    norm_kernel = _preimage_gens(module, _norm_matrix(module, action, _order(module, action, m)))
+    aug_image = _image_gens(module, _shift_matrix(module, action))
+    return FinitePModule(module.p, _subquotient(module, norm_kernel, aug_image))
 
 
 def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
@@ -273,15 +275,14 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
         raise ValueError(f"action {action!r} is not an involution")
     k = len(module.invariant_factors)
     inv2 = pow(2, -1, module.invariant_factors[0])
-    E = module._reduce(
+    idempotent = module._reduce(
         [
             [((1 if i == j else 0) - J[i][j]) * inv2 for j in range(k)]
             for i in range(k)
         ]
     )
-    image = _image_lattice(module, E)
-    L = lattice_basis(_relation_columns(module))
-    invs = _structure(module, image, L)
+    image = _image_gens(module, idempotent)
+    invs = _subquotient(module, image, _relation_columns(module))
     kk = len(invs)
     minus_action = {"J": [[-1 if i == j else 0 for j in range(kk)] for i in range(kk)]} if kk else {}
     return FinitePModule(module.p, invs, actions=minus_action)

@@ -35,7 +35,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, is_odd_prime, teichmuller
-from .snf import int_det, smith_normal_form, smith_normal_form_mod_prime_power
+from .snf import cokernel_mod, int_det, smith_normal_form_mod_prime_power
 
 
 # ----------------------------------------------------------------------
@@ -418,39 +418,38 @@ def parity_audit(model: GammaModel) -> str:
 # coinvariants
 # ----------------------------------------------------------------------
 
+def _coinvariant_factors(p: int, precision: int, rows, relations):
+    """Invariant factors of the cokernel of [rows - I | diag(relations)]
+    mod p^precision; a factor p^precision comes from a zero pivot."""
+    stacked = [
+        [x - (1 if i == j else 0) for j, x in enumerate(row)]
+        + [q if i == j else 0 for j, q in enumerate(relations)]
+        for i, row in enumerate(rows)
+    ]
+    return cokernel_mod(stacked, p, precision)
+
+
 def coinvariants(
     module: Union[FinitePModule, GammaModel], action: str = "tau"
 ) -> FinitePModule:
     """X/(action - 1)X as an invariant-factor list.
 
-    For a FinitePModule the named action is used.  For a GammaModel the
-    generator matrix acts on (Z/p^N)^r; the quotient is only reported
-    when it is certifiably finite at precision (no factor hits p^N).
+    For a FinitePModule the named action is used, read mod p^E with p^E
+    the largest invariant factor.  For a GammaModel the generator matrix
+    acts on (Z/p^N)^r; the quotient is only reported when it is
+    certifiably finite at precision (no factor hits p^N).
     """
     if isinstance(module, GammaModel):
         M = module.M
-        r = M.dim
-        stacked = [
-            [M.modulus if i == j else 0 for j in range(r)]
-            + [M.rows[i][j] - (1 if i == j else 0) for j in range(r)]
-            for i in range(r)
-        ]
-        S, _, _ = smith_normal_form(stacked)
-        invs = sorted((S[i][i] for i in range(r) if S[i][i] > 1), reverse=True)
-        if any(q >= M.modulus for q in invs):
+        invs = _coinvariant_factors(M.p, M.precision, M.rows, ())
+        if M.modulus in invs:
             raise PrecisionError(
                 "raise precision: coinvariants are not certifiably finite at this N"
             )
-        return FinitePModule(M.p, tuple(invs))
-    k = len(module.invariant_factors)
-    if k == 0:
+        return FinitePModule(M.p, invs)
+    if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    T = module.action(action)
-    stacked = [
-        [module.invariant_factors[j] if i == j else 0 for j in range(k)]
-        + [T[i][j] - (1 if i == j else 0) for j in range(k)]
-        for i in range(k)
-    ]
-    S, _, _ = smith_normal_form(stacked)
-    invs = sorted((S[i][i] for i in range(k) if S[i][i] > 1), reverse=True)
-    return FinitePModule(module.p, tuple(invs))
+    invs = _coinvariant_factors(
+        module.p, module.exponent, module.action(action), module.invariant_factors
+    )
+    return FinitePModule(module.p, invs)

@@ -1,14 +1,17 @@
-"""Exact integer matrix normal forms and lattice bookkeeping.
+"""Exact matrix normal forms: local-ring Smith normal form and Bareiss.
 
-Smith normal form with unimodular transforms is the workhorse for every
-kernel, image, and subquotient computation on finite abelian groups in
-this package.  All arithmetic is exact (Python integers); nothing here
-knows about p-adic precision.
+The local-ring Smith normal form over Z/p^N is the workhorse for every
+kernel, image, and subquotient computation on finite abelian p-groups in
+this package: a lattice between p^N·Z^k and Z^k is exactly a submodule
+of (Z/p^N)^k, so entries stay reduced mod p^N and never grow.  All
+arithmetic is exact (Python integers); the fraction-free determinant
+``int_det`` is the one computation over Z.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -16,15 +19,8 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def int_det(A) -> int:
@@ -50,163 +46,6 @@ def int_det(A) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def smith_normal_form(A):
-    """Return (S, U, V) with S = U·A·V diagonal, U and V unimodular.
-
-    Diagonal entries are non-negative and satisfy the divisibility chain
-    S[0][0] | S[1][1] | ...  Pivots are chosen by minimal absolute value,
-    which keeps intermediate entries small for the matrices seen here.
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [list(map(int, row)) for row in A]
-    U = identity_matrix(rows)
-    V = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            M[r][i], M[r][j] = M[r][j], M[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def add_row(src, dst, c):
-        M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, c):
-        for r in range(rows):
-            M[r][dst] += c * M[r][src]
-        for r in range(cols):
-            V[r][dst] += c * V[r][src]
-
-    def negate_row(i):
-        M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if M[i][j] != 0 and (best is None or abs(M[i][j]) < best):
-                    best = abs(M[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            if M[t][t] < 0:
-                negate_row(t)
-            for i in range(t + 1, rows):
-                if M[i][t] != 0:
-                    add_row(t, i, -(M[i][t] // M[t][t]))
-            for j in range(t + 1, cols):
-                if M[t][j] != 0:
-                    add_col(t, j, -(M[t][j] // M[t][t]))
-            # Floor-division remainders lie in [0, pivot); any survivor is a
-            # strictly smaller pivot candidate, so this loop terminates.
-            swapped = False
-            for i in range(t + 1, rows):
-                if M[i][t] != 0:
-                    swap_rows(t, i)
-                    swapped = True
-                    break
-            if not swapped:
-                for j in range(t + 1, cols):
-                    if M[t][j] != 0:
-                        swap_cols(t, j)
-                        swapped = True
-                        break
-            if not swapped:
-                break
-        # Enforce the divisibility chain before moving on.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if M[i][j] % M[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-    return M, U, V
-
-
-def lattice_basis(gens):
-    """Triangular basis of the full-rank lattice spanned by the columns of gens.
-
-    gens is k×m with m >= k; raises if the columns do not span a rank-k
-    lattice.  The result is k×k lower-triangular with positive diagonal.
-    """
-    k = len(gens)
-    cols = [[gens[r][j] for r in range(k)] for j in range(len(gens[0]))]
-    basis = []
-    for r in range(k):
-        while True:
-            live = [c for c in cols if c[r] != 0]
-            if not live:
-                raise ValueError("generators do not span a full-rank lattice")
-            if len(live) == 1:
-                break
-            a = min(live, key=lambda c: abs(c[r]))
-            if a[r] < 0:
-                for i in range(k):
-                    a[i] = -a[i]
-            for b in live:
-                if b is a:
-                    continue
-                q = b[r] // a[r]
-                if q:
-                    for i in range(k):
-                        b[i] -= q * a[i]
-        pivot = next(c for c in cols if c[r] != 0)
-        if pivot[r] < 0:
-            for i in range(k):
-                pivot[i] = -pivot[i]
-        basis.append(pivot)
-        cols.remove(pivot)
-    return [[basis[j][i] for j in range(k)] for i in range(k)]
-
-
-def solve_columns(X, Y):
-    """Solve X·C = Y over the integers, X square nonsingular.
-
-    Raises ValueError when no integral solution exists (i.e. the columns
-    of Y are not in the lattice spanned by the columns of X).
-    """
-    S, U, V = smith_normal_form(X)
-    W = mat_mul(U, Y)
-    for i in range(len(X)):
-        d = S[i][i]
-        if d == 0:
-            raise ValueError("matrix is singular")
-        for j in range(len(W[i])):
-            if W[i][j] % d != 0:
-                raise ValueError("no integral solution")
-            W[i][j] //= d
-    return mat_mul(V, W)
-
-
-def quotient_invariants(X, Y):
-    """Invariant factors of lattice-quotient X/Y, descending, 1s dropped.
-
-    X and Y are k×k bases of full-rank lattices with Y ⊆ X.
-    """
-    C = solve_columns(X, Y)
-    S, _, _ = smith_normal_form(C)
-    ds = sorted((abs(S[i][i]) for i in range(len(C))), reverse=True)
-    return tuple(d for d in ds if d > 1)
 
 
 def smith_normal_form_mod_prime_power(A, p: int, precision: int):
@@ -291,3 +130,13 @@ def kernel_mod(A, p: int, precision: int):
         vec = [V[r][i] * mult % m for r in range(n)]
         gens.append((vec, mult))
     return gens
+
+
+def cokernel_mod(A, p: int, precision: int) -> tuple[int, ...]:
+    """Invariant factors of (Z/p^N)^rows / (column span of A), descending,
+    1s dropped.  A zero pivot is a full factor p^N."""
+    m = p**precision
+    rows = len(A)
+    diag, _ = smith_normal_form_mod_prime_power(A, p, precision)
+    pivots = (diag + [0] * rows)[:rows]
+    return tuple(sorted((d or m for d in pivots if d != 1), reverse=True))

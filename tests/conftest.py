@@ -96,6 +96,21 @@ def quotient_structure(A, B, factors, p):
     return tuple(sorted((p**e for e in parts), reverse=True))
 
 
+def column_span_structure(A, p, N):
+    """Invariant factors of the subgroup of (Z/p^N)^rows spanned by the
+    columns of A, by enumerating every combination (p^N <= 27 and at most
+    3 columns keep this small)."""
+    m = p**N
+    rows, cols = len(A), len(A[0])
+    if m > 27 or cols > 3:
+        raise ValueError("enumeration oracle is limited to p^N <= 27 and 3 columns")
+    span = {
+        tuple(sum(A[i][j] * c[j] for j in range(cols)) % m for i in range(rows))
+        for c in product(range(m), repeat=cols)
+    }
+    return quotient_structure(span, [tuple([0] * rows)], (m,) * rows, p)
+
+
 # -- metacyclic group, reimplemented naively ---------------------------
 
 class NaiveMetacyclic:

@@ -5,6 +5,8 @@ import pytest
 
 from anticyclo.cohomology import (
     FinitePModule,
+    _relation_columns,
+    _subquotient,
     fixed_points,
     herbrand_check,
     minus_part,
@@ -13,6 +15,7 @@ from anticyclo.cohomology import (
     tate_hm1,
     theorem2_cyclic_obstruction,
 )
+from anticyclo.iwasawa import coinvariants
 
 from conftest import all_elements, apply_rows, quotient_structure
 
@@ -64,6 +67,35 @@ def test_tate_groups_worked_example():
     assert tate_h0(empty, "tau", 3).invariant_factors == ()
 
 
+def test_order_is_checked_on_every_call():
+    for p in (3, 5):
+        T = [[1 + p]]  # order p on Z/p^2
+        declared = FinitePModule(p, (p * p,), actions={"tau": T}, orders={"tau": p})
+        undeclared = FinitePModule(p, (p * p,), actions={"tau": T})
+        for op in (norm_image, tate_h0, tate_hm1, herbrand_check):
+            with pytest.raises(ValueError, match="does not satisfy"):
+                op(declared, "tau", p - 1)
+            with pytest.raises(ValueError, match="neither declared nor given"):
+                op(undeclared, "tau")
+            with pytest.raises(ValueError, match="must be positive"):
+                op(declared, "tau", 0)
+        # a multiple of the order is still an order: the norm over p^2
+        # terms is p times the norm over p terms, which is p on Z/p^2
+        assert norm_image(undeclared, "tau", p * p).invariant_factors == ()
+        assert tate_h0(undeclared, "tau", p * p).invariant_factors == (p,)
+        assert tate_hm1(undeclared, "tau", p * p).invariant_factors == (p,)
+        assert herbrand_check(undeclared, "tau", p * p)
+        assert norm_image(declared, "tau").invariant_factors == (p,)
+
+
+def test_subquotient_rejects_generators_outside_the_lattice():
+    module = FinitePModule(3, (9, 3))
+    Q = _relation_columns(module)
+    with pytest.raises(ArithmeticError, match="not inside"):
+        _subquotient(module, Q, [[1, 0]] + Q)
+    assert _subquotient(module, [[1, 0], [0, 1]] + Q, Q) == (9, 3)
+
+
 def test_minus_part_examples_and_idempotence():
     assert minus_part(FinitePModule(3, (9,), actions={"J": [[-1]]})).invariant_factors == (9,)
     assert minus_part(FinitePModule(3, (9,), actions={"J": [[1]]})).invariant_factors == ()
@@ -73,13 +105,14 @@ def test_minus_part_examples_and_idempotence():
     assert minus_part(part).invariant_factors == (3,)
 
 
-def _random_module_with_cyclic_action(rng):
-    """Random finite module of order <= 3^6 with a random finite-order action."""
-    p = 3
+def _random_module_with_cyclic_action(rng, p, max_size_exponent, distinct=False):
+    """Random finite module of order <= p^max_size_exponent with a random
+    finite-order action tau and an involution J = tau·D·tau^-1, D = ±1
+    on each generator.  With ``distinct`` the factors are not all equal."""
     while True:
         k = rng.randint(1, 3)
         exps = sorted((rng.randint(1, 3) for _ in range(k)), reverse=True)
-        if sum(exps) > 6:
+        if sum(exps) > max_size_exponent or (distinct and exps[0] == exps[-1]):
             continue
         factors = tuple(p**e for e in exps)
         rows = []
@@ -94,19 +127,24 @@ def _random_module_with_cyclic_action(rng):
         except ValueError:
             continue
         # keep only invertible actions of small finite order
-        power = rows
+        powers = [rows]
         for order in range(1, 200):
-            if module._is_identity(power):
+            if module._is_identity(powers[-1]):
+                signs = [[rng.choice([1, -1]) if i == j else 0 for j in range(k)] for i in range(k)]
+                inverse = powers[-2] if order > 1 else rows
+                J = module._reduce(_mat_mul(_mat_mul(rows, signs), inverse))
                 return (
-                    FinitePModule(p, factors, actions={"tau": rows}, orders={"tau": order}),
+                    FinitePModule(
+                        p, factors, actions={"tau": rows, "J": J}, orders={"tau": order}
+                    ),
                     order,
                 )
-            power = module._reduce(
-                [
-                    [sum(power[i][l] * rows[l][j] for l in range(k)) for j in range(k)]
-                    for i in range(k)
-                ]
-            )
+            powers.append(module._reduce(_mat_mul(powers[-1], rows)))
+
+
+def _mat_mul(A, B):
+    k = len(A)
+    return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
 
 
 def _oracle_tate_structures(module, order):
@@ -119,37 +157,60 @@ def _oracle_tate_structures(module, order):
     def add(x, y):
         return tuple((a + b) % q for a, b, q in zip(x, y, factors))
 
-    def tau(x):
-        return apply_rows(rows, x, factors)
+    tau = {x: apply_rows(rows, x, factors) for x in els}
 
     def norm(x):
         acc = zero
         cur = x
         for _ in range(order):
             acc = add(acc, cur)
-            cur = tau(cur)
+            cur = tau[cur]
         return acc
 
-    fixed = [x for x in els if tau(x) == x]
-    norms = {norm(x) for x in els}
-    kernel = [x for x in els if norm(x) == zero]
-    shifts = {add(tau(x), tuple((-a) % q for a, q in zip(x, factors))) for x in els}
+    normed = [norm(x) for x in els]
+    fixed = [x for x in els if tau[x] == x]
+    norms = set(normed)
+    kernel = [x for x, n in zip(els, normed) if n == zero]
+    shifts = {add(tau[x], tuple((-a) % q for a, q in zip(x, factors))) for x in els}
     h0 = quotient_structure(fixed, norms, factors, p)
     hm1 = quotient_structure(kernel, shifts, factors, p)
     return fixed, shifts, h0, hm1
 
 
+def _oracle_minus_part(module):
+    # p is odd, so the image of (1 - J)/2 is the -1 eigenspace of J
+    factors = module.invariant_factors
+    J = [list(r) for r in module.actions["J"]]
+    minus = [
+        x for x in all_elements(factors)
+        if apply_rows(J, x, factors) == tuple((-a) % q for a, q in zip(x, factors))
+    ]
+    return quotient_structure(minus, [tuple([0] * len(factors))], factors, module.p)
+
+
 def test_tate_groups_match_enumeration_oracle():
     rng = random.Random(77)
-    for _ in range(60):
-        module, order = _random_module_with_cyclic_action(rng)
-        fixed, shifts, h0, hm1 = _oracle_tate_structures(module, order)
-        assert tate_h0(module, "tau", order).invariant_factors == h0
-        assert tate_hm1(module, "tau", order).invariant_factors == hm1
-        assert fixed_points(module, "tau").size() == len(fixed)
-        # rank-nullity over the finite module
-        assert len(fixed) * len(shifts) == module.size()
-        assert herbrand_check(module, "tau", order)
+    for p, max_size_exponent, cases in ((3, 6, 60), (5, 4, 40)):
+        distinct_exponents = 0
+        for case in range(cases):
+            module, order = _random_module_with_cyclic_action(
+                rng, p, max_size_exponent, distinct=case % 2 == 1
+            )
+            fixed, shifts, h0, hm1 = _oracle_tate_structures(module, order)
+            assert tate_h0(module, "tau", order).invariant_factors == h0
+            assert tate_hm1(module, "tau", order).invariant_factors == hm1
+            assert fixed_points(module, "tau").size() == len(fixed)
+            # rank-nullity over the finite module
+            assert len(fixed) * len(shifts) == module.size()
+            assert herbrand_check(module, "tau", order)
+            coinv = quotient_structure(all_elements(module.invariant_factors), shifts,
+                                       module.invariant_factors, p)
+            assert coinvariants(module, "tau").invariant_factors == coinv
+            assert minus_part(module, "J").invariant_factors == _oracle_minus_part(module)
+            factors = module.invariant_factors
+            distinct_exponents += factors[0] != factors[-1]
+        # E exceeds the smallest factor's exponent in at least half the cases
+        assert distinct_exponents >= cases // 2
 
 
 def test_minus_part_sizes_multiply():

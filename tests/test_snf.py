@@ -5,45 +5,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticyclo.snf import (
+    cokernel_mod,
     int_det,
     kernel_mod,
-    lattice_basis,
     mat_mul,
-    quotient_invariants,
-    smith_normal_form,
     smith_normal_form_mod_prime_power,
-    solve_columns,
 )
+
+from conftest import column_span_structure, int_valuation
 
 
 @st.composite
-def int_matrices(draw):
+def local_matrices(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    precision = draw(st.integers(1, 4))
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4))
-    return [
-        [draw(st.integers(-40, 40)) for _ in range(cols)] for _ in range(rows)
-    ]
+    A = [[draw(st.integers(-200, 200)) for _ in range(cols)] for _ in range(rows)]
+    return A, p, precision
 
 
-@given(int_matrices())
+@given(local_matrices())
 @settings(max_examples=200)
-def test_smith_normal_form_properties(A):
-    S, U, V = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == S
-    assert abs(int_det(U)) == 1
-    assert abs(int_det(V)) == 1
-    rows, cols = len(A), len(A[0])
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert S[i][j] == 0
-    diag = [S[i][i] for i in range(min(rows, cols))]
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
+def test_local_ring_snf_properties(case):
+    A, p, precision = case
+    m = p**precision
+    diag, V = smith_normal_form_mod_prime_power(A, p, precision)
+    assert len(diag) == len(A[0])
+    # pivots are p-powers below p^N with non-decreasing exponents, then zeros
+    nonzero = [d for d in diag if d]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    exps = [int_valuation(d, p) for d in nonzero]
+    assert all(d == p**e and e < precision for d, e in zip(nonzero, exps))
+    assert exps == sorted(exps)
+    assert int_det(V) % p != 0  # V invertible over the local ring
+    # A·V = U^-1·diag: column j is a multiple of diag[j], zero when it is 0
+    AV = mat_mul(A, V)
+    for j, d in enumerate(diag):
+        assert all(row[j] % (d or m) == 0 for row in AV)
 
 
 def test_int_det_matches_permutation_expansion():
@@ -74,58 +73,35 @@ def test_int_det_matches_permutation_expansion():
         assert int_det(A) == expected
 
 
-def test_quotient_invariants_basic():
-    ident = [[1, 0], [0, 1]]
-    assert quotient_invariants(ident, [[9, 0], [0, 3]]) == (9, 3)
-    assert quotient_invariants(ident, ident) == ()
-    # index computation survives a change of basis of the sublattice
-    assert quotient_invariants(ident, [[9, 9], [0, 3]]) == (9, 3)
-
-
-def test_solve_columns_and_errors():
-    X = [[2, 0], [0, 3]]
-    Y = [[4, 2], [3, 0]]
-    C = solve_columns(X, Y)
-    assert mat_mul(X, C) == Y
-    with pytest.raises(ValueError, match="no integral solution"):
-        solve_columns(X, [[1, 0], [0, 1]])
-    with pytest.raises(ValueError, match="singular"):
-        solve_columns([[1, 1], [1, 1]], ident := [[1, 0], [0, 1]])
-
-
-def test_lattice_basis_spans_the_same_lattice():
-    rng = random.Random(3)
-    for _ in range(100):
-        k = rng.randint(1, 3)
-        m = rng.randint(k, k + 3)
-        while True:
-            G = [[rng.randint(-8, 8) for _ in range(m)] for _ in range(k)]
-            square = [row[:k] for row in G]
-            if int_det(square) != 0:
-                break
-        B = lattice_basis(G)
-        # every generator is an integer combination of the basis…
-        solve_columns(B, G)
-        # …and the basis columns are combinations of the generators: indices agree
-        assert abs(int_det(B)) > 0
-
-
 def test_local_ring_snf_agrees_with_integer_snf():
-    from math import gcd
-
+    # the column span is ⊕ Z/p^(N - v_i) over the nonzero pivots p^(v_i)
     rng = random.Random(23)
     for _ in range(60):
-        p, precision = rng.choice([(3, 3), (5, 2)])
+        p, precision = rng.choice([(3, 3), (3, 2), (5, 2), (7, 1)])
         rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
+        cols = rng.randint(1, 3)
         A = [[rng.randrange(p**precision) for _ in range(cols)] for _ in range(rows)]
         diag, V = smith_normal_form_mod_prime_power(A, p, precision)
-        S, _, _ = smith_normal_form(A)
-        expected = [gcd(S[i][i] if i < rows else 0, p**precision) % p**precision
-                    for i in range(cols)]
-        got = [d % p**precision for d in diag]
-        assert sorted(got) == sorted(expected)
+        got = tuple(sorted((p**precision // d for d in diag if d), reverse=True))
+        assert got == column_span_structure(A, p, precision)
         assert int_det(V) % p != 0  # V invertible over the local ring
+
+
+def test_local_ring_snf_agrees_with_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(29)
+    for _ in range(60):
+        p, precision = rng.choice([(3, 4), (5, 3), (7, 2)])
+        m = p**precision
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        A = [[rng.randrange(-m, m) for _ in range(cols)] for _ in range(rows)]
+        # the cokernel of [A | p^N·I] over Z is (Z/p^N)^rows / (column span of A)
+        stacked = sympy.Matrix([A[i] + [m if i == j else 0 for j in range(rows)] for i in range(rows)])
+        expected = tuple(sorted((int(q) for q in invariant_factors(stacked) if q != 1), reverse=True))
+        assert cokernel_mod(A, p, precision) == expected
 
 
 def test_kernel_mod_generates_the_kernel():
