@@ -178,6 +178,11 @@ def cmd_verify_lemma1(args, report: Report) -> int:
 
 
 def cmd_lemma2_campaign(args, report: Report) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials {args.trials} is below the minimum 1: pass --trials 1 or more")
+    for r in args.r:
+        if not 1 <= r <= 6:
+            raise ValueError(f"--r {r} is outside the campaign bound 1 <= r <= 6")
     p = args.p
     precision = args.precision
     zeta = _parse_zeta(args.zeta, p, precision)
@@ -187,8 +192,6 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
     witnesses = 0
     counter = 0
     for r in args.r:
-        if r > 6:
-            raise ValueError(f"r = {r} exceeds the campaign bound r <= 6")
         r_witnesses = r_undetermined = r_violations = 0
         for _ in range(args.trials):
             rng = Random(args.seed * 1_000_003 + counter)
@@ -199,7 +202,7 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
                 r_undetermined += 1
             elif result.status == "witness":
                 r_witnesses += 1
-                if rank_divisibility_check(M, zeta, d) == "violation":
+                if rank_divisibility_check(M, zeta, d, result) == "violation":
                     r_violations += 1
                     report.add(
                         verdict="violation",
@@ -226,7 +229,7 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
             M, D = orbit_block_construct(p, control_precision, d, s, zc)
             exact = mat_pow_zeta(M, zc) @ D == D @ M
             refound = intertwiner_solve(M, zc, seed=args.seed)
-            verdict = rank_divisibility_check(M, zc, d)
+            verdict = rank_divisibility_check(M, zc, d, refound)
             ok = exact and refound.status == "witness" and verdict == "consistent"
             if not ok:
                 violations += 1

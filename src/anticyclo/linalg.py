@@ -23,7 +23,9 @@ from .padic import PadicExponent, PadicInt, binom, pow_one_unit
 from .snf import int_det, kernel_mod
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
-#: invertible element; beyond it the solver samples and may return
+#: invertible element, one combo per projective point (unit multiples
+#: share invertibility), after the seeded samples whenever the points
+#: outnumber them; beyond it the solver only samples and may return
 #: "undetermined" instead of certifying "none".
 EXHAUSTIVE_KERNEL_DIM = 8
 
@@ -373,10 +375,20 @@ def intertwiner_solve(
 
     The solution set is the kernel of D -> M^zeta·D - D·M on r²-space
     over Z/p^N, computed by Smith normal form.  An invertible solution
-    exists iff the kernel's reduction mod p contains an invertible
-    matrix; that reduction is searched exhaustively when its dimension is
-    at most EXHAUSTIVE_KERNEL_DIM, otherwise sampled (seeded), returning
-    "undetermined" when sampling cannot certify either answer.
+    exists iff the kernel's reduction mod p, of dimension k, contains an
+    invertible matrix.  Scaling by a unit keeps invertibility, so only the
+    (p^k - 1)/(p - 1) combos whose first nonzero coordinate is 1 need a
+    look; scanned in lexicographic order they give the lexicographically
+    least invertible combo.  The determinant is a form of degree r in the
+    combo, so when it is not identically zero a uniform combo is
+    invertible with probability at least 1 - r/p (Schwartz-Zippel).
+
+    Combos are tried in one stream: the projective scan alone when
+    k <= EXHAUSTIVE_KERNEL_DIM and it has at most ``sample_trials``
+    points; ``sample_trials`` seeded samples then the projective scan
+    when k <= EXHAUSTIVE_KERNEL_DIM; the samples alone otherwise.
+    "none" is returned only after a complete projective scan, and a
+    sample-only search that finds nothing returns "undetermined".
     """
     B = mat_pow_zeta(M, zeta)
     r = M.dim
@@ -397,21 +409,24 @@ def intertwiner_solve(
             raise ArithmeticError("kernel lift failed to intertwine")
         return D
 
-    if dim <= EXHAUSTIVE_KERNEL_DIM:
-        for combo in itertools.product(range(p), repeat=dim):
-            if not any(combo):
-                continue
-            cand = [
-                sum(c * bvec[i] for c, (bvec, _) in zip(combo, basis)) % p
-                for i in range(r * r)
-            ]
-            if _det_mod_p(_unvec(cand, r), p):
-                return IntertwinerResult("witness", lift_and_verify(combo))
-        return IntertwinerResult("none")
+    def samples():
+        rng = Random(seed)
+        for _ in range(sample_trials):
+            yield tuple(rng.randrange(p) for _ in range(dim))
 
-    rng = Random(seed)
-    for _ in range(sample_trials):
-        combo = tuple(rng.randrange(p) for _ in range(dim))
+    def projective_scan():
+        for lead in reversed(range(dim)):
+            for tail in itertools.product(range(p), repeat=dim - 1 - lead):
+                yield (0,) * lead + (1,) + tail
+
+    exhaustive = dim <= EXHAUSTIVE_KERNEL_DIM
+    if not exhaustive:
+        combos = samples()
+    elif (p**dim - 1) // (p - 1) <= sample_trials:
+        combos = projective_scan()
+    else:
+        combos = itertools.chain(samples(), projective_scan())
+    for combo in combos:
         if not any(combo):
             continue
         cand = [
@@ -420,7 +435,7 @@ def intertwiner_solve(
         ]
         if _det_mod_p(_unvec(cand, r), p):
             return IntertwinerResult("witness", lift_and_verify(combo))
-    return IntertwinerResult("undetermined")
+    return IntertwinerResult("none" if exhaustive else "undetermined")
 
 
 def orbit_block_construct(
@@ -469,14 +484,21 @@ def orbit_block_construct(
     return M, D
 
 
-def rank_divisibility_check(M: PadicMatrix, zeta: PadicExponent, d: int) -> str:
+def rank_divisibility_check(
+    M: PadicMatrix,
+    zeta: PadicExponent,
+    d: int,
+    solved: IntertwinerResult | None = None,
+) -> str:
     """Given an intertwiner exists and the 1-eigenspace dies at precision,
     assert dim(M) ≡ 0 mod d.
 
     Returns "consistent" or "violation" ("violation" would mean a bug or
     a precision artifact, never a true mathematical state).  The
     hypothesis that M - I is injective must be certifiable: det(M - I)
-    ≡ 0 mod p^N raises PrecisionError.
+    ≡ 0 mod p^N raises PrecisionError.  ``solved`` is a result of
+    ``intertwiner_solve(M, zeta)`` the caller already holds; without it
+    the intertwiner is solved here with seed 0.
     """
     if zeta_order(zeta, M.p) != d:
         raise ValueError(f"exponent does not have order {d}")
@@ -486,7 +508,7 @@ def rank_divisibility_check(M: PadicMatrix, zeta: PadicExponent, d: int) -> str:
             "raise precision: det(M - I) ≡ 0 mod p^N, the trivial-fixed-part "
             "hypothesis cannot be certified"
         )
-    result = intertwiner_solve(M, zeta)
+    result = solved if solved is not None else intertwiner_solve(M, zeta)
     if result.status == "undetermined":
         raise UndeterminedError("intertwiner search was inconclusive; shrink the kernel or reseed")
     if result.status == "none":

@@ -249,3 +249,23 @@ def charpoly_by_expansion(rows, m):
             term = [(-c) % m for c in term]
         total = poly_add(total, term, m)
     return total
+
+
+# -- intertwiner search by full enumeration ------------------------------
+
+def enumerate_intertwiner(M, zeta):
+    """Invertible D with M^zeta·D = D·M from the lexicographically least
+    invertible combo of the mod-p kernel basis, scanning all p^k combos;
+    None when no combo is invertible.  Invertibility is read off the
+    constant term of the expanded charpoly, so keep r <= 4."""
+    from anticyclo.linalg import PadicMatrix, _kernel_space, mat_pow_zeta
+
+    p, r, m = M.p, M.dim, M.modulus
+    basis = _kernel_space(M, mat_pow_zeta(M, zeta))
+    for combo in product(range(p), repeat=len(basis)):
+        vec = [sum(c * bvec[i] for c, (bvec, _) in zip(combo, basis)) % p for i in range(r * r)]
+        # vectors are column-major: entry (i, j) sits at j*r + i
+        if charpoly_by_expansion([[vec[j * r + i] for j in range(r)] for i in range(r)], p)[0]:
+            full = [sum(c * bfull[i] for c, (_, bfull) in zip(combo, basis)) % m for i in range(r * r)]
+            return PadicMatrix(p, M.precision, [[full[j * r + i] for j in range(r)] for i in range(r)])
+    return None

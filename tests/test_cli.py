@@ -83,6 +83,21 @@ def test_campaign_command_small():
     assert code == 2  # r > 6 is a usage error
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_campaign_rejects_too_few_trials(trials, capsys):
+    code, out = run(["lemma2-campaign", "--p", "3", "--r", "2", "--trials", trials])
+    assert code == 2 and out == ""
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["0", "-2", "7"])
+def test_campaign_rejects_r_outside_bound(r, capsys):
+    code, out = run(["lemma2-campaign", "--p", "3", "--r", "2", r, "--trials", "1"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "--r" in err and "square" not in err
+
+
 def test_campaign_with_order_four_exponent():
     code, out = run(
         ["--no-timestamps", "lemma2-campaign", "--p", "5", "--zeta", "t2",

@@ -5,7 +5,9 @@ import pytest
 
 from anticyclo.errors import NotInvertibleError, PrecisionError
 from anticyclo.linalg import (
+    EXHAUSTIVE_KERNEL_DIM,
     PadicMatrix,
+    _kernel_space,
     charpoly,
     intertwiner_solve,
     mat_pow_zeta,
@@ -16,7 +18,7 @@ from anticyclo.linalg import (
 )
 from anticyclo.padic import PadicInt, teichmuller, val
 
-from conftest import charpoly_by_expansion
+from conftest import charpoly_by_expansion, enumerate_intertwiner
 
 
 def test_charpoly_examples():
@@ -268,6 +270,84 @@ def test_intertwiner_sampling_path_for_large_kernels():
     result = intertwiner_solve(M, 1, seed=5)
     assert result.status == "witness"
     assert result.witness.is_invertible()
+
+
+def _conjugate(M, rng):
+    p, N, r = M.p, M.precision, M.dim
+    while True:
+        P = PadicMatrix(p, N, [[rng.randrange(p**N) for _ in range(r)] for _ in range(r)])
+        if P.is_invertible():
+            return P @ M @ P.inverse()
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(M, zeta, enumerated witness or None), kernel dimension 0 to 4."""
+    rng = random.Random(41)
+    cases = []
+    for p in (3, 5):
+        for r in range(1, 5):
+            N = r + 2
+            for zeta in (-1, teichmuller(2, p, N), teichmuller(1, p, N)):
+                cases.append((random_unipotent_matrix(p, N, r, rng), zeta))
+    orbits = [(3, 4, 2, 1, -1), (3, 6, 2, 2, -1), (5, 6, 4, 1, teichmuller(2, 5, 6)),
+              (5, 6, 2, 2, -1), (7, 5, 3, 1, teichmuller(2, 7, 5)), (3, 5, 1, 4, 1)]
+    for p, N, d, s, zeta in orbits:
+        M, _ = orbit_block_construct(p, N, d, s, zeta)
+        cases += [(M, zeta), (_conjugate(M, rng), zeta)]
+        # An extra eigenvalue outside every orbit leaves a row of D zero.
+        if d * s in (2, 3):
+            extra = PadicMatrix.block_diag([M, PadicMatrix(p, N, [[1 + p * p]])])
+            cases += [(extra, zeta), (_conjugate(extra, rng), zeta)]
+    return [(M, zeta, enumerate_intertwiner(M, zeta)) for M, zeta in cases]
+
+
+def _kernel_dim(M, zeta):
+    return len(_kernel_space(M, mat_pow_zeta(M, zeta)))
+
+
+def test_intertwiner_agrees_with_enumeration_oracle(oracle_cases):
+    dims = {"witness": set(), "none": set()}
+    for M, zeta, expected in oracle_cases:
+        result = intertwiner_solve(M, zeta)
+        assert result.status == ("none" if expected is None else "witness")
+        dims[result.status].add(_kernel_dim(M, zeta))
+        if expected is not None:
+            # (p^k - 1)/(p - 1) <= 512 here: the projective scan alone
+            # returns the lexicographically least witness.
+            assert result.witness == expected
+    assert max(dims["witness"]) >= 4 and max(dims["none"]) >= 2
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_intertwiner_projective_scan_without_samples(trials, oracle_cases):
+    for M, zeta, expected in oracle_cases:
+        result = intertwiner_solve(M, zeta, sample_trials=trials, seed=3)
+        assert result.status == ("none" if expected is None else "witness")
+        if expected is None:
+            continue
+        B = mat_pow_zeta(M, zeta)
+        assert B @ result.witness == result.witness @ M and result.witness.is_invertible()
+        if trials == 0:
+            assert result.witness == expected
+
+
+def test_intertwiner_samples_run_first_on_large_projective_counts():
+    # p=7, k=6: 19608 projective points exceed the 512 samples, so a
+    # sampled witness is returned instead of the lexicographic one.
+    zeta = teichmuller(3, 7, 8)
+    M, _ = orbit_block_construct(7, 8, 6, 1, zeta)
+    assert _kernel_dim(M, zeta) == 6
+    result = intertwiner_solve(M, zeta)
+    assert result.status == "witness" and result.witness.is_invertible()
+    assert mat_pow_zeta(M, zeta) @ result.witness == result.witness @ M
+    assert result.witness != intertwiner_solve(M, zeta, sample_trials=0).witness
+
+
+def test_intertwiner_above_gate_without_samples_is_undetermined():
+    M = PadicMatrix.identity(3, 3, 3)
+    assert _kernel_dim(M, 1) == 9 > EXHAUSTIVE_KERNEL_DIM
+    assert intertwiner_solve(M, 1, sample_trials=0).status == "undetermined"
 
 
 def test_random_unipotent_matrix_needs_headroom():
