@@ -1,11 +1,14 @@
-"""Exhaustive automorphism search on the metacyclic groups G(p, u).
+"""Automorphisms of the metacyclic groups G(p, u) in closed form.
 
 G(p, u) is cyclic p^(u+1) extended by cyclic p with the action
-x -> x^(1+p^u).  The structural fact this package mechanizes: no
-automorphism can send tau to an element of A1·tau^-1.  Its consequence:
-if the degree-p layer of a suitable tower had cyclic p-part, conjugation
-by the complex involution would be exactly such an automorphism, so the
-p-part cannot be cyclic.
+x -> x^(1+p^u).  Its automorphisms are x -> x^a·tau^c,
+tau -> x^(b·p^u)·tau with p ∤ a (Bidwell–Curran), each one certified
+against the defining relations.  The structural fact this package
+mechanizes: no automorphism can send tau to an element of A1·tau^-1,
+because the relations force (e - 1)·a ≡ 0 mod p on a tau-image
+x^(b·p^u)·tau^e.  Its consequence: if the degree-p layer of a suitable
+tower had cyclic p-part, conjugation by the complex involution would be
+exactly such an automorphism, so the p-part cannot be cyclic.
 """
 
 from anticyclo import FinitePModule, MetacyclicGroup, theorem2_cyclic_obstruction

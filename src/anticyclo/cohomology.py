@@ -17,16 +17,13 @@ from math import gcd, prod
 from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
-from .padic import is_odd_prime
+from .padic import is_odd_prime, valuation
 from .snf import cokernel_mod, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
 
 
 def _p_power_exponent(q: int, p: int) -> int:
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    if q != 1:
+    e = valuation(q, p)
+    if q != p**e:
         raise ValueError(f"invariant factor is not a power of {p}")
     return e
 
@@ -302,8 +299,8 @@ def theorem2_cyclic_obstruction(module: FinitePModule, action: str = "tau") -> O
     """Can an automorphism of A1 ⋊ ⟨tau⟩ send tau to y·tau^-1?
 
     For cyclic A1 with a nontrivial order-p action the answer is provably
-    no; this delegates to the exhaustive generator-image search and
-    reports the verdict, with a witness if the impossible ever happened.
+    no; this delegates to the closed-form inverting-automorphism search
+    and reports the verdict, with a witness if the impossible ever happened.
     """
     if len(module.invariant_factors) != 1:
         raise ValueError("hypothesis requires cyclic A1 (exactly one invariant factor)")

@@ -19,7 +19,7 @@ class NotInvertibleError(ArithmeticError):
 
 
 class SearchSpaceError(ValueError):
-    """An exhaustive search would exceed the configured size guard."""
+    """A search request lies beyond the configured size guard."""
 
 
 class ModelInvariantError(ValueError):

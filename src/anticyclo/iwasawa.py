@@ -34,7 +34,7 @@ from .linalg import (
     orbit_block_construct,
     zeta_order,
 )
-from .padic import PadicExponent, is_odd_prime, teichmuller
+from .padic import PadicExponent, is_odd_prime, teichmuller, valuation
 from .snf import cokernel_mod, int_det, smith_normal_form_mod_prime_power
 
 
@@ -173,12 +173,7 @@ def _poly_quotient_exponent(g, p: int, n: int) -> int:
         rows = [_poly_mul_mod(w, [0] * i + [1], g, m) for i in range(deg)]
         diag, _ = smith_normal_form_mod_prime_power([r + [0] * (deg - len(r)) for r in rows], p, K)
         if all(diag):
-            v = 0
-            for pivot in diag:  # each pivot is exactly p^v
-                while pivot > 1:
-                    pivot //= p
-                    v += 1
-            return v
+            return sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
         K *= 2
 
 

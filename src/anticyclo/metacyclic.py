@@ -2,15 +2,17 @@
 
 The group G(p, u) is generated by x of order p^(u+1) and tau of order p
 with tau·x·tau^-1 = x^(1+p^u).  Elements are normal-form pairs (a, c)
-standing for x^a·tau^c, so the product rule is closed-form and groups of
-order up to a few thousand can be searched exhaustively.
+standing for x^a·tau^c, so the product rule is closed-form.
 
-The point of the search operations: no automorphism of G(p, u) maps tau
-to y·tau^-1 with y in the cyclic part.  ``find_inverting_automorphism``
-decides that claim mechanically for any (p, u) inside the size guard.
-The search stays exhaustive over relation-checked generator images;
-whether two images generate G is decided on G/Φ(G) ≅ (Z/p)² by the
-Burnside basis theorem (Gorenstein, *Finite Groups*, Thm 5.1.1).
+The automorphisms are known in closed form (Bidwell and Curran, "The
+automorphism group of a split metacyclic p-group", Arch. Math. 87, 2006):
+
+    Aut G(p, u) = {x -> x^a·tau^c, tau -> x^(b·p^u)·tau : p ∤ a; b, c in Z/p},
+
+p^(u+2)·(p-1) maps in all.  The point of the package: no automorphism
+maps tau to y·tau^-1 with y in the cyclic part.  Both operations below
+emit only parametrized images and certify each one they return with
+``hom_check``; neither scans candidate elements of G.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from typing import NamedTuple, Optional
 from .errors import SearchSpaceError
 from .padic import is_odd_prime
 
-#: Maximum number of candidate generator-image pairs an exhaustive
-#: search is allowed to touch (keeps all shipped grids under seconds).
+#: Grid points with |G|^2 above this many candidate generator-image pairs
+#: are refused with ``SearchSpaceError`` and reported as skipped.  The
+#: inverting search makes p·(p-1) relation checks at any order, so the
+#: guard no longer bounds work: it only fixes which grid points get a
+#: verdict, and lifting it would turn those skips into verdicts.
 SEARCH_GUARD = 10**7
 
 Element = tuple[int, int]
@@ -112,63 +117,56 @@ class MetacyclicGroup:
             return HomCheck(False, "conjugation relation fails on the images")
         return HomCheck(True)
 
-    def _generates(self, g: Element, h: Element) -> bool:
-        # Burnside basis theorem: g, h generate the p-group G iff their
-        # images generate G/Φ(G).  Here Φ(G) = ⟨x^p⟩ and G/Φ ≅ (Z/p)² via
-        # (a, c) -> (a mod p, c mod p), so the test is a 2x2 determinant.
-        return (g[0] * h[1] - g[1] * h[0]) % self.p != 0
-
     def _check_guard(self):
         if self.order**2 > SEARCH_GUARD:
             raise SearchSpaceError(
                 f"search space too large: {self.order}^2 candidate pairs exceeds {SEARCH_GUARD}"
             )
 
-    def _x_image_candidates(self):
-        # (x^a·tau^c)^p = x^(a·p·unit) for odd p, so the elements of order
-        # p^(u+1), the only possible images of x, are those with p ∤ a.
-        return [(a, c) for a in range(self.mod_a) if a % self.p for c in range(self.p)]
-
-    def _tau_image_candidates(self):
-        # Any valid image of tau must satisfy the order-p relation; filtering
-        # up front shrinks the candidate space without losing any hom.
-        return [g for g in self.elements() if self.power(g, self.p) == self.identity]
-
     def enumerate_automorphisms(self) -> list[GeneratorImages]:
         """All generator images that define an automorphism of G.
 
-        Exhaustive over every image of x of order p^(u+1) and every image
-        of tau of order dividing p.  A relation-checked endomorphism is
-        bijective iff its images generate G (surjective implies injective
-        on a finite group), and generation is decided on G/Φ(G).
+        The closed form in a ascending (p ∤ a), then c, then b: x maps to
+        x^a·tau^c and tau to x^(b·p^u)·tau.  Each pair is certified by
+        ``hom_check``; the images generate G because modulo
+        Φ(G) = ⟨x^p⟩ they are (a, c) and (0, 1) with p ∤ a, and a
+        surjective endomorphism of a finite group is bijective.
         """
         self._check_guard()
+        p, pu = self.p, self.p**self.u
         autos = []
-        tau_candidates = self._tau_image_candidates()
-        for gx in self._x_image_candidates():
-            for gt in tau_candidates:
-                images = GeneratorImages(gx, gt)
-                if not self.hom_check(images).accepted:
-                    continue
-                if self._generates(gx, gt):
+        for a in range(1, self.mod_a):
+            if a % p == 0:
+                continue
+            for c in range(p):
+                for b in range(p):
+                    images = GeneratorImages((a, c), (b * pu, 1))
+                    if not self.hom_check(images).accepted:
+                        raise ArithmeticError(f"closed-form automorphism {images} fails the defining relations")
                     autos.append(images)
         return autos
 
     def find_inverting_automorphism(self) -> Optional[GeneratorImages]:
         """Search for an automorphism with tau-image in A1·tau^-1.
 
-        Returns a witness if one exists; expected result is None for every
-        valid (p, u).  Only tau-images with c-component ≡ -1 mod p need to
-        be scanned, which keeps this much cheaper than full enumeration.
+        Returns a witness if one exists; the result is None for every
+        valid (p, u).  The elements of order dividing p are exactly
+        x^(b·p^u)·tau^e, so a tau-image in A1·tau^-1 is x^(b·p^u)·tau^(p-1);
+        an x-image of a bijection has order p^(u+1), so it is x^a·tau^c
+        with p ∤ a.  Now x^(p^u) is central and (x^a·tau^c)^(p^u) =
+        x^(a·p^u), so with y = x^a·tau^c the relation
+        tau'·y·tau'^-1 = y·y^(p^u) reads x^(a·(1+p^u)^e)·tau^c =
+        x^(a·(1+p^u))·tau^c, which modulo p^(u+1) is (e - 1)·a ≡ 0 mod p.
+        That condition does not depend on b or c, nor on a beyond a mod p,
+        so the p·(p-1) checks of (x^a, x^(b·p^u)·tau^(p-1)) with
+        a in 1..p-1 decide the question.  An accepted pair would generate
+        G, since modulo Φ(G) it is (a, 0), (0, p-1).
         """
         self._check_guard()
-        c_target = self.p - 1
-        tau_candidates = [g for g in self._tau_image_candidates() if g[1] == c_target]
-        # No generation test: with p ∤ a_x and c_tau = p - 1 the determinant
-        # on G/Φ(G) is ≡ -a_x ≢ 0 mod p, so every such pair generates G.
-        for gx in self._x_image_candidates():
-            for gt in tau_candidates:
-                images = GeneratorImages(gx, gt)
+        pu = self.p**self.u
+        for a in range(1, self.p):
+            for b in range(self.p):
+                images = GeneratorImages((a, 0), (b * pu, self.p - 1))
                 if self.hom_check(images).accepted:
                     return images
         return None

@@ -94,20 +94,24 @@ class PadicInt:
 PadicExponent = Union[int, PadicInt]
 
 
+def valuation(x: int, p: int) -> int:
+    """v_p(x) of a nonzero integer x."""
+    if x == 0:
+        raise ValueError("valuation of 0 is infinite")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def val(x: PadicInt):
     """p-adic valuation of the residue; ``math.inf`` when it is 0 mod p^N.
 
     A zero residue only certifies valuation >= N, which the infinite
     sentinel encodes (comparisons like ``val(x) >= k`` stay meaningful).
     """
-    if x.residue == 0:
-        return math.inf
-    v = 0
-    r = x.residue
-    while r % x.p == 0:
-        r //= x.p
-        v += 1
-    return v
+    return math.inf if x.residue == 0 else valuation(x.residue, x.p)
 
 
 def inv(x: PadicInt) -> PadicInt:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .iwasawa import fit_invariants
-from .padic import is_odd_prime
+from .padic import is_odd_prime, valuation
 
 FLAG_NAMES = (
     "p_nonsplit",
@@ -52,12 +52,7 @@ class ClassGroupRecord:
         return len(self.invariants) <= 1
 
     def size_exponent(self) -> int:
-        e = 0
-        for q in self.invariants:
-            while q % self.p == 0:
-                q //= self.p
-                e += 1
-        return e
+        return sum(valuation(q, self.p) for q in self.invariants)
 
 
 def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
@@ -71,21 +66,21 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
     known = {"p", "n", "inv", "flags", "label"}
     for key in sorted(set(raw) - known):
         warnings.append(f"line {line_number}: unknown key {key!r} ignored")
-    try:
-        p = int(raw["p"])
-        n = int(raw["n"])
-        inv = [int(q) for q in raw["inv"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RecordParseError(f"line {line_number}: missing or malformed p/n/inv") from exc
+    for key in ("p", "n", "inv"):
+        if key not in raw:
+            raise RecordParseError(f"line {line_number}: missing key {key!r}")
+    p, n, inv = raw["p"], raw["n"], raw["inv"]
+    if not isinstance(inv, list):
+        raise RecordParseError(f"line {line_number}: key 'inv' must be a JSON array, got {json.dumps(inv)}")
+    for key, value in [("p", p), ("n", n)] + [("inv", q) for q in inv]:
+        if type(value) is not int:  # JSON integers only: no float, string or bool
+            raise RecordParseError(f"line {line_number}: key {key!r} must hold JSON integers, got {json.dumps(value)}")
     if not is_odd_prime(p):
         raise RecordParseError(f"line {line_number}: p must be an odd prime, got {p}")
     if n < 0:
         raise RecordParseError(f"line {line_number}: layer index must be non-negative")
     for q in inv:
-        qq = q
-        while qq % p == 0:
-            qq //= p
-        if qq != 1 or q < p:
+        if q < p or q != p ** valuation(q, p):
             raise RecordParseError(f"line {line_number}: invariant {q} is not a power of {p}")
     if any(inv[i] < inv[i + 1] for i in range(len(inv) - 1)):
         raise RecordParseError(f"line {line_number}: invariants must be descending")

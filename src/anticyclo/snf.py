@@ -13,6 +13,8 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
+from .padic import valuation
+
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -64,13 +66,6 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int):
     M = [[x % m for x in row] for row in A]
     V = identity_matrix(cols)
 
-    def valuation(x):
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
     t = 0
     while t < min(rows, cols):
         best = None
@@ -78,7 +73,7 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int):
         for i in range(t, rows):
             for j in range(t, cols):
                 if M[i][j]:
-                    v = valuation(M[i][j])
+                    v = valuation(M[i][j], p)
                     if best_v is None or v < best_v:
                         best_v = v
                         best = (i, j)

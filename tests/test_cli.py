@@ -166,6 +166,13 @@ def test_check_records_exit_codes(tmp_path):
 
     assert run(["check-records", str(tmp_path / "missing.jsonl")])[0] == 2
 
+    # a string is not an invariant list: "3" must not be read as [3]
+    stringly = tmp_path / "stringly.jsonl"
+    stringly.write_text(
+        json.dumps({"p": 3, "n": 1, "inv": "3", "flags": ALL_FLAGS, "label": "a"}) + "\n"
+    )
+    assert run(["--no-timestamps", "check-records", str(stringly)]) == (2, "")
+
     # one label holding p=3 and p=5 records is an input error, not a parity verdict
     mixed = tmp_path / "mixed.jsonl"
     mixed.write_text("".join(

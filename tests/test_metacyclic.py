@@ -2,9 +2,9 @@ import pytest
 
 from anticyclo.cli import ENUMERATION_BUDGET
 from anticyclo.errors import SearchSpaceError
-from anticyclo.metacyclic import SEARCH_GUARD, GeneratorImages, MetacyclicGroup
+from anticyclo.metacyclic import SEARCH_GUARD, GeneratorImages, HomCheck, MetacyclicGroup
 
-from conftest import NaiveMetacyclic, automorphisms_by_closure, subgroup_closure
+from conftest import NaiveMetacyclic, automorphisms_by_closure
 
 
 def _grid(budget, primes=(3, 5, 7, 11, 13)):
@@ -103,19 +103,8 @@ def test_automorphisms_fix_the_quotient_by_the_cyclic_part():
             assert images.image_tau[1] == 1
 
 
-def test_burnside_criterion_matches_subgroup_closure():
-    for p, u in [(3, 1), (3, 2), (5, 1)]:
-        G = MetacyclicGroup(p, u)
-        naive = NaiveMetacyclic(p, u)
-        els = G.elements()
-        for g in els:
-            for h in els:
-                by_closure = len(subgroup_closure(naive.mul, (g, h))) == G.order
-                assert G._generates(g, h) == by_closure, (p, u, g, h)
-
-
 def test_enumeration_matches_closure_oracle_in_order():
-    for p, u in [(3, 2), (5, 1), (7, 1)]:
+    for p, u in [(3, 1), (3, 2), (3, 3), (5, 1), (7, 1)]:
         autos = MetacyclicGroup(p, u).enumerate_automorphisms()
         assert [tuple(a) for a in autos] == automorphisms_by_closure(p, u)
 
@@ -126,6 +115,46 @@ def test_automorphism_count_inside_enumeration_budget():
     for p, u in grid:
         # x maps to any element of order p^(u+1), tau to x^(b·p^u)·tau.
         assert len(MetacyclicGroup(p, u).enumerate_automorphisms()) == p ** (u + 2) * (p - 1)
+
+
+def test_relations_accept_exactly_the_closed_form_inside_enumeration_budget():
+    # Certificate for the closed form: among x-images x^a·tau^c (p ∤ a)
+    # and tau-images x^(b·p^u)·tau^e, the relations hold exactly when e = 1.
+    for p, u in _grid(ENUMERATION_BUDGET):
+        G = MetacyclicGroup(p, u)
+        for a in range(G.mod_a):
+            if a % p == 0:
+                continue
+            for c in range(p):
+                for b in range(p):
+                    for e in range(p):
+                        images = GeneratorImages((a, c), (b * p**u, e))
+                        assert G.hom_check(images).accepted == (e == 1), (p, u, images)
+
+
+def test_hom_check_calls_are_bounded_by_the_closed_form(monkeypatch):
+    calls = []
+    original = MetacyclicGroup.hom_check
+
+    def counting(self, images):
+        calls.append(images)
+        return original(self, images)
+
+    monkeypatch.setattr(MetacyclicGroup, "hom_check", counting)
+    for p, u in [(3, 1), (3, 3), (5, 1), (7, 1), (13, 1)]:
+        G = MetacyclicGroup(p, u)
+        calls.clear()
+        autos = G.enumerate_automorphisms()
+        assert len(calls) == len(autos) == p ** (u + 2) * (p - 1)
+        calls.clear()
+        assert G.find_inverting_automorphism() is None
+        assert len(calls) == p * (p - 1)
+
+
+def test_enumeration_raises_when_a_closed_form_image_fails(monkeypatch):
+    monkeypatch.setattr(MetacyclicGroup, "hom_check", lambda self, images: HomCheck(False, "forced"))
+    with pytest.raises(ArithmeticError, match="fails the defining relations"):
+        MetacyclicGroup(3, 1).enumerate_automorphisms()
 
 
 def test_no_inverting_automorphism_on_the_grid():

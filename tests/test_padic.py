@@ -6,13 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anticyclo.errors import NotInvertibleError
-from anticyclo.padic import PadicInt, binom, inv, pow_one_unit, teichmuller, val
+from anticyclo.padic import PadicInt, binom, inv, pow_one_unit, teichmuller, val, valuation
+
+from conftest import int_valuation
 
 
 def test_valuation_examples():
     assert val(PadicInt(3, 3, 18)) == 2
     assert val(PadicInt(3, 3, 5)) == 0
     assert val(PadicInt(3, 3, 0)) == math.inf
+
+
+@given(st.sampled_from([3, 5, 7, 11]), st.integers().filter(bool))
+def test_integer_valuation_matches_oracle(p, x):
+    assert valuation(x, p) == int_valuation(x, p)
+
+
+def test_integer_valuation_of_zero_raises():
+    with pytest.raises(ValueError, match="valuation of 0"):
+        valuation(0, 3)
 
 
 def test_inverse_examples():

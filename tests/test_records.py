@@ -46,6 +46,29 @@ def test_parse_errors():
         parse_record(_line(flags={"p_nonsplit": "yes"}), 1)
     with pytest.raises(RecordParseError, match="non-negative"):
         parse_record(_line(n=-1), 1)
+    with pytest.raises(RecordParseError, match="line 1: missing key 'inv'"):
+        parse_record(json.dumps({"p": 3, "n": 1}), 1)
+
+
+def test_zero_invariant_is_rejected_not_looped_on():
+    with pytest.raises(RecordParseError, match="line 2: invariant 0 is not a power of 3"):
+        parse_record(_line(inv=[0]), 2)
+
+
+@pytest.mark.parametrize("inv", ["3", "93", 9, {"9": 1}])
+def test_inv_must_be_an_array(inv):
+    with pytest.raises(RecordParseError, match="line 5: key 'inv' must be a JSON array"):
+        parse_record(_line(inv=inv), 5)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("p", 3.7), ("p", 3.0), ("p", "3"), ("p", True), ("n", 1.5), ("n", False),
+     ("inv", [9.5]), ("inv", [9, 3.0]), ("inv", ["9"]), ("inv", [True])],
+)
+def test_numbers_must_be_json_integers(key, value):
+    with pytest.raises(RecordParseError, match=f"line 4: key '{key}' must hold JSON integers"):
+        parse_record(_line(**{key: value}), 4)
 
 
 def test_cyclic_record_is_a_contradiction():
