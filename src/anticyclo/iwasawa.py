@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence, Union
 
 from .cohomology import FinitePModule
@@ -35,7 +35,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, is_odd_prime, teichmuller, valuation
-from .snf import cokernel_mod, int_det, smith_normal_form_mod_prime_power
+from .snf import cokernel_mod, smith_normal_form_mod_prime_power
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +158,9 @@ def _poly_quotient_exponent(g, p: int, n: int) -> int:
     """
     deg = len(g) - 1
     for k in range(n + 1):
-        phi = _cyclotomic_factor(p, k)
-        if len(phi) > len(g):
+        if ((p - 1) * p ** (k - 1) if k else 1) > deg:  # deg Phi_{p^k}(1 + T) = φ(p^k)
             break
-        if not any(_poly_mod_monic(g, phi)):
+        if not any(_poly_mod_monic(g, _cyclotomic_factor(p, k))):
             raise ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
     K = deg * (n + 1)
     while True:
@@ -278,12 +277,9 @@ def default_zeta(p: int, precision: int, d: int) -> PadicExponent:
     if (p - 1) % d != 0:
         raise ValueError(f"no exponent of order {d} exists for p = {p}")
     for a in range(2, p):
-        acc, order = a, 1
-        while acc != 1:
-            acc = acc * a % p
-            order += 1
-        if order == d:
-            return teichmuller(a, p, precision)
+        zeta = teichmuller(a, p, precision)
+        if zeta_order(zeta, p) == d:
+            return zeta
     raise ValueError(f"no residue of order {d} mod {p}")  # unreachable for d | p-1
 
 
@@ -383,7 +379,7 @@ def t_multiplicity(M: PadicMatrix, certified_t_block: Optional[int] = None) -> i
         if not _acyclic_support(rows, subset):
             continue
         comp = [[rows[i][j] for j in rest] for i in rest]
-        if int_det(comp) % M.modulus != 0:
+        if prod(cokernel_mod(comp, M.p, M.precision)) < M.modulus:
             return s_obs
     raise PrecisionError(
         f"indistinguishable from zero at precision N={M.precision} - raise N: "

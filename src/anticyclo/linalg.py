@@ -4,7 +4,10 @@ M^zeta · D = D · M.
 
 Z/p^N has zero divisors, so the characteristic polynomial is computed
 division-free (Berkowitz) and inverses go through Cayley-Hamilton with a
-unit constant term; Gaussian elimination is never used at precision.
+unit constant term.  Kernels and the determinant tests (det(M - I) ≢ 0
+mod p^N, a candidate intertwiner invertible mod p) read the local-ring
+Smith normal form, which pivots on an entry of least valuation and so
+never divides by a non-unit.
 
 The headline decision procedure is ``intertwiner_solve``: whether an
 *invertible* D intertwines M with its zeta-th power.  When one exists
@@ -15,12 +18,13 @@ multiple of the order of zeta (``rank_divisibility_check``).
 from __future__ import annotations
 
 import itertools
+from math import prod
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, binom, pow_one_unit
-from .snf import int_det, kernel_mod
+from .snf import cokernel_mod, kernel_mod
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
 #: invertible element, one combo per projective point (unit multiples
@@ -306,26 +310,6 @@ class IntertwinerResult(NamedTuple):
     witness: Optional[PadicMatrix] = None
 
 
-def _det_mod_p(rows, p):
-    n = len(rows)
-    M = [[x % p for x in row] for row in rows]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det = det * M[c][c] % p
-        inv = pow(M[c][c], -1, p)
-        for i in range(c + 1, n):
-            f = M[i][c] * inv % p
-            if f:
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[c])]
-    return det % p
-
-
 def _unvec(v, r):
     # column-major: v[j*r + i] is entry (i, j)
     return [[v[j * r + i] for j in range(r)] for i in range(r)]
@@ -433,7 +417,7 @@ def intertwiner_solve(
             sum(c * bvec[i] for c, (bvec, _) in zip(combo, basis)) % p
             for i in range(r * r)
         ]
-        if _det_mod_p(_unvec(cand, r), p):
+        if cokernel_mod(_unvec(cand, r), p, 1) == ():
             return IntertwinerResult("witness", lift_and_verify(combo))
     return IntertwinerResult("none" if exhaustive else "undetermined")
 
@@ -503,7 +487,7 @@ def rank_divisibility_check(
     if zeta_order(zeta, M.p) != d:
         raise ValueError(f"exponent does not have order {d}")
     shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
-    if int_det([list(row) for row in shift.rows]) % M.modulus == 0:
+    if prod(cokernel_mod(shift.rows, M.p, M.precision)) >= M.modulus:
         raise PrecisionError(
             "raise precision: det(M - I) ≡ 0 mod p^N, the trivial-fixed-part "
             "hypothesis cannot be certified"
@@ -539,5 +523,5 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
             for i in range(dim)
         ]
         shift = [[rows[i][j] - (1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        if int_det(shift) % modulus != 0:
+        if prod(cokernel_mod(shift, p, precision)) < modulus:
             return PadicMatrix(p, precision, rows)

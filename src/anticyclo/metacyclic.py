@@ -55,11 +55,9 @@ class MetacyclicGroup:
         self.p = p
         self.u = u
         self.mod_a = p ** (u + 1)
-        self.t = 1 + p**u
+        self.pu = p**u
+        self.t = 1 + self.pu
         self.order = p ** (u + 2)
-        # 1 + p^u has multiplicative order p mod p^(u+1), so tau^c acts as
-        # multiplication by t^c with c read mod p.
-        self._tpow = [pow(self.t, c, self.mod_a) for c in range(p)]
 
     identity: Element = (0, 0)
 
@@ -69,15 +67,18 @@ class MetacyclicGroup:
     def elements(self):
         return [(a, c) for a in range(self.mod_a) for c in range(self.p)]
 
+    # tau^c acts on x as multiplication by t^c = (1 + p^u)^c, which is
+    # 1 + c·p^u mod p^(u+1) because 2u >= u + 1.
+
     def mul(self, g: Element, h: Element) -> Element:
         a, c = g
         a2, c2 = h
-        return ((a + self._tpow[c] * a2) % self.mod_a, (c + c2) % self.p)
+        return ((a + (1 + c * self.pu) * a2) % self.mod_a, (c + c2) % self.p)
 
     def inverse(self, g: Element) -> Element:
         a, c = g
         cinv = (-c) % self.p
-        return (-self._tpow[cinv] * a % self.mod_a, cinv)
+        return (-(1 + cinv * self.pu) * a % self.mod_a, cinv)
 
     def power(self, g: Element, n: int) -> Element:
         if n < 0:
@@ -133,7 +134,7 @@ class MetacyclicGroup:
         surjective endomorphism of a finite group is bijective.
         """
         self._check_guard()
-        p, pu = self.p, self.p**self.u
+        p, pu = self.p, self.pu
         autos = []
         for a in range(1, self.mod_a):
             if a % p == 0:
@@ -163,10 +164,9 @@ class MetacyclicGroup:
         G, since modulo Φ(G) it is (a, 0), (0, p-1).
         """
         self._check_guard()
-        pu = self.p**self.u
         for a in range(1, self.p):
             for b in range(self.p):
-                images = GeneratorImages((a, 0), (b * pu, self.p - 1))
+                images = GeneratorImages((a, 0), (b * self.pu, self.p - 1))
                 if self.hom_check(images).accepted:
                     return images
         return None

@@ -14,14 +14,35 @@ from typing import Union
 from .errors import NotInvertibleError
 
 
+#: Strong probable-prime tests to the first 13 prime bases are exact below
+#: this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+#: bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above the bound."""
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(f"p = {p} is at or above {MILLER_RABIN_BOUND}, the bound of the deterministic primality test")
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -75,7 +75,11 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
     for key, value in [("p", p), ("n", n)] + [("inv", q) for q in inv]:
         if type(value) is not int:  # JSON integers only: no float, string or bool
             raise RecordParseError(f"line {line_number}: key {key!r} must hold JSON integers, got {json.dumps(value)}")
-    if not is_odd_prime(p):
+    try:
+        prime = is_odd_prime(p)
+    except ValueError as exc:
+        raise RecordParseError(f"line {line_number}: {exc}") from exc
+    if not prime:
         raise RecordParseError(f"line {line_number}: p must be an odd prime, got {p}")
     if n < 0:
         raise RecordParseError(f"line {line_number}: layer index must be non-negative")

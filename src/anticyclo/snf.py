@@ -1,11 +1,12 @@
-"""Exact matrix normal forms: local-ring Smith normal form and Bareiss.
+"""Exact matrix normal form: the local-ring Smith normal form over Z/p^N.
 
-The local-ring Smith normal form over Z/p^N is the workhorse for every
-kernel, image, and subquotient computation on finite abelian p-groups in
-this package: a lattice between p^N·Z^k and Z^k is exactly a submodule
-of (Z/p^N)^k, so entries stay reduced mod p^N and never grow.  All
-arithmetic is exact (Python integers); the fraction-free determinant
-``int_det`` is the one computation over Z.
+The local-ring Smith normal form is the one elimination engine of this
+package.  It answers every kernel, image, and subquotient question on
+finite abelian p-groups, since a lattice between p^N·Z^k and Z^k is
+exactly a submodule of (Z/p^N)^k, and every determinant test, since a
+square matrix without zero pivots has a cokernel of order p^(v_p det).
+Entries stay reduced mod p^N and never grow; nothing is computed over Z.
+All arithmetic is exact (Python integers).
 """
 
 from __future__ import annotations
@@ -23,31 +24,6 @@ def identity_matrix(n: int) -> list[list[int]]:
 def mat_mul(A, B):
     cols = list(zip(*B))
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
-
-
-def int_det(A) -> int:
-    """Determinant of an integer matrix, fraction-free (Bareiss)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [list(map(int, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 def smith_normal_form_mod_prime_power(A, p: int, precision: int):
@@ -129,7 +105,13 @@ def kernel_mod(A, p: int, precision: int):
 
 def cokernel_mod(A, p: int, precision: int) -> tuple[int, ...]:
     """Invariant factors of (Z/p^N)^rows / (column span of A), descending,
-    1s dropped.  A zero pivot is a full factor p^N."""
+    1s dropped.  A zero pivot is a full factor p^N.
+
+    For square A the cokernel has order p^(v_p det A) when no pivot is
+    zero, so det A ≢ 0 mod p^N exactly when the product of the factors is
+    below p^N, and A is invertible mod p exactly when the factors at
+    N = 1 are ``()``.
+    """
     m = p**precision
     rows = len(A)
     diag, _ = smith_normal_form_mod_prime_power(A, p, precision)

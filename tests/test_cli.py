@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from anticyclo.cli import main, parse_module_spec
+from anticyclo.padic import MILLER_RABIN_BOUND
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
 ALL_FLAGS = {
     name: True
     for name in ("p_nonsplit", "cm_field", "A_k_nontrivial", "A_kplus_trivial", "no_p_roots_of_unity")
@@ -213,3 +218,41 @@ def test_machine_format_is_json_lines():
 def test_usage_errors_exit_2():
     assert run(["growth", "--p", "3"])[0] == 2  # missing --module
     assert run(["no-such-command"])[0] == 2
+
+
+def run_process(argv):
+    # A separate process, so a hang is cut by the timeout instead of
+    # stalling the suite.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "anticyclo.cli", "--no-timestamps", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+
+
+def test_check_records_answers_for_a_large_prime(tmp_path):
+    records = tmp_path / "large.jsonl"
+    records.write_text(json.dumps({"p": 10**18 + 3, "n": 0, "inv": []}) + "\n")
+    result = run_process(["check-records", str(records)])
+    assert result.returncode == 0, result.stderr
+    assert "p=1000000000000000003" in result.stdout
+
+
+def test_check_records_refuses_a_prime_beyond_the_primality_bound(tmp_path):
+    records = tmp_path / "huge.jsonl"
+    records.write_text(json.dumps({"p": MILLER_RABIN_BOUND + 2, "n": 0, "inv": []}) + "\n")
+    result = run_process(["check-records", str(records)])
+    assert result.returncode == 2
+    assert "line 1" in result.stderr and str(MILLER_RABIN_BOUND) in result.stderr
+
+
+def test_verify_lemma1_skips_a_large_prime_promptly():
+    result = run_process(["verify-lemma1", "--p", "1000003", "--u-max", "1"])
+    assert result.returncode == 0, result.stderr
+    assert "[skipped] p=1000003, u=1" in result.stdout
+
+
+def test_growth_of_a_linear_factor_at_a_large_prime():
+    result = run_process(["growth", "--p", "1009", "--module", "T+1009", "--n-max", "3"])
+    assert result.returncode == 0, result.stderr
+    assert "fitted_lambda=1, fitted_mu=0, fitted_nu=1" in result.stdout

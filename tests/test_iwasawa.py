@@ -10,6 +10,7 @@ from anticyclo.iwasawa import (
     GammaModel,
     build_gamma_model,
     coinvariants,
+    default_zeta,
     fit_invariants,
     invariants_of,
     layer_size_exponent,
@@ -18,7 +19,7 @@ from anticyclo.iwasawa import (
     t_multiplicity,
     validate_gamma_model,
 )
-from anticyclo.linalg import PadicMatrix
+from anticyclo.linalg import PadicMatrix, zeta_order
 from anticyclo.padic import teichmuller
 
 from conftest import closed_form_layer_exponent, int_valuation, quotient_structure
@@ -294,3 +295,18 @@ def test_coinvariants_of_identity_model_needs_precision():
 
 def test_coinvariants_of_trivial_module():
     assert coinvariants(FinitePModule(3, ()), "tau").invariant_factors == ()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_default_zeta_is_the_least_residue_of_each_order(p):
+    def order(a):
+        return next(k for k in range(1, p) if pow(a, k, p) == 1)
+
+    for d in (d for d in range(1, p) if (p - 1) % d == 0):
+        zeta = default_zeta(p, 4, d)
+        assert int(zeta) % p == min(a for a in range(1, p) if order(a) == d)
+        assert zeta_order(zeta, p) == d
+        if d > 2:
+            assert zeta == teichmuller(int(zeta), p, 4)
+    with pytest.raises(ValueError, match="no exponent"):
+        default_zeta(p, 4, p)

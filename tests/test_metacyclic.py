@@ -179,3 +179,14 @@ def test_constructor_validation():
         MetacyclicGroup(9, 1)
     with pytest.raises(ValueError):
         MetacyclicGroup(3, 0)
+
+
+@pytest.mark.parametrize("p, u", [(3, 2), (5, 1), (7, 1)])
+def test_product_and_inverse_match_naive_on_all_pairs(p, u):
+    G = MetacyclicGroup(p, u)
+    naive = NaiveMetacyclic(p, u)
+    els = G.elements()
+    for g in els:
+        assert naive.mul(g, G.inverse(g)) == G.identity == naive.mul(G.inverse(g), g)
+        for h in els:
+            assert G.mul(g, h) == naive.mul(g, h)

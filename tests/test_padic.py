@@ -6,7 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anticyclo.errors import NotInvertibleError
-from anticyclo.padic import PadicInt, binom, inv, pow_one_unit, teichmuller, val, valuation
+from anticyclo.padic import (
+    MILLER_RABIN_BOUND,
+    PadicInt,
+    binom,
+    inv,
+    is_odd_prime,
+    pow_one_unit,
+    teichmuller,
+    val,
+    valuation,
+)
 
 from conftest import int_valuation
 
@@ -165,3 +175,36 @@ def test_integer_power_dunder_matches_builtin():
     assert (x**-1).residue == pow(5, -1, 27)
     with pytest.raises(NotInvertibleError):
         PadicInt(3, 3, 6) ** -1
+
+
+def _odd_prime_by_trial_division(n):
+    return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(20000) if is_odd_prime(n) != _odd_prime_by_trial_division(n)] == []
+    rng = random.Random(41)
+    for _ in range(2000):
+        n = rng.randrange(10**9)
+        assert is_odd_prime(n) == _odd_prime_by_trial_division(n)
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_odd_prime(n)
+    assert is_odd_prime(10**18 + 3)
+
+
+def test_primality_agrees_with_sympy_below_the_bound():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    for _ in range(2000):
+        n = rng.randrange(MILLER_RABIN_BOUND)
+        assert is_odd_prime(n) == (n > 2 and sympy.isprime(n))
+
+
+def test_primality_refuses_at_the_bound():
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 10**30):
+        with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+            is_odd_prime(n)

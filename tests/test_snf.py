@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,12 @@ from hypothesis import strategies as st
 
 from anticyclo.snf import (
     cokernel_mod,
-    int_det,
     kernel_mod,
     mat_mul,
     smith_normal_form_mod_prime_power,
 )
 
-from conftest import column_span_structure, int_valuation
+from conftest import charpoly_by_expansion, column_span_structure, int_valuation
 
 
 @st.composite
@@ -38,39 +38,38 @@ def test_local_ring_snf_properties(case):
     exps = [int_valuation(d, p) for d in nonzero]
     assert all(d == p**e and e < precision for d, e in zip(nonzero, exps))
     assert exps == sorted(exps)
-    assert int_det(V) % p != 0  # V invertible over the local ring
+    assert charpoly_by_expansion(V, p)[0] != 0  # V invertible over the local ring
     # A·V = U^-1·diag: column j is a multiple of diag[j], zero when it is 0
     AV = mat_mul(A, V)
     for j, d in enumerate(diag):
         assert all(row[j] % (d or m) == 0 for row in AV)
 
 
-def test_int_det_matches_permutation_expansion():
-    from itertools import permutations
-
-    rng = random.Random(11)
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        expected = 0
-        for perm in permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            for s in range(n):
-                if seen[s]:
-                    continue
-                ln, j = 0, s
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    ln += 1
-                if ln % 2 == 0:
-                    sign = -sign
-            prod = sign
-            for i in range(n):
-                prod *= A[i][perm[i]]
-            expected += prod
-        assert int_det(A) == expected
+def test_cokernel_order_decides_determinant_tests():
+    # |coker A| = p^(v_p det A) when no pivot is zero, and a zero pivot is
+    # a factor p^N, so det A ≢ 0 mod p^N iff the factors multiply to less
+    # than p^N; at N = 1 that says A is invertible mod p iff coker is ().
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(0, 4)
+        p, N = rng.choice([(3, 1), (5, 1), (3, 4), (5, 3), (7, 2)])
+        m = p**N
+        A = [
+            [rng.choice([0, rng.randrange(-m, m), rng.randrange(m) * p ** rng.randrange(1, N + 1)]) for _ in range(n)]
+            for _ in range(n)
+        ]
+        factors = cokernel_mod(A, p, N)
+        nonzero_det = charpoly_by_expansion(A, m)[0] != 0  # constant term is ±det
+        assert (prod(factors) < m) == nonzero_det
+        assert (cokernel_mod(A, p, 1) == ()) == (charpoly_by_expansion(A, p)[0] != 0)
+        zero_pivot = m in factors
+        seen.add((n, N > 1, zero_pivot, nonzero_det))
+    # every size at both precisions, zero pivots, and vanishing determinants
+    # with every pivot nonzero (sum of the pivot valuations >= N)
+    assert {(n, big) for n, big, _, _ in seen} == {(n, big) for n in range(5) for big in (False, True)}
+    assert any(zero for _, _, zero, _ in seen)
+    assert any(big and not zero and not nonzero for _, big, zero, nonzero in seen)
 
 
 def test_local_ring_snf_agrees_with_integer_snf():
@@ -84,7 +83,7 @@ def test_local_ring_snf_agrees_with_integer_snf():
         diag, V = smith_normal_form_mod_prime_power(A, p, precision)
         got = tuple(sorted((p**precision // d for d in diag if d), reverse=True))
         assert got == column_span_structure(A, p, precision)
-        assert int_det(V) % p != 0  # V invertible over the local ring
+        assert charpoly_by_expansion(V, p)[0] != 0  # V invertible over the local ring
 
 
 def test_local_ring_snf_agrees_with_sympy_invariant_factors():
