@@ -1,11 +1,14 @@
 """Layer growth of elementary Lambda-modules and the parity audit.
 
 The size of E/omega_n·E grows like p^(lambda·n + mu·p^n + nu) once n is
-large; the library measures the exponents exactly (the resultant's
-p-adic valuation, read from a Smith normal form over Z/p^K at a precision
-K raised until it suffices) and recovers (lambda, mu, nu) from the tail
-of the sequence.  On matrix
-models carrying an intertwined torsion exponent of order d, the rank r
+large; the library measures the exponents exactly and recovers
+(lambda, mu, nu) from the tail of the sequence.  The resultant's p-adic
+valuation is a sum over the factors Phi_{p^k}(1+T) of omega_n: v_p(g(0))
+at level 0, a Smith normal form over Z/p^K while phi(p^k) <= deg g (K
+doubled from deg g + 1 while a pivot is zero, as at a tie level where a
+root of g has valuation exactly 1/phi(p^k)), and deg g at every later
+level, because the roots of a distinguished g have valuation >= 1/deg g.
+On matrix models carrying an intertwined torsion exponent of order d, the rank r
 satisfies r = s mod d, where s is the T-multiplicity of the
 characteristic polynomial of (generator - 1).
 """

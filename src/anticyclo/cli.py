@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -260,13 +261,28 @@ def cmd_growth(args, report: Report) -> int:
             "layers 0..3 at least; pass --n-max 3 or more"
         )
     module = parse_module_spec(args.module, args.p)
+    lam, mu = invariants_of(module)
+    digits = sys.get_int_max_str_digits()
+    if mu and digits:
+        # every exponent is printed, and the last one is about mu·p^n_max
+        bound = 10**digits
+        n_fit = max(0, int((digits - math.log10(mu)) / math.log10(args.p)))  # off by at most one
+        while mu * args.p ** (n_fit + 1) < bound:
+            n_fit += 1
+        while n_fit >= 0 and mu * args.p**n_fit >= bound:
+            n_fit -= 1
+        if args.n_max > n_fit:
+            raise ValueError(
+                f"--n-max {args.n_max} is above {n_fit}, the last layer whose mu-part exponent "
+                f"sum(mu)·{args.p}^n prints within the interpreter's {digits}-digit limit; "
+                f"pass --n-max {n_fit} or less"
+            )
     exponents = []
     for n in range(args.n_max + 1):
         e = layer_size_exponent(module, n)
         exponents.append(e)
         report.add(verdict="info", n=n, exponent=e)
     fit = fit_invariants(exponents, args.p)
-    lam, mu = invariants_of(module)
     match = (fit.lam, fit.mu) == (lam, mu)
     report.add(
         verdict="ok" if match else "violation",

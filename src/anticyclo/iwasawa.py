@@ -3,12 +3,13 @@ matrix models of the Galois action on a tower.
 
 Layer sizes: for E = ⊕ Λ/(p^mu_i) ⊕ ⊕ Λ/(g_j) the quotient by
 omega_n = (1+T)^(p^n) - 1 has p-exponent sum(mu_i·p^n) plus the p-adic
-valuation of the resultant of g_j and omega_n.  The latter is read from
-the local-ring Smith normal form of multiplication by omega_n on
-(Z/p^K)[T]/(g), with K doubled until every pivot is nonzero; each pivot
-is then the exact p-part of an invariant factor, so the valuation is
-exact.  Whether the quotient is finite at all is decided beforehand by
-exact division over Z.
+valuation of the resultant of g_j and omega_n.  omega_n is the product
+of the Phi_{p^k}(1+T), k <= n, so the latter is a sum of per-level terms:
+v_p(g(0)) at level 0, a local-ring Smith normal form of multiplication by
+Phi_{p^k}(1+T) on (Z/p^K)[T]/(g) while phi(p^k) <= deg g (K doubled from
+deg g + 1 until every pivot is nonzero, which only a tie level needs),
+and deg g at every later level.  Whether the quotient is finite at all is
+decided by exact division over Z.
 
 Parity audits: a GammaModel packages the action matrix of a topological
 generator on a free rank-r quotient, an intertwining matrix for an
@@ -42,49 +43,16 @@ from .snf import cokernel_mod, smith_normal_form_mod_prime_power
 # integer polynomials (ascending coefficient lists)
 # ----------------------------------------------------------------------
 
-def _poly_trim(c):
-    c = list(c)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_mod_monic(a, g):
-    """Remainder of a modulo the monic polynomial g."""
-    a = list(a)
+    """Remainder of a modulo the monic polynomial g, as deg g coefficients."""
     dg = len(g) - 1
+    a = list(a) + [0] * (dg - len(a))
     for i in range(len(a) - 1, dg - 1, -1):
         c = a[i]
         if c:
             for j in range(dg + 1):
                 a[i - dg + j] -= c * g[j]
-    return _poly_trim(a[:dg] or [0])
-
-
-def _poly_mul_mod(a, b, g, m):
-    """a·b modulo the monic polynomial g, coefficients reduced mod m."""
-    return [c % m for c in _poly_mod_monic(_poly_mul(a, b), g)]
-
-
-def _poly_pow_mod(base, e, g, m):
-    """base^e in (Z/m)[T]/(g) for the monic polynomial g."""
-    result = [1]
-    cur = base
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, cur, g, m)
-        cur = _poly_mul_mod(cur, cur, g, m)
-        e >>= 1
-    return result
+    return a[:dg]
 
 
 def omega_n(p: int, n: int) -> list[int]:
@@ -136,44 +104,47 @@ def invariants_of(module: ElementaryLambdaModule) -> tuple[int, int]:
 
 
 def _cyclotomic_factor(p: int, k: int) -> list[int]:
-    """Phi_{p^k}(1 + T), the degree-phi(p^k) irreducible factor of omega_n
-    for each k <= n; Phi_1(1 + T) = T."""
-    if k == 0:
-        return [0, 1]
+    """Phi_{p^k}(1 + T) for k >= 1, the degree-phi(p^k) irreducible factor
+    of omega_n for each 1 <= k <= n."""
     q = p ** (k - 1)
     return [sum(comb(i * q, j) for i in range(p)) for j in range((p - 1) * q + 1)]
 
 
 def _poly_quotient_exponent(g, p: int, n: int) -> int:
-    """p-exponent of Λ/(g, omega_n), i.e. v_p(Res(g, omega_n)).
+    """p-exponent of Λ/(g, omega_n), i.e. v_p(Res(g, omega_n)), as a sum of
+    c_k = v_p(Res(g, Phi_{p^k}(1 + T))) over the factors of omega_n, k <= n.
 
-    omega_n is the product of the irreducible Phi_{p^k}(1 + T), k <= n, so
-    the quotient is infinite exactly when one of them divides g; g and the
-    factors are monic, so exact division over Z decides it.  Otherwise the
-    exponent is the sum of the valuations of the invariant factors of
-    multiplication by omega_n on Z_p[T]/(g).  Reduction mod p^K commutes
-    with the ring operations, and a nonzero local-ring SNF pivot p^v
-    (v < K) is the exact p-part of an integer invariant factor, so the
-    matrix is built mod p^K and K doubles until every pivot is nonzero.
+    The quotient is infinite exactly when a factor divides g; both are
+    monic, so exact division over Z decides it.  c_0 = v_p(g(0)), since
+    Res(g, T) = ±g(0).  While phi(p^k) <= deg g, c_k is the sum of the
+    pivot valuations of the local-ring SNF of multiplication by
+    Phi_{p^k}(1 + T) on (Z/p^K)[T]/(g): a nonzero pivot p^v (v < K) is the
+    exact p-part of an integer invariant factor.  K = deg g + 1 suffices
+    unless a root of g has valuation exactly 1/phi(p^k); at such a tie c_k
+    is unbounded (c_1 = 6 for T^2 + 3T + 30 at p = 3), so K doubles until
+    every pivot is nonzero.  Every later c_k is deg g: the Newton polygon
+    of a distinguished g has every slope >= 1/deg g > 1/phi(p^k) = v(ζ - 1),
+    so each root α of g has Σ_ζ v(α - (ζ - 1)) = phi(p^k)·(1/phi(p^k)) = 1.
     """
     deg = len(g) - 1
-    for k in range(n + 1):
-        if ((p - 1) * p ** (k - 1) if k else 1) > deg:  # deg Phi_{p^k}(1 + T) = φ(p^k)
-            break
-        if not any(_poly_mod_monic(g, _cyclotomic_factor(p, k))):
+    if g[0] == 0:
+        raise ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
+    e = valuation(g[0], p)
+    k = 1
+    while k <= n and (p - 1) * p ** (k - 1) <= deg:  # deg Phi_{p^k}(1 + T) = φ(p^k)
+        phi = _cyclotomic_factor(p, k)
+        if not any(_poly_mod_monic(g, phi)):
             raise ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
-    K = deg * (n + 1)
-    while True:
-        m = p**K
-        w = _poly_pow_mod([1, 1], p**n, g, m)
-        w[0] -= 1
-        # row i holds omega_n·T^i mod g: the transpose of the multiplication
+        w = _poly_mod_monic(phi, g)
+        # row i holds Phi·T^i mod g: the transpose of the multiplication
         # matrix, which has the same invariant factors
-        rows = [_poly_mul_mod(w, [0] * i + [1], g, m) for i in range(deg)]
-        diag, _ = smith_normal_form_mod_prime_power([r + [0] * (deg - len(r)) for r in rows], p, K)
-        if all(diag):
-            return sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
-        K *= 2
+        rows = [_poly_mod_monic([0] * i + w, g) for i in range(deg)]
+        K = deg + 1
+        while not all(diag := smith_normal_form_mod_prime_power(rows, p, K)[0]):
+            K *= 2
+        e += sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
+        k += 1
+    return e + deg * (n + 1 - k)
 
 
 def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:

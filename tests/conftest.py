@@ -43,6 +43,65 @@ def closed_form_layer_exponent(p: int, g, n: int) -> int:
     return 1 + sum(min(phi, k) for phi in phis)
 
 
+def cyclotomic_at_one_plus_t(p: int, k: int) -> list[int]:
+    """Phi_{p^k}(1 + T) = sum_{i<p} (1 + T)^(i·p^(k-1)) by Pascal's rule;
+    Phi_1(1 + T) = T."""
+    if k == 0:
+        return [0, 1]
+    out = [0] * ((p - 1) * p ** (k - 1) + 1)
+    power = [1]
+    for _ in range(p):
+        for j, c in enumerate(power):
+            out[j] += c
+        for _ in range(p ** (k - 1)):
+            power = [a + b for a, b in zip(power + [0], [0] + power)]
+    return out
+
+
+def poly_rem(a, g, m=None):
+    """Remainder of a modulo the monic g, as deg g coefficients, reduced
+    mod m when m is given."""
+    dg = len(g) - 1
+    a = list(a) + [0] * (dg - len(a))
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i]
+        for j in range(dg + 1):
+            a[i - dg + j] -= c * g[j]
+    return [c % m for c in a[:dg]] if m else a[:dg]
+
+
+def omega_layer_exponent(p: int, g, n: int):
+    """v_p(Res(g, omega_n)) from the whole omega_n at once; None when the
+    quotient Λ/(g, omega_n) is infinite.
+
+    It is infinite exactly when some Phi_{p^k}(1 + T), k <= n, divides g.
+    Otherwise (1 + T)^(p^n) is raised by squaring in (Z/p^K)[T]/(g),
+    K = deg g·(n + 1) to start, 1 is subtracted, and the pivot valuations
+    of the local-ring SNF of multiplication by the result are summed,
+    doubling K until no pivot is zero.
+    """
+    from anticyclo.snf import smith_normal_form_mod_prime_power
+
+    deg = len(g) - 1
+    if any(not any(poly_rem(g, cyclotomic_at_one_plus_t(p, k))) for k in range(n + 1)):
+        return None
+    K = deg * (n + 1)
+    while True:
+        m = p**K
+        w, base, e = [1], [1, 1], p**n
+        while e:
+            if e & 1:
+                w = poly_rem(poly_mul(w, base, m), g, m)
+            base = poly_rem(poly_mul(base, base, m), g, m)
+            e >>= 1
+        w[0] = (w[0] - 1) % m
+        rows = [poly_rem([0] * i + w, g, m) for i in range(deg)]
+        diag, _ = smith_normal_form_mod_prime_power(rows, p, K)
+        if all(diag):
+            return sum(int_valuation(d, p) for d in diag)
+        K *= 2
+
+
 # -- finite abelian group enumeration ---------------------------------
 
 def all_elements(factors):

@@ -220,10 +220,10 @@ def test_usage_errors_exit_2():
     assert run(["no-such-command"])[0] == 2
 
 
-def run_process(argv):
+def run_process(argv, **env_vars):
     # A separate process, so a hang is cut by the timeout instead of
     # stalling the suite.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "anticyclo.cli", "--no-timestamps", *argv],
         env=env, capture_output=True, text=True, timeout=20,
@@ -256,3 +256,22 @@ def test_growth_of_a_linear_factor_at_a_large_prime():
     result = run_process(["growth", "--p", "1009", "--module", "T+1009", "--n-max", "3"])
     assert result.returncode == 0, result.stderr
     assert "fitted_lambda=1, fitted_mu=0, fitted_nu=1" in result.stdout
+
+
+def test_growth_reaches_layer_400_promptly():
+    # layers past the last phi(p^k) <= deg g add deg g each in closed form
+    result = run_process(["growth", "--p", "3", "--module", "T^5+3", "--n-max", "400"])
+    assert result.returncode == 0, result.stderr
+    assert "fitted_lambda=5, fitted_mu=0, fitted_nu=-2" in result.stdout
+
+
+def test_growth_refuses_a_mu_part_exponent_beyond_the_int_digit_limit():
+    # 3^9012 has 4300 digits, the interpreter's default limit for turning
+    # an int into a string; 3^9013 has 4301
+    argv = ["--format", "machine", "growth", "--p", "3", "--module", "p^1", "--n-max"]
+    fits = run_process(argv + ["9012"], PYTHONINTMAXSTRDIGITS="4300")
+    assert fits.returncode == 0, fits.stderr
+    assert json.loads(fits.stdout.splitlines()[-1]) == {"record": "summary", "layers": 9013, "match": 1}
+    over = run_process(argv + ["9013"], PYTHONINTMAXSTRDIGITS="4300")
+    assert over.returncode == 2 and over.stdout == ""
+    assert "--n-max 9013" in over.stderr and "--n-max 9012 or less" in over.stderr

@@ -22,7 +22,13 @@ from anticyclo.iwasawa import (
 from anticyclo.linalg import PadicMatrix, zeta_order
 from anticyclo.padic import teichmuller
 
-from conftest import closed_form_layer_exponent, int_valuation, quotient_structure
+from conftest import (
+    closed_form_layer_exponent,
+    cyclotomic_at_one_plus_t,
+    int_valuation,
+    omega_layer_exponent,
+    quotient_structure,
+)
 
 
 def test_omega_examples():
@@ -59,24 +65,12 @@ def test_layer_growth_examples():
         layer_size_exponent(ElementaryLambdaModule(3, poly_parts=((0, 1),)), 2)
 
 
-def _cyclotomic_at_one_plus_t(p, k):
-    """Phi_{p^k}(1 + T) = sum_{i<p} (1 + T)^(i·p^(k-1)), by Pascal's rule."""
-    out = [0] * ((p - 1) * p ** (k - 1) + 1)
-    power = [1]
-    for _ in range(p):
-        for j, c in enumerate(power):
-            out[j] += c
-        for _ in range(p ** (k - 1)):
-            power = [a + b for a, b in zip(power + [0], [0] + power)]
-    return out
-
-
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 2)])
 def test_planted_cyclotomic_factor_is_not_finite_from_its_level(p, k):
     # g = Phi_{p^k}(1+T)·(T+p) shares a root with omega_n exactly when
     # n >= k; below that, Res(Phi_{p^k}, Phi_{p^m}) = p^phi(p^m) for m < k
     # adds up to p^n, and T + p contributes 1 + n
-    phi = _cyclotomic_at_one_plus_t(p, k)
+    phi = cyclotomic_at_one_plus_t(p, k)
     g = tuple(p * a + b for a, b in zip(phi + [0], [0] + phi))
     module = ElementaryLambdaModule(p, poly_parts=(g,))
     for n in range(k + 2):
@@ -87,15 +81,58 @@ def test_planted_cyclotomic_factor_is_not_finite_from_its_level(p, k):
             assert layer_size_exponent(module, n) == p**n + 1 + n
 
 
+def _near_tie(rng, p, max_deg):
+    """g = Phi_{p^k}(1+T)·h + p^j·r, distinguished of degree <= max_deg: a
+    root of g lies p-adically close to a root ζ - 1 of Phi_{p^k}(1+T), so
+    c_k = v_p(Res(g, Phi_{p^k}(1+T))) can exceed deg g (or g is not
+    finite from level k on, when r = 0)."""
+    k = rng.choice([k for k in (1, 2) if (p - 1) * p ** (k - 1) <= max_deg])
+    phi = cyclotomic_at_one_plus_t(p, k)
+    h = [p * rng.randint(-2, 2) for _ in range(rng.randint(0, max_deg + 1 - len(phi)))] + [1]
+    g = [0] * (len(phi) + len(h) - 1)
+    for i, a in enumerate(phi):
+        for j, b in enumerate(h):
+            g[i + j] += a * b
+    shift = p ** rng.randint(1, 8)
+    return tuple(c + shift * rng.randint(-2, 2) for c in g[:-1]) + (1,)
+
+
+def test_layer_growth_against_the_whole_omega_oracle():
+    # T^2 + 3T + 30 = Phi_3(1+T) + 3^3 and T^2 + 3T + 246 = Phi_3(1+T) + 3^5
+    # have c_1 = 6 and 10 > deg g: tie levels, where the per-level SNF must
+    # raise its precision past deg g + 1
+    for c0, table in [(30, [1, 7, 9, 11]), (246, [1, 11, 13, 15])]:
+        tie = ElementaryLambdaModule(3, poly_parts=((c0, 3, 1),))
+        assert [layer_size_exponent(tie, n) for n in range(4)] == table
+        assert [omega_layer_exponent(3, (c0, 3, 1), n) for n in range(4)] == table
+    rng = random.Random(29)
+    for trial in range(240):
+        p = rng.choice([3, 5, 7])
+        n = rng.randint(0, {3: 5, 5: 3, 7: 2}[p])
+        if trial % 2:
+            g = _near_tie(rng, p, 9)
+        else:
+            g = tuple(p * rng.randint(-3, 3) for _ in range(rng.randint(1, 9))) + (1,)
+        module = ElementaryLambdaModule(p, poly_parts=(g,))
+        expected = omega_layer_exponent(p, g, n)
+        if expected is None:
+            with pytest.raises(ValueError, match="quotient not finite"):
+                layer_size_exponent(module, n)
+        else:
+            assert layer_size_exponent(module, n) == expected, (p, g, n)
+
+
 def test_layer_growth_against_sympy_resultant():
     sympy = pytest.importorskip("sympy")
     T = sympy.Symbol("T")
     rng = random.Random(83)
-    for _ in range(16):
+    for trial in range(24):
         p = rng.choice([3, 5, 7])
         n = rng.randint(0, {3: 5, 5: 3, 7: 2}[p])
-        deg = rng.randint(1, 5)
-        g = tuple(p * rng.randint(-3, 3) for _ in range(deg)) + (1,)
+        if trial < 16:
+            g = tuple(p * rng.randint(-3, 3) for _ in range(rng.randint(1, 5))) + (1,)
+        else:
+            g = _near_tie(rng, p, 6)
         module = ElementaryLambdaModule(p, poly_parts=(g,))
         res = sympy.resultant(sum(c * T**i for i, c in enumerate(g)), (1 + T) ** p**n - 1, T)
         if res == 0:
@@ -110,7 +147,7 @@ def test_layer_growth_closed_forms_up_to_n_100(p):
     polys = [(p, 1), (-(p**4) * 2, 1), (p, p, 0, 1), (p * (p + 1), 0, 0, p, 0, 1)]
     for g in polys:
         module = ElementaryLambdaModule(p, poly_parts=(g,))
-        for n in list(range(12)) + [25, 50, 75, 100]:
+        for n in list(range(12)) + [25, 50, 75, 100, 400, 1000]:
             assert layer_size_exponent(module, n) == closed_form_layer_exponent(p, g, n), (g, n)
 
 
