@@ -298,28 +298,44 @@ def cmd_growth(args, report: Report) -> int:
     return 0 if match else 1
 
 
+def _model_int(key, value) -> int:
+    if type(value) is not int:  # JSON integers only: no float, string or bool
+        raise ModelInvariantError(f"model file key {key!r} must hold JSON integers, got {json.dumps(value)}")
+    return value
+
+
+def _model_matrix(key, rows):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ModelInvariantError(f"model file key {key!r} must be an array of arrays, got {json.dumps(rows)}")
+    for row in rows:
+        for x in row:
+            _model_int(key, x)
+    return rows
+
+
 def _load_model_file(path) -> GammaModel:
+    """Read a model file; every number must be a JSON integer, and any
+    other value raises ModelInvariantError naming the key."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    try:
-        p = int(raw["p"])
-        precision = int(raw["precision"])
-        d = int(raw["d"])
-        M_rows = raw["M"]
-        D_rows = raw.get("D")
-        zeta_raw = raw["zeta"]
-        t_block = raw.get("t_block")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelInvariantError(f"model file is missing or has malformed fields: {exc}") from exc
-    if isinstance(zeta_raw, dict):
-        zeta = teichmuller(int(zeta_raw["teichmuller"]), p, precision)
-    else:
-        zeta = int(zeta_raw)
-        if zeta not in (1, -1):
-            raise ModelInvariantError("integer zeta must be ±1; use {\"teichmuller\": a} otherwise")
-    M = PadicMatrix(p, precision, M_rows)
-    D = PadicMatrix(p, precision, D_rows) if D_rows is not None else None
-    return GammaModel(M, D, zeta, d, t_block=int(t_block) if t_block is not None else None)
+    if not isinstance(raw, dict):
+        raise ModelInvariantError("model file must hold a JSON object")
+    for key in ("p", "precision", "d", "zeta", "M"):
+        if key not in raw:
+            raise ModelInvariantError(f"model file is missing key {key!r}")
+    p, precision, d = (_model_int(key, raw[key]) for key in ("p", "precision", "d"))
+    zeta = raw["zeta"]
+    if isinstance(zeta, dict) and "teichmuller" in zeta:
+        zeta = teichmuller(_model_int("teichmuller", zeta["teichmuller"]), p, precision)
+    elif type(zeta) is not int or zeta not in (1, -1):
+        raise ModelInvariantError(
+            f"model file key 'zeta' must be 1, -1 or {{\"teichmuller\": a}}, got {json.dumps(zeta)}"
+        )
+    t_block = raw.get("t_block")
+    M = PadicMatrix(p, precision, _model_matrix("M", raw["M"]))
+    D_rows = raw.get("D")
+    D = PadicMatrix(p, precision, _model_matrix("D", D_rows)) if D_rows is not None else None
+    return GammaModel(M, D, zeta, d, t_block=_model_int("t_block", t_block) if t_block is not None else None)
 
 
 def cmd_audit_parity(args, report: Report) -> int:

@@ -129,22 +129,6 @@ class FinitePModule:
     def size(self) -> int:
         return prod(self.invariant_factors)
 
-    def is_trivial_action(self, name: str) -> bool:
-        return self._is_identity(self.action(name))
-
-    def elements(self):
-        """All elements as coordinate tuples (test-scale modules only)."""
-        from itertools import product as iproduct
-
-        return list(iproduct(*(range(q) for q in self.invariant_factors)))
-
-    def apply(self, name_or_matrix, x):
-        rows = self.action(name_or_matrix) if isinstance(name_or_matrix, str) else name_or_matrix
-        return tuple(
-            sum(rows[i][j] * x[j] for j in range(len(x))) % q
-            for i, q in enumerate(self.invariant_factors)
-        )
-
 
 def _relation_columns(module: FinitePModule):
     k = len(module.invariant_factors)

@@ -76,9 +76,6 @@ class PadicMatrix:
         if (self.p, self.precision, self.dim) != (other.p, other.precision, other.dim):
             raise ValueError("incompatible matrices (p, precision, or dimension differ)")
 
-    def entry(self, i: int, j: int) -> PadicInt:
-        return PadicInt(self.p, self.precision, self.rows[i][j])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PadicMatrix)
@@ -189,9 +186,6 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> PadicInt:
-        return PadicInt(self.p, self.precision, self.coeffs[i])
 
     def __eq__(self, other) -> bool:
         return (

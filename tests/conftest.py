@@ -328,3 +328,67 @@ def enumerate_intertwiner(M, zeta):
             full = [sum(c * bfull[i] for c, (_, bfull) in zip(combo, basis)) % m for i in range(r * r)]
             return PadicMatrix(p, M.precision, [[full[j * r + i] for j in range(r)] for i in range(r)])
     return None
+
+
+# -- T-multiplicity by scanning every coordinate subset -------------------
+
+def _acyclic_support(shift_rows, indices) -> bool:
+    """No directed cycle (including loops) among the nonzero entries of the
+    principal submatrix on `indices`; then its charpoly is exactly T^k."""
+    edges = {
+        i: [j for j in indices if j != i and shift_rows[j][i] != 0] for i in indices
+    }
+    if any(shift_rows[i][i] != 0 for i in indices):
+        return False
+    seen = {}
+
+    def visit(node):
+        seen[node] = 1
+        for nxt in edges[node]:
+            state = seen.get(nxt)
+            if state == 1:
+                return False
+            if state is None and not visit(nxt):
+                return False
+        seen[node] = 2
+        return True
+
+    return all(visit(i) for i in indices if i not in seen)
+
+
+def t_multiplicity_by_subset_scan(M):
+    """Uncertified T-multiplicity of charpoly(M - I): the observed count
+    s_obs of trailing zeros mod p^N, accepted only when some set S of
+    s_obs coordinates is block-triangular (span(e_S) or its complement is
+    invariant), has acyclic support, and leaves a complement whose
+    determinant is nonzero mod p^N.  Scans all C(r, s_obs) subsets, so
+    keep r small; raises PrecisionError when no subset certifies."""
+    from itertools import combinations
+    from math import prod
+
+    from anticyclo.errors import PrecisionError
+    from anticyclo.linalg import PadicMatrix, charpoly
+    from anticyclo.snf import cokernel_mod
+
+    shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
+    s_obs = charpoly(shift).trailing_zero_count()
+    if s_obs == 0:
+        return 0
+    rows = shift.rows
+    r = M.dim
+    for subset in combinations(range(r), s_obs):
+        inside = set(subset)
+        rest = [i for i in range(r) if i not in inside]
+        upper = all(rows[i][j] == 0 for i in rest for j in subset)
+        lower = all(rows[i][j] == 0 for i in subset for j in rest)
+        if not (upper or lower):
+            continue
+        if not _acyclic_support(rows, subset):
+            continue
+        comp = [[rows[i][j] for j in rest] for i in rest]
+        if prod(cokernel_mod(comp, M.p, M.precision)) < M.modulus:
+            return s_obs
+    raise PrecisionError(
+        f"indistinguishable from zero at precision N={M.precision} - raise N: "
+        f"{s_obs} trailing coefficients vanish without structural certification"
+    )

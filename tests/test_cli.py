@@ -150,6 +150,33 @@ def test_audit_parity_rejects_malformed_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("zeta", {}),
+        ("M", [[None, 0], [0, 61]]),
+        ("M", [[{}, 0], [0, 61]]),
+        ("D", [None, [1, 0]]),
+        ("p", 3.7),
+        ("precision", 4.9),
+        ("t_block", "0"),
+        ("t_block", 0.5),
+        ("t_block", True),
+        ("zeta", -1.0),
+        ("zeta", "-1"),
+    ],
+)
+def test_audit_parity_rejects_non_integer_model_fields(tmp_path, capsys, key, value):
+    raw = json.loads((DATA / "model_d2.json").read_text())
+    raw[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run(["audit-parity", str(bad)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert f"model file key '{key}'" in err, err
+
+
 def test_check_records_exit_codes(tmp_path):
     good = tmp_path / "good.jsonl"
     good.write_text(
@@ -275,3 +302,37 @@ def test_growth_refuses_a_mu_part_exponent_beyond_the_int_digit_limit():
     over = run_process(argv + ["9013"], PYTHONINTMAXSTRDIGITS="4300")
     assert over.returncode == 2 and over.stdout == ""
     assert "--n-max 9013" in over.stderr and "--n-max 9012 or less" in over.stderr
+
+
+def write_shift_model(path, precision, shift):
+    """A d = 1 model file (zeta = 1, D = I, no t_block) with M = I + shift."""
+    r = len(shift)
+    ident = [[int(i == j) for j in range(r)] for i in range(r)]
+    M = [[x + e for x, e in zip(row, erow)] for row, erow in zip(shift, ident)]
+    path.write_text(json.dumps({"p": 3, "precision": precision, "d": 1, "zeta": 1, "M": M, "D": ident}))
+    return path
+
+
+def test_audit_parity_refuses_an_uncertified_24_dimensional_model_promptly(tmp_path):
+    # M - I = diag(3^7 x12, 3 x12): every vertex carries a loop, so neither
+    # peel certifies the trailing zeros that vanish at N = 14
+    shift = [[(3**7 if i < 12 else 3) if i == j else 0 for j in range(24)] for i in range(24)]
+    result = run_process(["audit-parity", str(write_shift_model(tmp_path / "m.json", 14, shift))])
+    assert result.returncode == 2 and result.stdout == ""
+    assert "raise N" in result.stderr
+
+
+def test_audit_parity_certifies_a_24_dimensional_model_structurally(tmp_path):
+    # loops at the even coordinates, c -> c + 1 for even c, and a chain
+    # through the odd coordinates: the sink peel removes all 12 odd ones
+    shift = [[0] * 24 for _ in range(24)]
+    for c in range(0, 24, 2):
+        shift[c][c] = shift[c + 1][c] = 3
+    for a in range(1, 22, 2):
+        shift[a + 2][a] = 3
+    result = run_process(
+        ["--format", "machine", "audit-parity", str(write_shift_model(tmp_path / "m.json", 14, shift))]
+    )
+    assert result.returncode == 0, result.stderr
+    check = json.loads(result.stdout.splitlines()[1])
+    assert check["verdict"] == "ok" and check["r"] == 24 and check["t_block"] is None

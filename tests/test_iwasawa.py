@@ -28,6 +28,7 @@ from conftest import (
     int_valuation,
     omega_layer_exponent,
     quotient_structure,
+    t_multiplicity_by_subset_scan,
 )
 
 
@@ -281,6 +282,53 @@ def test_t_multiplicity_demands_precision_for_fake_zeros():
     # charpoly of the shift is T^2 - 9T + 9; mod 9 the trailing coeffs vanish
     with pytest.raises(PrecisionError, match="raise N"):
         t_multiplicity(hidden)
+
+
+def _scan_outcome(f, M):
+    try:
+        return f(M)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+def _cornered_matrix(rng):
+    """M = I + A with A sparse, a nilpotent corner on the first k
+    coordinates closed in one direction, then coordinates permuted."""
+    p, N, r = rng.choice([3, 5]), rng.randint(1, 4), rng.randint(1, 6)
+    m = p**N
+    A = [[rng.choice([0, 0, 0, p * rng.randrange(m), rng.randrange(m)]) for _ in range(r)] for _ in range(r)]
+    k = rng.randint(0, r)
+    for j in range(k):  # strictly lower inside the corner, no edge out of it
+        for i in range(r):
+            if not j < i < k:
+                A[i][j] = 0
+    if rng.random() < 0.5:
+        A = [list(col) for col in zip(*A)]
+    perm = rng.sample(range(r), r)
+    return PadicMatrix(p, N, [[A[perm[i]][perm[j]] + (i == j) for j in range(r)] for i in range(r)])
+
+
+def test_t_multiplicity_agrees_with_subset_scan_oracle():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(600):
+        M = _cornered_matrix(rng)
+        got = _scan_outcome(t_multiplicity, M)
+        assert got == _scan_outcome(t_multiplicity_by_subset_scan, M), M
+        kinds.add("raise N" if isinstance(got, str) else "certified" if got else "zero")
+    assert kinds == {"certified", "raise N", "zero"}
+
+
+def test_t_multiplicity_certifies_only_a_whole_peel():
+    # A = M - I has a loop at 2 and an edge 1 -> 2: the sink peel leaves
+    # {0}, the source peel {0, 1}, and charpoly(A) = T^2 (T - 14)
+    by_sources = PadicMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 24, 15]])
+    assert t_multiplicity(by_sources) == 2 == t_multiplicity_by_subset_scan(by_sources)
+    # charpoly(A) = T^2 (T - 6) but only the corner {0} is structural
+    short_corner = PadicMatrix(3, 2, [[1, 0, 0], [0, 4, 3], [0, 3, 4]])
+    for f in (t_multiplicity, t_multiplicity_by_subset_scan):
+        with pytest.raises(PrecisionError, match="raise N"):
+            f(short_corner)
 
 
 def test_coinvariants_examples():
