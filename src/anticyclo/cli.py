@@ -34,9 +34,9 @@ from .errors import (
 from .iwasawa import (
     ElementaryLambdaModule,
     GammaModel,
+    _layer_exponents,
     fit_invariants,
     invariants_of,
-    layer_size_exponent,
     parity_audit,
     validate_gamma_model,
 )
@@ -277,10 +277,8 @@ def cmd_growth(args, report: Report) -> int:
                 f"sum(mu)·{args.p}^n prints within the interpreter's {digits}-digit limit; "
                 f"pass --n-max {n_fit} or less"
             )
-    exponents = []
-    for n in range(args.n_max + 1):
-        e = layer_size_exponent(module, n)
-        exponents.append(e)
+    exponents = _layer_exponents(module, args.n_max)
+    for n, e in enumerate(exponents):
         report.add(verdict="info", n=n, exponent=e)
     fit = fit_invariants(exponents, args.p)
     match = (fit.lam, fit.mu) == (lam, mu)

@@ -270,8 +270,19 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
 
 
 def herbrand_check(module: FinitePModule, action: str = "tau", m: int | None = None) -> bool:
-    """|H^0| == |H^-1|, true for every finite module; a failure is an SNF bug."""
-    return tate_h0(module, action, m).size() == tate_hm1(module, action, m).size()
+    """|H^0| == |H^-1|, true for every finite module; a failure is an SNF bug.
+
+    Both groups are read from one norm matrix N and one shift T - 1, with
+    the checks and errors of ``tate_h0``: H^0 = ker(T - 1)/im N and
+    H^-1 = ker N/im(T - 1).
+    """
+    if not module.invariant_factors:
+        return True
+    norm = _norm_matrix(module, action, _order(module, action, m))
+    shift = _shift_matrix(module, action)
+    h0 = _subquotient(module, _preimage_gens(module, shift), _image_gens(module, norm))
+    hm1 = _subquotient(module, _preimage_gens(module, norm), _image_gens(module, shift))
+    return prod(h0) == prod(hm1)
 
 
 class ObstructionResult(NamedTuple):

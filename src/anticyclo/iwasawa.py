@@ -20,6 +20,7 @@ of the characteristic polynomial of (generator - 1) is a multiple of d.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Union
@@ -35,7 +36,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, is_odd_prime, teichmuller, valuation
-from .snf import cokernel_mod, smith_normal_form_mod_prime_power
+from .snf import _local_snf, cokernel_mod
 
 
 # ----------------------------------------------------------------------
@@ -109,9 +110,9 @@ def _cyclotomic_factor(p: int, k: int) -> list[int]:
     return [sum(comb(i * q, j) for i in range(p)) for j in range((p - 1) * q + 1)]
 
 
-def _poly_quotient_exponent(g, p: int, n: int) -> int:
-    """p-exponent of Λ/(g, omega_n), i.e. v_p(Res(g, omega_n)), as a sum of
-    c_k = v_p(Res(g, Phi_{p^k}(1 + T))) over the factors of omega_n, k <= n.
+def _level_terms(g, p: int):
+    """Yield c_k = v_p(Res(g, Phi_{p^k}(1 + T))) for k = 0, 1, ... while
+    k = 0 or phi(p^k) <= deg g; None for a level whose factor divides g.
 
     The quotient is infinite exactly when a factor divides g; both are
     monic, so exact division over Z decides it.  c_0 = v_p(g(0)), since
@@ -126,24 +127,39 @@ def _poly_quotient_exponent(g, p: int, n: int) -> int:
     so each root α of g has Σ_ζ v(α - (ζ - 1)) = phi(p^k)·(1/phi(p^k)) = 1.
     """
     deg = len(g) - 1
-    if g[0] == 0:
-        raise ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
-    e = valuation(g[0], p)
+    yield valuation(g[0], p) if g[0] else None
     k = 1
-    while k <= n and (p - 1) * p ** (k - 1) <= deg:  # deg Phi_{p^k}(1 + T) = φ(p^k)
+    while (p - 1) * p ** (k - 1) <= deg:  # deg Phi_{p^k}(1 + T) = φ(p^k)
         phi = _cyclotomic_factor(p, k)
         if not any(_poly_mod_monic(g, phi)):
-            raise ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
-        w = _poly_mod_monic(phi, g)
-        # row i holds Phi·T^i mod g: the transpose of the multiplication
-        # matrix, which has the same invariant factors
-        rows = [_poly_mod_monic([0] * i + w, g) for i in range(deg)]
-        K = deg + 1
-        while not all(diag := smith_normal_form_mod_prime_power(rows, p, K)[0]):
-            K *= 2
-        e += sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
+            yield None
+        else:
+            w = _poly_mod_monic(phi, g)
+            # row i holds Phi·T^i mod g: the transpose of the multiplication
+            # matrix, which has the same invariant factors
+            rows = [_poly_mod_monic([0] * i + w, g) for i in range(deg)]
+            K = deg + 1
+            while not all(diag := _local_snf(rows, p, K, False)[0]):
+                K *= 2
+            yield sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
         k += 1
-    return e + deg * (n + 1 - k)
+
+
+def _not_finite(g, n: int) -> ValueError:
+    return ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
+
+
+def _poly_quotient_exponent(g, p: int, n: int) -> int:
+    """p-exponent of Λ/(g, omega_n), i.e. v_p(Res(g, omega_n)): the sum of
+    the level terms c_k of ``_level_terms`` over k <= n, deg g for each
+    level past them."""
+    e = levels = 0
+    for c in itertools.islice(_level_terms(g, p), n + 1):
+        if c is None:
+            raise _not_finite(g, n)
+        e += c
+        levels += 1
+    return e + (len(g) - 1) * (n + 1 - levels)
 
 
 def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:
@@ -154,6 +170,25 @@ def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:
     for g in module.poly_parts:
         e += _poly_quotient_exponent(g, module.p, n)
     return e
+
+
+def _layer_exponents(module: ElementaryLambdaModule, n_max: int) -> list[int]:
+    """[layer_size_exponent(module, n) for n in 0..n_max], with each level
+    term computed once: e_n = e_(n-1) + Σ_g c_n(g) in the polynomial part.
+    The first layer with an infinite quotient raises the error that
+    ``layer_size_exponent`` raises there."""
+    p, mu = module.p, sum(module.mu_parts)
+    parts = [(g, _level_terms(g, p)) for g in module.poly_parts]
+    exponents = []
+    e = 0
+    for n in range(n_max + 1):
+        for g, terms in parts:
+            c = next(terms, len(g) - 1)
+            if c is None:
+                raise _not_finite(g, n)
+            e += c
+        exponents.append(mu * p**n + e)
+    return exponents
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, binom, pow_one_unit
-from .snf import cokernel_mod, kernel_mod
+from .snf import cokernel_mod, kernel_mod, mat_mul
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
 #: invertible element, one combo per projective point (unit multiples
@@ -256,22 +256,27 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
     """M^zeta for M ≡ I mod p, by the truncated binomial series.
 
     M^zeta = sum_{k<N} C(zeta,k) (M-I)^k, exact mod p^N because every
-    entry of (M-I)^k has valuation at least k.  For plain integer zeta
-    this agrees with repeated multiplication (and inversion).
+    entry of (M-I)^k has valuation at least k.  The sum is evaluated by
+    Horner's rule over plain integer rows, (...(c_{N-1}·S + c_{N-2})·S
+    + ...)·S + c_0 with S = M - I, which is the same element of the ring
+    of matrices over Z/p^N; one PadicMatrix is built at the end.  For
+    plain integer zeta this agrees with repeated multiplication (and
+    inversion).
     """
     if not M.is_one_mod_p():
         raise ValueError("not a pro-p automorphism: matrix must be ≡ I mod p")
     if isinstance(zeta, PadicInt) and (zeta.p, zeta.precision) != (M.p, M.precision):
         raise ValueError("exponent and matrix have mixed p-adic parameters")
-    shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
-    acc = PadicMatrix.identity(M.p, M.precision, M.dim).scale(0)
-    power = PadicMatrix.identity(M.p, M.precision, M.dim)
-    for k in range(M.precision):
-        c = binom(zeta, k, p=M.p, precision=M.precision)
-        acc = acc + power.scale(c.residue)
-        if k + 1 < M.precision:
-            power = power @ shift
-    return acc
+    m, r = M.modulus, M.dim
+    shift = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+    coeffs = [binom(zeta, k, p=M.p, precision=M.precision).residue for k in range(M.precision)]
+    acc = [[coeffs[-1] if i == j else 0 for j in range(r)] for i in range(r)]
+    for c in reversed(coeffs[:-1]):
+        acc = [
+            [(x + c if i == j else x) % m for j, x in enumerate(row)]
+            for i, row in enumerate(mat_mul(acc, shift))
+        ]
+    return PadicMatrix(M.p, M.precision, acc)
 
 
 def zeta_order(zeta: PadicExponent, p: int | None = None) -> int:

@@ -7,14 +7,20 @@ exactly a submodule of (Z/p^N)^k, and every determinant test, since a
 square matrix without zero pivots has a cokernel of order p^(v_p det).
 Entries stay reduced mod p^N and never grow; nothing is computed over Z.
 All arithmetic is exact (Python integers).
+
+Each pivot is an entry of least valuation in the active block, found
+from C-level gcds with p^N rather than from one valuation per entry.
+Only the rows below a pivot are eliminated, and the matrix itself takes
+no column operations: once its column is cleared, the pivot row is never
+read again, so they could only zero entries nobody looks at.  Column
+operations are applied to V alone, and callers that read only the pivots
+skip V entirely.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import mul
-
-from .padic import valuation
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -26,60 +32,79 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
+def _local_snf(A, p: int, precision: int, track_v: bool):
+    """The elimination engine behind every public function here.
+
+    Step t takes the least valuation v of the active block (rows and
+    columns >= t) as v_p(gcd(p^N, *entries)), by C-level gcds row by row,
+    and pivots on the first entry in row-major order with valuation v:
+    the first row whose gcd is p^v, then its first entry not divisible by
+    p^(v+1).  Row operations clear the column below the pivot.  Rows
+    above are finished pivot rows, which nothing reads again.
+
+    M gets no column operations.  After the row pass, column t is zero
+    off the pivot, so a column operation on M would only zero an entry
+    of the finished row t, and the active block would not change.  The
+    column operations go to V alone, kept as a list of columns so that
+    each one rewrites a single list; with ``track_v`` false V is not
+    built at all.  The pivot row is not rescaled either: multiplying the
+    row multipliers by the inverse of the pivot's unit part gives the
+    same rows mod p^N.
+    """
+    m = p**precision
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    M = [[x % m for x in row] for row in A]
+    Vc = identity_matrix(cols) if track_v else None  # the columns of V
+    diag = [0] * cols
+    for t in range(min(rows, cols)):
+        # columns < t are zero in every row >= t, so whole rows can be read
+        row_gcds = [gcd(m, *row) for row in M[t:]]
+        g = min(row_gcds)  # p^v, v the least valuation; p^N when all vanish
+        if g == m:
+            break
+        bi = t + row_gcds.index(g)
+        gp = g * p
+        bj = next(j for j, x in enumerate(M[bi]) if x % gp)
+        M[t], M[bi] = M[bi], M[t]
+        if bj != t:
+            for row in M[t:]:
+                row[t], row[bj] = row[bj], row[t]
+            if track_v:
+                Vc[t], Vc[bj] = Vc[bj], Vc[t]
+        pivot_row = M[t]
+        scale = pow(pivot_row[t] // g, -1, m)  # scaled, the pivot is exactly g
+        zeros = [0] * (t + 1)  # columns <= t of every row below, once cleared
+        tail = pivot_row[t + 1 :]
+        for i in range(t + 1, rows):
+            row = M[i]
+            if row[t]:
+                q = row[t] // g * scale
+                M[i] = zeros + [(a - q * b) % m for a, b in zip(row[t + 1 :], tail)]
+        diag[t] = g
+        if track_v:
+            vt = Vc[t]
+            for j in range(t + 1, cols):
+                if pivot_row[j]:
+                    q = pivot_row[j] * scale % m // g
+                    Vc[j] = [(a - q * b) % m for a, b in zip(Vc[j], vt)]
+    return diag, Vc
+
+
 def smith_normal_form_mod_prime_power(A, p: int, precision: int):
     """Diagonalize A over the local ring Z/p^N: returns (diag, V).
 
     diag[i] is p^(v_i) with non-decreasing v_i (0 entries mean the image
     vanishes in that direction) and V is invertible mod p^N with
     U·A·V ≡ diag for a suitable invertible U (not tracked).  Over a local
-    ring the minimal-valuation entry divides everything in sight, so one
+    ring an entry of least valuation divides everything in sight, so one
     elimination pass per pivot suffices and entries stay reduced mod p^N;
-    this avoids the coefficient blowup of integer SNF.
+    this avoids the coefficient blowup of integer SNF.  The least
+    valuation is read from a gcd, not entry by entry, and only V takes
+    column operations (see ``_local_snf``).
     """
-    m = p**precision
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [[x % m for x in row] for row in A]
-    V = identity_matrix(cols)
-
-    t = 0
-    while t < min(rows, cols):
-        best = None
-        best_v = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if M[i][j]:
-                    v = valuation(M[i][j], p)
-                    if best_v is None or v < best_v:
-                        best_v = v
-                        best = (i, j)
-            if best_v == 0:
-                break
-        if best is None:
-            break
-        bi, bj = best
-        M[t], M[bi] = M[bi], M[t]
-        if bj != t:
-            for r in range(rows):
-                M[r][t], M[r][bj] = M[r][bj], M[r][t]
-            for r in range(cols):
-                V[r][t], V[r][bj] = V[r][bj], V[r][t]
-        scale = pow(M[t][t] // p**best_v, -1, m)
-        M[t] = [x * scale % m for x in M[t]]  # pivot becomes exactly p^v
-        for i in range(rows):
-            if i != t and M[i][t]:
-                q = M[i][t] // p**best_v
-                M[i] = [(a - q * b) % m for a, b in zip(M[i], M[t])]
-        for j in range(cols):
-            if j != t and M[t][j]:
-                q = M[t][j] // p**best_v
-                for r in range(rows):
-                    M[r][j] = (M[r][j] - q * M[r][t]) % m
-                for r in range(cols):
-                    V[r][j] = (V[r][j] - q * V[r][t]) % m
-        t += 1
-    diag = [M[i][i] if i < rows and i < cols else 0 for i in range(cols)]
-    return diag, V
+    diag, Vc = _local_snf(A, p, precision, True)
+    return diag, [list(row) for row in zip(*Vc)]
 
 
 def kernel_mod(A, p: int, precision: int):
@@ -114,6 +139,6 @@ def cokernel_mod(A, p: int, precision: int) -> tuple[int, ...]:
     """
     m = p**precision
     rows = len(A)
-    diag, _ = smith_normal_form_mod_prime_power(A, p, precision)
+    diag, _ = _local_snf(A, p, precision, False)
     pivots = (diag + [0] * rows)[:rows]
     return tuple(sorted((d or m for d in pivots if d != 1), reverse=True))

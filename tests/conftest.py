@@ -7,6 +7,7 @@ arithmetic, independently of the library code paths under test.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -100,6 +101,112 @@ def omega_layer_exponent(p: int, g, n: int):
         if all(diag):
             return sum(int_valuation(d, p) for d in diag)
         K *= 2
+
+
+# -- local-ring SNF with full row and column passes ---------------------
+
+def snf_by_full_elimination(A, p: int, precision: int):
+    """Diagonalize A over the local ring Z/p^N: returns (diag, V).
+
+    diag[i] is p^(v_i) with non-decreasing v_i (0 entries mean the image
+    vanishes in that direction) and V is invertible mod p^N with
+    U·A·V ≡ diag for a suitable invertible U (not tracked).  Over a local
+    ring the minimal-valuation entry divides everything in sight, so one
+    elimination pass per pivot suffices and entries stay reduced mod p^N;
+    this avoids the coefficient blowup of integer SNF.
+
+    Every pivot scans the valuation of every active entry, and every
+    elimination clears the pivot column in all rows and the pivot row in
+    all columns of M, as well as in V.
+    """
+    from anticyclo.snf import identity_matrix
+
+    valuation = int_valuation
+    m = p**precision
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    M = [[x % m for x in row] for row in A]
+    V = identity_matrix(cols)
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        best_v = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if M[i][j]:
+                    v = valuation(M[i][j], p)
+                    if best_v is None or v < best_v:
+                        best_v = v
+                        best = (i, j)
+            if best_v == 0:
+                break
+        if best is None:
+            break
+        bi, bj = best
+        M[t], M[bi] = M[bi], M[t]
+        if bj != t:
+            for r in range(rows):
+                M[r][t], M[r][bj] = M[r][bj], M[r][t]
+            for r in range(cols):
+                V[r][t], V[r][bj] = V[r][bj], V[r][t]
+        scale = pow(M[t][t] // p**best_v, -1, m)
+        M[t] = [x * scale % m for x in M[t]]  # pivot becomes exactly p^v
+        for i in range(rows):
+            if i != t and M[i][t]:
+                q = M[i][t] // p**best_v
+                M[i] = [(a - q * b) % m for a, b in zip(M[i], M[t])]
+        for j in range(cols):
+            if j != t and M[t][j]:
+                q = M[t][j] // p**best_v
+                for r in range(rows):
+                    M[r][j] = (M[r][j] - q * M[r][t]) % m
+                for r in range(cols):
+                    V[r][j] = (V[r][j] - q * V[r][t]) % m
+        t += 1
+    diag = [M[i][i] if i < rows and i < cols else 0 for i in range(cols)]
+    return diag, V
+
+
+def kernel_by_full_elimination(A, p: int, precision: int):
+    """``kernel_mod``, read from ``snf_by_full_elimination``."""
+    m = p**precision
+    n = len(A[0]) if A else 0
+    diag, V = snf_by_full_elimination(A, p, precision)
+    gens = []
+    for i in range(n):
+        mult = m // gcd(diag[i], m)
+        if mult == m:
+            continue  # generator would be 0 mod p^N
+        vec = [V[r][i] * mult % m for r in range(n)]
+        gens.append((vec, mult))
+    return gens
+
+
+def cokernel_by_full_elimination(A, p: int, precision: int) -> tuple[int, ...]:
+    """``cokernel_mod``, read from ``snf_by_full_elimination``."""
+    m = p**precision
+    rows = len(A)
+    diag, _ = snf_by_full_elimination(A, p, precision)
+    pivots = (diag + [0] * rows)[:rows]
+    return tuple(sorted((d or m for d in pivots if d != 1), reverse=True))
+
+
+def mat_pow_zeta_by_series(M, zeta):
+    """M^zeta for M ≡ I mod p as the binomial series sum_{k<N} C(zeta,k)·(M-I)^k,
+    summed term by term in PadicMatrix arithmetic."""
+    from anticyclo.linalg import PadicMatrix
+    from anticyclo.padic import binom
+
+    shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
+    acc = PadicMatrix.identity(M.p, M.precision, M.dim).scale(0)
+    power = PadicMatrix.identity(M.p, M.precision, M.dim)
+    for k in range(M.precision):
+        c = binom(zeta, k, p=M.p, precision=M.precision)
+        acc = acc + power.scale(c.residue)
+        if k + 1 < M.precision:
+            power = power @ shift
+    return acc
 
 
 # -- finite abelian group enumeration ---------------------------------

@@ -292,6 +292,21 @@ def test_growth_reaches_layer_400_promptly():
     assert "fitted_lambda=5, fitted_mu=0, fitted_nu=-2" in result.stdout
 
 
+def test_growth_table_runs_each_level_elimination_once(monkeypatch):
+    # phi(3) = 2 and phi(9) = 6 are <= deg g = 8, so levels 1 and 2 need a
+    # local SNF each; every later layer adds deg g to the previous one
+    import anticyclo.iwasawa as iwasawa
+
+    calls = []
+    engine = iwasawa._local_snf
+    monkeypatch.setattr(iwasawa, "_local_snf", lambda *args: calls.append(args) or engine(*args))
+    argv = ["--no-timestamps", "--format", "machine", "growth", "--p", "3", "--module", "T^8+3T+3", "--n-max", "1000"]
+    code, out = run(argv)
+    assert code == 0
+    assert len(calls) == 2
+    assert json.loads(out.splitlines()[-2])["fitted_lambda"] == 8
+
+
 def test_growth_refuses_a_mu_part_exponent_beyond_the_int_digit_limit():
     # 3^9012 has 4300 digits, the interpreter's default limit for turning
     # an int into a string; 3^9013 has 4301

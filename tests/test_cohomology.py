@@ -88,6 +88,22 @@ def test_order_is_checked_on_every_call():
         assert norm_image(declared, "tau").invariant_factors == (p,)
 
 
+def test_herbrand_check_builds_one_norm_matrix(monkeypatch):
+    # both Tate groups come from one norm matrix and one shift per call
+    import anticyclo.cohomology as cohomology
+
+    calls = []
+    build = cohomology._norm_matrix
+    monkeypatch.setattr(cohomology, "_norm_matrix", lambda *args: calls.append(args) or build(*args))
+    rng = random.Random(5)
+    for case in range(20):
+        module, order = _random_module_with_cyclic_action(rng, 3, 5, distinct=case % 2 == 1)
+        sizes = tate_h0(module, "tau", order).size(), tate_hm1(module, "tau", order).size()
+        calls.clear()
+        assert herbrand_check(module, "tau", order) == (sizes[0] == sizes[1])
+        assert len(calls) == 1
+
+
 def test_subquotient_rejects_generators_outside_the_lattice():
     module = FinitePModule(3, (9, 3))
     Q = _relation_columns(module)

@@ -8,6 +8,7 @@ from anticyclo.errors import ModelInvariantError, PrecisionError
 from anticyclo.iwasawa import (
     ElementaryLambdaModule,
     GammaModel,
+    _layer_exponents,
     build_gamma_model,
     coinvariants,
     default_zeta,
@@ -121,6 +122,41 @@ def test_layer_growth_against_the_whole_omega_oracle():
                 layer_size_exponent(module, n)
         else:
             assert layer_size_exponent(module, n) == expected, (p, g, n)
+
+
+def test_growth_table_matches_single_layer_calls():
+    # the table carries e_n = e_(n-1) + c_n; it must agree with
+    # layer_size_exponent at every layer and fail at the same first layer
+    # with the same message, naming the same polynomial
+    rng = random.Random(61)
+    failed_at = set()
+    for _ in range(120):
+        p = rng.choice([3, 5])
+        n_max = rng.randint(0, 6)
+        polys = []
+        for _ in range(rng.randint(0, 3)):
+            shape = rng.random()
+            if shape < 0.3:
+                polys.append(_near_tie(rng, p, 6))
+            elif shape < 0.5:  # Phi_{p^k}(1+T)·(T+p): not finite from level k on
+                phi = cyclotomic_at_one_plus_t(p, rng.choice([1, 2] if p == 3 else [1]))
+                polys.append(tuple(p * a + b for a, b in zip(phi + [0], [0] + phi)))
+            else:
+                polys.append(tuple(p * rng.randint(-3, 3) for _ in range(rng.randint(1, 6))) + (1,))
+        module = ElementaryLambdaModule(p, mu_parts=tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 2))),
+                                        poly_parts=tuple(polys))
+        expected = []
+        try:
+            for n in range(n_max + 1):
+                expected.append(layer_size_exponent(module, n))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                _layer_exponents(module, n_max)
+            assert str(caught.value) == str(exc)
+            failed_at.add(len(expected))
+        else:
+            assert _layer_exponents(module, n_max) == expected, (p, polys, n_max)
+    assert {0, 1, 2} <= failed_at
 
 
 def test_layer_growth_against_sympy_resultant():

@@ -18,7 +18,7 @@ from anticyclo.linalg import (
 )
 from anticyclo.padic import PadicInt, teichmuller, val
 
-from conftest import charpoly_by_expansion, enumerate_intertwiner
+from conftest import charpoly_by_expansion, enumerate_intertwiner, mat_pow_zeta_by_series
 
 
 def test_charpoly_examples():
@@ -91,6 +91,19 @@ def test_zeta_power_group_laws():
     assert mat_pow_zeta(M, -2) == M**-2
     zeta = teichmuller(2, 3, 4)
     assert mat_pow_zeta(mat_pow_zeta(M, zeta), zeta) == mat_pow_zeta(M, zeta * zeta)
+
+
+def test_zeta_power_by_horner_matches_the_binomial_series():
+    # Horner over integer rows and the term-by-term PadicMatrix series are
+    # the same polynomial in M - I over Z/p^N
+    rng = random.Random(53)
+    for _ in range(150):
+        p = rng.choice([3, 5, 7])
+        N = rng.randint(1, 7)
+        r = rng.randint(1, 6)
+        M = PadicMatrix(p, N, [[int(i == j) + p * rng.randrange(p**N) for j in range(r)] for i in range(r)])
+        for zeta in (1, -1, teichmuller(rng.randrange(1, p), p, N)):
+            assert mat_pow_zeta(M, zeta) == mat_pow_zeta_by_series(M, zeta)
 
 
 def test_zeta_power_requires_unipotent_mod_p():

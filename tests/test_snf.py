@@ -12,7 +12,14 @@ from anticyclo.snf import (
     smith_normal_form_mod_prime_power,
 )
 
-from conftest import charpoly_by_expansion, column_span_structure, int_valuation
+from conftest import (
+    charpoly_by_expansion,
+    cokernel_by_full_elimination,
+    column_span_structure,
+    int_valuation,
+    kernel_by_full_elimination,
+    snf_by_full_elimination,
+)
 
 
 @st.composite
@@ -130,3 +137,46 @@ def test_kernel_mod_generates_the_kernel():
                         new.append(y)
             frontier = new
         assert span == kernel
+
+
+def test_lean_elimination_matches_full_elimination():
+    # the engine skips the column pass on M and finds pivots by gcd; the
+    # full-elimination oracle must give the same (diag, V), kernel
+    # generators and cokernel on every shape, including empty ones
+    rng = random.Random(41)
+    shapes, kinds, zero_lines = set(), set(), set()
+    for _ in range(1500):
+        p = rng.choice([3, 5, 7])
+        N = rng.randint(1, 5)
+        m = p**N
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        kind = rng.choice(["uniform", "planted", "divisible"])
+
+        def entry():
+            if kind == "uniform":
+                return rng.randrange(-m, m)
+            if kind == "planted":  # high valuations, many ties for the pivot
+                return rng.choice([0, rng.randrange(m) * p ** rng.randint(0, N)])
+            return p * rng.randrange(m)  # every entry ≡ 0 mod p
+
+        A = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows and cols and rng.random() < 0.2:
+            A[rng.randrange(rows)] = [0] * cols
+        if rows and cols and rng.random() < 0.2:
+            j = rng.randrange(cols)
+            for row in A:
+                row[j] = 0
+        assert smith_normal_form_mod_prime_power(A, p, N) == snf_by_full_elimination(A, p, N)
+        assert kernel_mod(A, p, N) == kernel_by_full_elimination(A, p, N)
+        assert cokernel_mod(A, p, N) == cokernel_by_full_elimination(A, p, N)
+        shapes.add("empty" if rows * cols == 0 else "wide" if rows < cols else "tall" if rows > cols else "square")
+        kinds.add((N > 1, kind))
+        if rows * cols:
+            zero_lines.add(("row", not all(map(any, A))))
+            zero_lines.add(("column", not all(map(any, zip(*A)))))
+    assert shapes == {"empty", "wide", "tall", "square"}
+    assert kinds == {(big, kind) for big in (False, True) for kind in ("uniform", "planted", "divisible")}
+    assert {("row", True), ("column", True)} <= zero_lines
+    # A k×0 and a 0×0 matrix: no pivots, and V is the empty identity
+    assert smith_normal_form_mod_prime_power([[], []], 3, 2) == snf_by_full_elimination([[], []], 3, 2) == ([], [])
+    assert smith_normal_form_mod_prime_power([], 3, 2) == snf_by_full_elimination([], 3, 2) == ([], [])
