@@ -266,7 +266,7 @@ def validate_gamma_model(model: GammaModel) -> None:
     if model.D is not None:
         if (model.D.p, model.D.precision, model.D.dim) != (M.p, M.precision, M.dim):
             raise ModelInvariantError("model invariant violated: D incompatible with M")
-        if not model.D.is_invertible():
+        if cokernel_mod(model.D.rows, M.p, 1) != ():
             raise ModelInvariantError("model invariant violated: D is not invertible")
         if mat_pow_zeta(M, model.zeta) @ model.D != model.D @ M:
             raise ModelInvariantError("model invariant violated: D does not intertwine M^zeta with M")

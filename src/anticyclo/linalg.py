@@ -12,13 +12,23 @@ never divides by a non-unit.
 The headline decision procedure is ``intertwiner_solve``: whether an
 *invertible* D intertwines M with its zeta-th power.  When one exists
 and the 1-eigenspace of M vanishes at precision, the dimension of M is a
-multiple of the order of zeta (``rank_divisibility_check``).
+multiple of the order of zeta (``rank_divisibility_check``).  Writing
+M = I + p·S and M^zeta = I + p·S', the solutions are the X with
+S'·X ≡ X·S mod p^(N-1).  Every column of a solution lies in the kernel
+of chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves
+no solution but 0 mod p (as when chi_S and chi_S' are coprime mod p,
+Sylvester, C. R. Acad. Sci. Paris 99, 1884).  When S has a cyclic vector
+v mod p, X is fixed by x = X·v, and the x that occur are exactly that
+kernel (the centralizer of a nonderogatory matrix, Gantmacher, The
+Theory of Matrices I, ch. VIII).  The dense r²×r² system of the equation
+is solved only for N = 1, or for a visible kernel and a derogatory S.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
+from operator import mul
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
@@ -103,7 +113,6 @@ class PadicMatrix:
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._require_compatible(other)
-        r = self.dim
         cols = list(zip(*other.rows))
         return PadicMatrix(
             self.p,
@@ -209,7 +218,6 @@ class CharPoly:
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 return i
-        return self.degree  # unreachable for a monic polynomial, kept for safety
 
     def __repr__(self) -> str:
         terms = [
@@ -257,26 +265,30 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
 
     M^zeta = sum_{k<N} C(zeta,k) (M-I)^k, exact mod p^N because every
     entry of (M-I)^k has valuation at least k.  The sum is evaluated by
-    Horner's rule over plain integer rows, (...(c_{N-1}·S + c_{N-2})·S
-    + ...)·S + c_0 with S = M - I, which is the same element of the ring
-    of matrices over Z/p^N; one PadicMatrix is built at the end.  For
-    plain integer zeta this agrees with repeated multiplication (and
-    inversion).
+    Horner's rule over plain integer rows (``_poly_at``), and one
+    PadicMatrix is built at the end.  For plain integer zeta this agrees
+    with repeated multiplication (and inversion).
     """
     if not M.is_one_mod_p():
         raise ValueError("not a pro-p automorphism: matrix must be ≡ I mod p")
     if isinstance(zeta, PadicInt) and (zeta.p, zeta.precision) != (M.p, M.precision):
         raise ValueError("exponent and matrix have mixed p-adic parameters")
-    m, r = M.modulus, M.dim
     shift = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
     coeffs = [binom(zeta, k, p=M.p, precision=M.precision).residue for k in range(M.precision)]
+    return PadicMatrix(M.p, M.precision, _poly_at(coeffs, shift, M.modulus))
+
+
+def _poly_at(coeffs, A, m):
+    """sum_k coeffs[k]·A^k mod m for a square matrix A of integer rows, by
+    Horner's rule: (...(c_top·A + c_(top-1))·A + ...)·A + c_0."""
+    r = len(A)
     acc = [[coeffs[-1] if i == j else 0 for j in range(r)] for i in range(r)]
     for c in reversed(coeffs[:-1]):
         acc = [
             [(x + c if i == j else x) % m for j, x in enumerate(row)]
-            for i, row in enumerate(mat_mul(acc, shift))
+            for i, row in enumerate(mat_mul(acc, A))
         ]
-    return PadicMatrix(M.p, M.precision, acc)
+    return acc
 
 
 def zeta_order(zeta: PadicExponent, p: int | None = None) -> int:
@@ -314,12 +326,42 @@ def _unvec(v, r):
     return [[v[j * r + i] for j in range(r)] for i in range(r)]
 
 
-def _kernel_space(M: PadicMatrix, B: PadicMatrix):
-    """Mod-p visible part of {D : B·D ≡ D·M mod p^N}, with full lifts.
+def _rref_basis(gens, p: int, m: int):
+    """The canonical reduced row echelon basis of the span of ``gens`` mod
+    p, as (mod_p_vector, full_vector) pairs sorted by pivot.  Each full
+    vector is the same combination of the generators mod m, so it is a
+    kernel element whenever they are."""
+    basis = []  # (pivot, mod-p vector, full vector), pivot entries 1
+    for gen in gens:
+        vec, full = [x % p for x in gen], list(gen)
+        for piv, bvec, bfull in basis:
+            if c := vec[piv]:
+                vec = [(a - c * b) % p for a, b in zip(vec, bvec)]
+                full = [(a - c * b) % m for a, b in zip(full, bfull)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            continue
+        u = pow(vec[piv], -1, p)
+        vec = [a * u % p for a in vec]
+        full = [a * u % m for a in full]
+        for k, (bpiv, bvec, bfull) in enumerate(basis):
+            if c := bvec[piv]:
+                basis[k] = (
+                    bpiv,
+                    [(a - c * b) % p for a, b in zip(bvec, vec)],
+                    [(a - c * b) % m for a, b in zip(bfull, full)],
+                )
+        basis.append((piv, vec, full))
+    return [(vec, full) for _, vec, full in sorted(basis)]
 
-    Returns a list of (mod_p_vector, full_vector) pairs forming a basis
-    of the kernel's reduction mod p; each full vector is an honest kernel
-    element at precision reducing to its partner.
+
+def _kernel_space(M: PadicMatrix, B: PadicMatrix):
+    """Mod-p visible part of {D : B·D ≡ D·M mod p^N}, with full lifts,
+    from the dense r²×r² system D -> B·D - D·M.
+
+    Returns the canonical RREF basis of the kernel's reduction mod p
+    (r²-vectors, column-major), each vector paired with an honest kernel
+    element at precision reducing to it.
     """
     r = M.dim
     m = M.modulus
@@ -331,20 +373,60 @@ def _kernel_space(M: PadicMatrix, B: PadicMatrix):
                 K[row][j * r + k] = (K[row][j * r + k] + B.rows[i][k]) % m
                 K[row][k * r + i] = (K[row][k * r + i] - M.rows[k][j]) % m
     unit_gens = [vec for vec, mult in kernel_mod(K, M.p, M.precision) if mult == 1]
-    p = M.p
-    basis = []
-    for full in unit_gens:
-        vec = [x % p for x in full]
-        cur = list(full)
-        for bvec, bfull in basis:
-            piv = next(i for i, x in enumerate(bvec) if x)
-            if vec[piv]:
-                c = vec[piv] * pow(bvec[piv], -1, p) % p
-                vec = [(a - c * b) % p for a, b in zip(vec, bvec)]
-                cur = [(a - c * b) % m for a, b in zip(cur, bfull)]
-        if any(vec):
-            basis.append((vec, cur))
-    return basis
+    return _rref_basis(unit_gens, M.p, m)
+
+
+def _krylov(A, v, m: int):
+    """The columns v, A·v, ..., A^(r-1)·v mod m."""
+    cols = [v]
+    for _ in range(len(v) - 1):
+        cols.append([sum(map(mul, row, cols[-1])) % m for row in A])
+    return cols
+
+
+def _cyclic_kernel_space(M: PadicMatrix, B: PadicMatrix):
+    """``_kernel_space`` by an r×r system, or None when it does not apply.
+
+    With M = I + p·S and B = I + p·S', B·X ≡ X·M mod p^N iff
+    S'·X ≡ X·S mod p^(N-1).  Then chi_S(S')·X = X·chi_S(S) = 0, so every
+    column of a solution lies in ker chi_S(S'), and when that kernel is
+    ≡ 0 mod p, so is every solution, whatever S is.  Otherwise take v
+    with K_v = [v, S·v, ..., S^(r-1)·v] invertible mod p, from the unit
+    vectors and then eight seeded vectors.  A solution has
+    X·K_v = [x, S'·x, ..., S'^(r-1)·x] for x = X·v; conversely that
+    formula turns every x in ker chi_S(S') into a solution, since
+    S·K_v = K_v·(companion matrix of chi_S).  So X -> X·v is a bijection
+    onto ker chi_S(S') mod p^(N-1), and X ≡ 0 mod p iff x ≡ 0 mod p.
+    None when N = 1, or when the kernel is visible and no listed v is
+    cyclic, which includes every S that is derogatory mod p.
+    """
+    p, N, r = M.p, M.precision, M.dim
+    if N == 1:
+        return None
+    m1 = p ** (N - 1)
+    S, S2 = (
+        [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
+        for A in (M, B)
+    )
+    chi = charpoly(PadicMatrix(p, N - 1, S)).coeffs
+    gens = [x for x, mult in kernel_mod(_poly_at(chi, S2, m1), p, N - 1) if mult == 1]
+    if not gens:
+        return []
+    rng = Random(0)
+    candidates = itertools.chain(
+        ([int(i == j) for j in range(r)] for i in range(r)),
+        ([rng.randrange(p) for _ in range(r)] for _ in range(8)),
+    )
+    # the Krylov columns are the rows of K_v's transpose, invertible alike
+    cols = next((c for v in candidates if cokernel_mod(c := _krylov(S, v, m1), p, 1) == ()), None)
+    if cols is None:
+        return None
+    K_inv = PadicMatrix(p, N - 1, list(zip(*cols))).inverse().rows
+    lifts = []
+    for x in gens:
+        X = mat_mul(list(zip(*_krylov(S2, x, m1))), K_inv)
+        lifts.append([x % m1 for col in zip(*X) for x in col])  # column-major
+    return _rref_basis(lifts, p, M.modulus)
 
 
 def intertwiner_solve(
@@ -356,13 +438,16 @@ def intertwiner_solve(
 ) -> IntertwinerResult:
     """Find an invertible D with M^zeta · D ≡ D · M mod p^N, if any.
 
-    The solution set is the kernel of D -> M^zeta·D - D·M on r²-space
-    over Z/p^N, computed by Smith normal form.  An invertible solution
-    exists iff the kernel's reduction mod p, of dimension k, contains an
-    invertible matrix.  Scaling by a unit keeps invertibility, so only the
-    (p^k - 1)/(p - 1) combos whose first nonzero coordinate is 1 need a
-    look; scanned in lexicographic order they give the lexicographically
-    least invertible combo.  The determinant is a form of degree r in the
+    An invertible solution exists iff the reduction mod p of the solution
+    module, of dimension k, contains an invertible matrix.  That reduction
+    is read from one r×r kernel of chi_S(S') mod p^(N-1), S = (M-I)/p,
+    when the kernel is ≡ 0 mod p or S has a cyclic vector
+    (``_cyclic_kernel_space``), and from the dense r²×r² kernel of
+    D -> M^zeta·D - D·M otherwise (``_kernel_space``); both give the same
+    canonical RREF basis mod p.  Scaling by a unit
+    keeps invertibility, so only the (p^k - 1)/(p - 1) combos whose first
+    nonzero coordinate is 1 need a look; scanned in lexicographic order
+    they give the lexicographically least invertible combo.  The determinant is a form of degree r in the
     combo, so when it is not identically zero a uniform combo is
     invertible with probability at least 1 - r/p (Schwartz-Zippel).
 
@@ -376,7 +461,9 @@ def intertwiner_solve(
     B = mat_pow_zeta(M, zeta)
     r = M.dim
     p = M.p
-    basis = _kernel_space(M, B)
+    basis = _cyclic_kernel_space(M, B)
+    if basis is None:
+        basis = _kernel_space(M, B)
     dim = len(basis)
     if dim == 0:
         return IntertwinerResult("none")

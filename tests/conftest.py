@@ -421,7 +421,8 @@ def charpoly_by_expansion(rows, m):
 
 def enumerate_intertwiner(M, zeta):
     """Invertible D with M^zeta·D = D·M from the lexicographically least
-    invertible combo of the mod-p kernel basis, scanning all p^k combos;
+    invertible combo of the dense path's canonical RREF basis mod p,
+    scanning all p^k combos;
     None when no combo is invertible.  Invertibility is read off the
     constant term of the expanded charpoly, so keep r <= 4."""
     from anticyclo.linalg import PadicMatrix, _kernel_space, mat_pow_zeta

@@ -3,10 +3,12 @@ from itertools import product
 
 import pytest
 
+from anticyclo import linalg
 from anticyclo.errors import NotInvertibleError, PrecisionError
 from anticyclo.linalg import (
     EXHAUSTIVE_KERNEL_DIM,
     PadicMatrix,
+    _cyclic_kernel_space,
     _kernel_space,
     charpoly,
     intertwiner_solve,
@@ -17,6 +19,7 @@ from anticyclo.linalg import (
     zeta_order,
 )
 from anticyclo.padic import PadicInt, teichmuller, val
+from anticyclo.snf import cokernel_mod
 
 from conftest import charpoly_by_expansion, enumerate_intertwiner, mat_pow_zeta_by_series
 
@@ -319,6 +322,14 @@ def _kernel_dim(M, zeta):
     return len(_kernel_space(M, mat_pow_zeta(M, zeta)))
 
 
+def _mod_p(D):
+    return [[x % D.p for x in row] for row in D.rows]
+
+
+def _assert_invertible_intertwiner(M, zeta, D):
+    assert mat_pow_zeta(M, zeta) @ D == D @ M and D.is_invertible()
+
+
 def test_intertwiner_agrees_with_enumeration_oracle(oracle_cases):
     dims = {"witness": set(), "none": set()}
     for M, zeta, expected in oracle_cases:
@@ -327,8 +338,11 @@ def test_intertwiner_agrees_with_enumeration_oracle(oracle_cases):
         dims[result.status].add(_kernel_dim(M, zeta))
         if expected is not None:
             # (p^k - 1)/(p - 1) <= 512 here: the projective scan alone
-            # returns the lexicographically least witness.
-            assert result.witness == expected
+            # returns the lexicographically least combination of the RREF
+            # basis.  The lift beyond mod p depends on the path that
+            # solved the kernel, so only the residue is pinned.
+            _assert_invertible_intertwiner(M, zeta, result.witness)
+            assert _mod_p(result.witness) == _mod_p(expected)
     assert max(dims["witness"]) >= 4 and max(dims["none"]) >= 2
 
 
@@ -339,10 +353,99 @@ def test_intertwiner_projective_scan_without_samples(trials, oracle_cases):
         assert result.status == ("none" if expected is None else "witness")
         if expected is None:
             continue
-        B = mat_pow_zeta(M, zeta)
-        assert B @ result.witness == result.witness @ M and result.witness.is_invertible()
+        _assert_invertible_intertwiner(M, zeta, result.witness)
         if trials == 0:
-            assert result.witness == expected
+            assert _mod_p(result.witness) == _mod_p(expected)
+
+
+def _path_cases(rng):
+    """(M, zeta) over p in {3, 5, 7}, r <= 5, zeta in {1, -1, a Teichmuller
+    generator}: random unipotent matrices, conjugated orbit constructions,
+    and orbit blocks beside an eigenvalue outside every orbit."""
+    for p, generator in ((3, 2), (5, 2), (7, 3)):
+        for r in range(1, 6):
+            N = r + 2
+            for zeta in (1, -1, teichmuller(generator, p, N)):
+                yield random_unipotent_matrix(p, N, r, rng), zeta
+                d = zeta_order(zeta, p)
+                if r % d:
+                    continue
+                M, _ = orbit_block_construct(p, N, d, r // d, zeta)
+                yield _conjugate(M, rng), zeta
+                if r < 5:
+                    extra = PadicMatrix.block_diag([M, PadicMatrix(p, N, [[1 + p * p]])])
+                    yield extra, zeta
+                    yield _conjugate(extra, rng), zeta
+
+
+def _count_dense_calls(monkeypatch):
+    calls = []
+
+    def counted(M, B):
+        calls.append(M)
+        return _kernel_space(M, B)
+
+    monkeypatch.setattr(linalg, "_kernel_space", counted)
+    return calls
+
+
+def test_cyclic_path_agrees_with_dense_kernel(monkeypatch):
+    rng = random.Random(17)
+    cases = list(_path_cases(rng))
+    cyclic_cases = visible = 0
+    statuses = []
+    for M, zeta in cases:
+        B = mat_pow_zeta(M, zeta)
+        cyclic, dense = _cyclic_kernel_space(M, B), _kernel_space(M, B)
+        statuses.append(intertwiner_solve(M, zeta, seed=1).status)
+        if cyclic is None:
+            continue
+        cyclic_cases += 1
+        visible += bool(cyclic)
+        # the same canonical RREF basis mod p, hence the same dimension
+        assert [vec for vec, _ in cyclic] == [vec for vec, _ in dense]
+        r = M.dim
+        for _, full in cyclic:
+            X = PadicMatrix(M.p, M.precision, [[full[j * r + i] for j in range(r)] for i in range(r)])
+            assert B @ X == X @ M
+    monkeypatch.setattr(linalg, "_cyclic_kernel_space", lambda M, B: None)
+    assert statuses == [intertwiner_solve(M, zeta, seed=1).status for M, zeta in cases]
+    assert cyclic_cases >= len(cases) * 3 // 4 and visible >= 10
+    assert statuses.count("witness") >= 10 and "none" in statuses
+
+
+def test_dense_fallback_cases(monkeypatch):
+    rng = random.Random(23)
+    shift = [[3 * 3 * rng.randrange(9) for _ in range(3)] for _ in range(3)]
+    fallbacks = [
+        (PadicMatrix.identity(3, 1, 2), "witness"),  # N = 1
+        # M = I + p^2·A: S ≡ 0 mod p
+        (PadicMatrix.identity(3, 4, 3) + PadicMatrix(3, 4, shift), "none"),
+        # p = 3, s = 2: the orbits repeat the residues of S mod p
+        (orbit_block_construct(3, 6, 2, 2, -1)[0], "witness"),
+    ]
+    for M, status in fallbacks:
+        calls = _count_dense_calls(monkeypatch)
+        assert intertwiner_solve(M, -1).status == status
+        assert len(calls) == 1
+    calls = _count_dense_calls(monkeypatch)
+    assert intertwiner_solve(orbit_block_construct(3, 4, 2, 1, -1)[0], -1).status == "witness"
+    assert calls == []
+
+
+def test_coprime_characteristic_polynomials_give_none(monkeypatch):
+    # S = [[1, 1], [0, 1]] mod 5 has eigenvalue 1 and zeta·S eigenvalue -1,
+    # so chi_S(zeta·S) is invertible mod p and no nonzero X solves the
+    # equation (Sylvester); the r×r path certifies "none".
+    p, N = 5, 4
+    S = [[1, 1], [0, 1]]
+    M = PadicMatrix.identity(p, N, 2) + PadicMatrix(p, N, S).scale(p)
+    minus_S = PadicMatrix(p, 1, S).scale(-1)
+    assert cokernel_mod(charpoly(PadicMatrix(p, 1, S)).evaluate(minus_S).rows, p, 1) == ()
+    calls = _count_dense_calls(monkeypatch)
+    assert _cyclic_kernel_space(M, mat_pow_zeta(M, -1)) == []
+    assert intertwiner_solve(M, -1).status == "none"
+    assert calls == []
 
 
 def test_intertwiner_samples_run_first_on_large_projective_counts():
