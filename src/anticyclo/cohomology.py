@@ -1,13 +1,13 @@
 """Tate cohomology of cyclic actions on finite abelian p-groups.
 
 A module is a list of invariant factors (p-powers) plus named integer
-matrices acting on the generators.  Fixed points, norm images, the
-degree 0 and -1 Tate groups, and minus-parts of involutions are all
-subquotients of Z^k between the relation lattice and Z^k.  Each such
-lattice contains p^E·Z^k, p^E the largest invariant factor, so it is a
-submodule of (Z/p^E)^k, and everything reduces to the local-ring Smith
-normal form mod p^E.  No number-field data appears anywhere: class
-groups enter as plain invariant-factor lists.
+matrices acting on the generators.  With p^E the largest factor, the map
+x_i -> (p^E/q_i)·x_i, i.e. D = diag(p^E/q_i), embeds A = ⊕ Z/q_i in the
+free module (Z/p^E)^k.  Fixed points, norm images, the degree 0 and -1
+Tate groups, and minus-parts of involutions are then submodules and
+subquotients of (Z/p^E)^k, and everything reduces to the local-ring
+Smith normal form mod p^E on k columns.  No number-field data appears
+anywhere: class groups enter as plain invariant-factor lists.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
 from .padic import is_odd_prime, valuation
-from .snf import cokernel_mod, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
+from .snf import _local_snf, cokernel_mod, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
 
 
 def _p_power_exponent(q: int, p: int) -> int:
@@ -114,8 +114,7 @@ class FinitePModule:
     def exponent(self) -> int:
         """E with p^E the largest invariant factor (0 for the trivial group).
 
-        Every lattice between the relation lattice and Z^k contains
-        p^E·Z^k, so it is a submodule of (Z/p^E)^k.
+        D = diag(p^E/q_i) embeds the module in (Z/p^E)^k.
         """
         if not self.invariant_factors:
             return 0
@@ -130,47 +129,55 @@ class FinitePModule:
         return prod(self.invariant_factors)
 
 
-def _relation_columns(module: FinitePModule):
-    k = len(module.invariant_factors)
-    return [
-        [module.invariant_factors[j] if i == j else 0 for j in range(k)]
-        for i in range(k)
-    ]
+def _embed(module: FinitePModule, vectors):
+    """D·x for each x in ``vectors``: the embedding of A in (Z/p^E)^k."""
+    m = module.p**module.exponent
+    scales = [m // q for q in module.invariant_factors]
+    return [[s * x for s, x in zip(scales, vec)] for vec in vectors]
 
 
 def _image_gens(module: FinitePModule, F):
-    """Generators of F·Z^k + relation lattice: the columns of [F | Q]."""
-    return list(zip(*F)) + _relation_columns(module)
+    """Generators of F·A inside (Z/p^E)^k, one per row: the columns of D·F."""
+    return _embed(module, zip(*F))
 
 
 def _preimage_gens(module: FinitePModule, F):
-    """Generators mod p^E of {x in Z^k : F·x lies in the relation lattice}.
+    """Generators of ker F inside (Z/p^E)^k, one per row.
 
-    kernel_mod([F | Q]) solves F·x ≡ -Q·y mod p^E, which puts F·x in the
-    relation lattice because that lattice contains p^E·Z^k; the
-    x-coordinates of its generators span the preimage mod p^E.
+    (F·x)_i ≡ 0 mod q_i exactly when (p^E/q_i)·(F·x)_i ≡ 0 mod p^E, so
+    kernel_mod(D·F), a k×k system, spans {x : F·x = 0 in A} mod p^E.
+    That lattice contains the relations, which D kills, so its image
+    under D is ker F embedded.
     """
-    k = len(F)
-    Q = _relation_columns(module)
-    stacked = [F[i] + Q[i] for i in range(k)]  # k x 2k, columns [F | Q]
-    return [vec[:k] for vec, _ in kernel_mod(stacked, module.p, module.exponent)]
+    DF = list(zip(*_image_gens(module, F)))
+    return _embed(module, (vec for vec, _ in kernel_mod(DF, module.p, module.exponent)))
+
+
+def _span(module: FinitePModule, X) -> tuple[int, ...]:
+    """Invariant factors of the submodule of (Z/p^E)^k spanned by the rows
+    of X: p^E/d for each pivot d ≠ 0 of one pivot-only local SNF."""
+    m = module.p**module.exponent
+    diag, _ = _local_snf(X, module.p, module.exponent, False)
+    return tuple(m // d for d in diag if d)
 
 
 def _subquotient(module: FinitePModule, X, Y) -> tuple[int, ...]:
-    """Invariant factors of X/Y for generator lists Y ⊆ X mod p^E.
+    """Invariant factors of X/Y for submodules Y ⊆ X of (Z/p^E)^k, each
+    given by generators, one per row.
 
-    The local SNF of X (one generator per row) gives an invertible V such
-    that the rows of X·V span ⊕ p^(v_i)·Z/p^E, a zero pivot meaning
-    v_i = E.  In the coordinates x·V, X is ⊕ Z/p^(E-v_i) and Y is spanned
-    by the rows (y·V)_i / p^(v_i), so X/Y is the cokernel of those
-    columns beside diag(p^(E-v_i)).  A y outside X raises ArithmeticError.
+    The local SNF of X gives an invertible V such that the rows of X·V
+    span ⊕ p^(v_i)·Z/p^E, a zero pivot meaning v_i = E.  In the
+    coordinates x·V, X is ⊕ Z/p^(E-v_i) and Y is spanned by the rows
+    (y·V)_i / p^(v_i), so X/Y is the cokernel of those columns beside
+    diag(p^(E-v_i)).  A y outside X raises ArithmeticError.
     """
     p, E = module.p, module.exponent
     m = p**E
-    diag, V = smith_normal_form_mod_prime_power(X, p, E)
+    k = len(module.invariant_factors)
+    # no generators (a trivial kernel) span the zero submodule
+    diag, V = smith_normal_form_mod_prime_power(X or [[0] * k], p, E)
     scales = [d or m for d in diag]
     coords = [[c % m for c in row] for row in mat_mul(Y, V)]
-    k = len(scales)
     cokernel = []
     for i, s in enumerate(scales):
         if any(row[i] % s for row in coords):
@@ -213,16 +220,15 @@ def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
     """Kernel of (action - 1), as a bare structure (no actions carried)."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    fix = _preimage_gens(module, _shift_matrix(module, action))
-    return FinitePModule(module.p, _subquotient(module, fix, _relation_columns(module)))
+    return FinitePModule(module.p, _span(module, _preimage_gens(module, _shift_matrix(module, action))))
 
 
 def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Image of 1 + T + ... + T^(m-1) for an action T with T^m = identity."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    norms = _image_gens(module, _norm_matrix(module, action, _order(module, action, m)))
-    return FinitePModule(module.p, _subquotient(module, norms, _relation_columns(module)))
+    norm = _norm_matrix(module, action, _order(module, action, m))
+    return FinitePModule(module.p, _span(module, _image_gens(module, norm)))
 
 
 def tate_h0(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
@@ -262,8 +268,7 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
             for i in range(k)
         ]
     )
-    image = _image_gens(module, idempotent)
-    invs = _subquotient(module, image, _relation_columns(module))
+    invs = _span(module, _image_gens(module, idempotent))
     kk = len(invs)
     minus_action = {"J": [[-1 if i == j else 0 for j in range(kk)] for i in range(kk)]} if kk else {}
     return FinitePModule(module.p, invs, actions=minus_action)

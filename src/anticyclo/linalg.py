@@ -130,18 +130,6 @@ class PadicMatrix:
             for j, x in enumerate(row)
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
-    def det(self) -> PadicInt:
-        c0 = charpoly(self).coeffs[0]
-        sign = -1 if self.dim % 2 else 1
-        return PadicInt(self.p, self.precision, sign * c0)
-
-    def is_invertible(self) -> bool:
-        # Exact over Z/p^N: invertible iff the mod-p reduction is.
-        return self.det().is_unit()
-
     def inverse(self) -> "PadicMatrix":
         """Inverse via Cayley-Hamilton; needs a unit determinant."""
         c = charpoly(self).coeffs
@@ -157,21 +145,6 @@ class PadicMatrix:
                 power = power @ self
         neg_c0_inv = -pow(c[0], -1, self.modulus)
         return acc.scale(neg_c0_inv)
-
-    def __pow__(self, e: int) -> "PadicMatrix":
-        if not isinstance(e, int):
-            raise TypeError("use mat_pow_zeta for p-adic exponents")
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        result = PadicMatrix.identity(self.p, self.precision, self.dim)
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
 
     def __repr__(self) -> str:
         return f"PadicMatrix({self.dim}x{self.dim} mod {self.p}^{self.precision}: {list(map(list, self.rows))})"
@@ -204,14 +177,6 @@ class CharPoly:
 
     def __hash__(self):
         return hash((self.p, self.precision, self.coeffs))
-
-    def evaluate(self, M: PadicMatrix) -> PadicMatrix:
-        if (M.p, M.precision, M.dim) != (self.p, self.precision, self.degree):
-            raise ValueError("matrix does not match this characteristic polynomial")
-        acc = PadicMatrix.identity(self.p, self.precision, M.dim).scale(0)
-        for c in reversed(self.coeffs):
-            acc = acc @ M + PadicMatrix.identity(self.p, self.precision, M.dim).scale(c)
-        return acc
 
     def trailing_zero_count(self) -> int:
         """Number of leading T-powers dividing the polynomial at precision."""
@@ -266,8 +231,7 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
     M^zeta = sum_{k<N} C(zeta,k) (M-I)^k, exact mod p^N because every
     entry of (M-I)^k has valuation at least k.  The sum is evaluated by
     Horner's rule over plain integer rows (``_poly_at``), and one
-    PadicMatrix is built at the end.  For plain integer zeta this agrees
-    with repeated multiplication (and inversion).
+    PadicMatrix is built at the end.
     """
     if not M.is_one_mod_p():
         raise ValueError("not a pro-p automorphism: matrix must be ≡ I mod p")

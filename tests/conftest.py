@@ -209,6 +209,137 @@ def mat_pow_zeta_by_series(M, zeta):
     return acc
 
 
+# -- PadicMatrix determinant, powers and charpoly evaluation -----------
+
+def padic_det(M):
+    """det M as a PadicInt: (-1)^r times the constant coefficient of the
+    Berkowitz characteristic polynomial."""
+    from anticyclo.linalg import charpoly
+    from anticyclo.padic import PadicInt
+
+    c0 = charpoly(M).coeffs[0]
+    return PadicInt(M.p, M.precision, -c0 if M.dim % 2 else c0)
+
+
+def is_invertible(M) -> bool:
+    """Exact over Z/p^N: M is invertible iff its determinant is a unit."""
+    return padic_det(M).is_unit()
+
+
+def is_zero_matrix(M) -> bool:
+    return all(x == 0 for row in M.rows for x in row)
+
+
+def matrix_power(M, e: int):
+    """M^e by repeated multiplication; a negative e inverts M first."""
+    from anticyclo.linalg import PadicMatrix
+
+    base = M.inverse() if e < 0 else M
+    result = PadicMatrix.identity(M.p, M.precision, M.dim)
+    for _ in range(abs(e)):
+        result = result @ base
+    return result
+
+
+def evaluate_charpoly(chi, M):
+    """chi(M) by Horner's rule in PadicMatrix arithmetic."""
+    from anticyclo.linalg import PadicMatrix
+
+    if (M.p, M.precision, M.dim) != (chi.p, chi.precision, chi.degree):
+        raise ValueError("matrix does not match this characteristic polynomial")
+    identity = PadicMatrix.identity(M.p, M.precision, M.dim)
+    acc = identity.scale(0)
+    for c in reversed(chi.coeffs):
+        acc = acc @ M + identity.scale(c)
+    return acc
+
+
+# -- Tate groups through the relation lattice ---------------------------
+
+def relation_columns(factors):
+    """The relation lattice ⊕ q_i·Z of A = ⊕ Z/q_i, one generator per row."""
+    k = len(factors)
+    return [[factors[j] if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def image_gens_with_relations(factors, F):
+    """Generators of F·Z^k + relation lattice: the columns of [F | Q]."""
+    return [list(col) for col in zip(*F)] + relation_columns(factors)
+
+
+def preimage_gens_with_relations(factors, F, p, E):
+    """Generators mod p^E of {x in Z^k : F·x lies in the relation lattice}.
+
+    The kernel of [F | Q] solves F·x ≡ -Q·y mod p^E, which puts F·x in the
+    relation lattice because that lattice contains p^E·Z^k; the
+    x-coordinates of its generators span the preimage mod p^E.
+    """
+    k = len(F)
+    Q = relation_columns(factors)
+    stacked = [list(F[i]) + Q[i] for i in range(k)]  # k x 2k
+    return [vec[:k] for vec, _ in kernel_by_full_elimination(stacked, p, E)]
+
+
+def subquotient_by_full_elimination(X, Y, p, E):
+    """Invariant factors of X/Y for lattices Y ⊆ X between p^E·Z^k and
+    Z^k, given by generators mod p^E, one per row: Y read in the
+    coordinates of a basis adapted to X."""
+    m = p**E
+    k = len(X[0])
+    diag, V = snf_by_full_elimination(X, p, E)
+    scales = [d or m for d in diag]
+    coords = [[sum(a * b for a, b in zip(row, col)) % m for col in zip(*V)] for row in Y]
+    cokernel = []
+    for i, s in enumerate(scales):
+        assert all(row[i] % s == 0 for row in coords), "Y is not inside X"
+        cokernel.append([row[i] // s for row in coords] + [m // s if j == i else 0 for j in range(k)])
+    return cokernel_by_full_elimination(cokernel, p, E)
+
+
+def tate_groups_by_relation_lattice(module, order):
+    """The six cohomology operations of a FinitePModule with actions "tau"
+    (of the given order) and "J", as lattices between the relation lattice
+    and Z^k: kernels from the k x 2k system [F | Q], images from the 2k
+    columns of [F | Q]."""
+    from math import prod
+
+    p, factors = module.p, module.invariant_factors
+    E, k = int_valuation(factors[0], p), len(factors)
+
+    def reduce(rows):
+        return [[x % q for x in row] for row, q in zip(rows, factors)]
+
+    def mul(A, B):
+        return reduce([[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A])
+
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    T = [list(row) for row in module.actions["tau"]]
+    J = module.actions["J"]
+    shift = reduce([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(T, identity)])
+    norm, power = identity, identity
+    for _ in range(order - 1):
+        power = mul(T, power)
+        norm = reduce([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(norm, power)])
+    half = pow(2, -1, factors[0])
+    idempotent = reduce([[(a - b) * half for a, b in zip(ra, rb)] for ra, rb in zip(identity, J)])
+
+    Q = relation_columns(factors)
+    fix = preimage_gens_with_relations(factors, shift, p, E)
+    norms = image_gens_with_relations(factors, norm)
+    h0 = subquotient_by_full_elimination(fix, norms, p, E)
+    hm1 = subquotient_by_full_elimination(
+        preimage_gens_with_relations(factors, norm, p, E), image_gens_with_relations(factors, shift), p, E
+    )
+    return {
+        "fixed_points": subquotient_by_full_elimination(fix, Q, p, E),
+        "norm_image": subquotient_by_full_elimination(norms, Q, p, E),
+        "tate_h0": h0,
+        "tate_hm1": hm1,
+        "minus_part": subquotient_by_full_elimination(image_gens_with_relations(factors, idempotent), Q, p, E),
+        "herbrand_check": prod(h0) == prod(hm1),
+    }
+
+
 # -- finite abelian group enumeration ---------------------------------
 
 def all_elements(factors):

@@ -5,7 +5,7 @@ import pytest
 
 from anticyclo.cohomology import (
     FinitePModule,
-    _relation_columns,
+    _image_gens,
     _subquotient,
     fixed_points,
     herbrand_check,
@@ -17,7 +17,7 @@ from anticyclo.cohomology import (
 )
 from anticyclo.iwasawa import coinvariants
 
-from conftest import all_elements, apply_rows, quotient_structure
+from conftest import all_elements, apply_rows, quotient_structure, tate_groups_by_relation_lattice
 
 
 def test_construction_validation():
@@ -105,11 +105,31 @@ def test_herbrand_check_builds_one_norm_matrix(monkeypatch):
 
 
 def test_subquotient_rejects_generators_outside_the_lattice():
+    # D = diag(1, 3) embeds Z/9 + Z/3 in (Z/9)^2 and sends the relations to 0 mod 9
     module = FinitePModule(3, (9, 3))
-    Q = _relation_columns(module)
+    relations = _image_gens(module, [[9, 0], [0, 3]])
+    generators = _image_gens(module, [[1, 0], [0, 1]])
+    assert relations == [[9, 0], [0, 9]] and generators == [[1, 0], [0, 3]]
     with pytest.raises(ArithmeticError, match="not inside"):
-        _subquotient(module, Q, [[1, 0]] + Q)
-    assert _subquotient(module, [[1, 0], [0, 1]] + Q, Q) == (9, 3)
+        _subquotient(module, relations, generators[:1] + relations)
+    with pytest.raises(ArithmeticError, match="not inside"):
+        _subquotient(module, generators[1:], generators[:1])
+    assert _subquotient(module, generators, relations) == (9, 3)
+
+
+def test_empty_kernels_give_trivial_groups():
+    # T = -1 of order 2: T - 1 = -2 is invertible, so nothing is fixed,
+    # N = 1 + T = 0, and every element is a shift
+    flip = FinitePModule(3, (9, 3), actions={"tau": [[-1, 0], [0, -1]]}, orders={"tau": 2})
+    assert fixed_points(flip, "tau").invariant_factors == ()
+    assert tate_h0(flip, "tau").invariant_factors == ()
+    assert tate_hm1(flip, "tau").invariant_factors == ()
+    assert norm_image(flip, "tau").invariant_factors == ()
+    # T = 1 of order 2: N = 2 is injective and onto
+    trivial = FinitePModule(3, (9,), actions={"tau": [[1]]}, orders={"tau": 2})
+    assert tate_hm1(trivial, "tau").invariant_factors == ()
+    assert tate_h0(trivial, "tau").invariant_factors == ()
+    assert herbrand_check(trivial, "tau")
 
 
 def test_minus_part_examples_and_idempotence():
@@ -190,7 +210,7 @@ def _oracle_tate_structures(module, order):
     shifts = {add(tau[x], tuple((-a) % q for a, q in zip(x, factors))) for x in els}
     h0 = quotient_structure(fixed, norms, factors, p)
     hm1 = quotient_structure(kernel, shifts, factors, p)
-    return fixed, shifts, h0, hm1
+    return fixed, norms, shifts, h0, hm1
 
 
 def _oracle_minus_part(module):
@@ -212,10 +232,13 @@ def test_tate_groups_match_enumeration_oracle():
             module, order = _random_module_with_cyclic_action(
                 rng, p, max_size_exponent, distinct=case % 2 == 1
             )
-            fixed, shifts, h0, hm1 = _oracle_tate_structures(module, order)
+            fixed, norms, shifts, h0, hm1 = _oracle_tate_structures(module, order)
+            factors = module.invariant_factors
+            zero = [tuple([0] * len(factors))]
             assert tate_h0(module, "tau", order).invariant_factors == h0
             assert tate_hm1(module, "tau", order).invariant_factors == hm1
-            assert fixed_points(module, "tau").size() == len(fixed)
+            assert fixed_points(module, "tau").invariant_factors == quotient_structure(fixed, zero, factors, p)
+            assert norm_image(module, "tau", order).invariant_factors == quotient_structure(norms, zero, factors, p)
             # rank-nullity over the finite module
             assert len(fixed) * len(shifts) == module.size()
             assert herbrand_check(module, "tau", order)
@@ -223,10 +246,69 @@ def test_tate_groups_match_enumeration_oracle():
                                        module.invariant_factors, p)
             assert coinvariants(module, "tau").invariant_factors == coinv
             assert minus_part(module, "J").invariant_factors == _oracle_minus_part(module)
-            factors = module.invariant_factors
             distinct_exponents += factors[0] != factors[-1]
         # E exceeds the smallest factor's exponent in at least half the cases
         assert distinct_exponents >= cases // 2
+
+
+def _unit_triangular_inverse(A, lower):
+    k = len(A)
+    inv = [[0] * k for _ in range(k)]
+    order = range(k) if lower else range(k - 1, -1, -1)
+    for col in range(k):
+        for i in order:
+            inv[i][col] = (i == col) - sum(A[i][j] * inv[j][col] for j in range(k) if j != i)
+    return inv
+
+
+def _block_module(rng, p):
+    """A module shaped like the benchmark's Tate jobs, beyond enumeration.
+
+    Free blocks Z/p^e[C_p] (tau permutes p generators) and trivial blocks
+    Z/p^e (tau = 1) give k = 8..16 generators with distinct exponents, and
+    J is ±1 on each generator.  Both are conjugated by the automorphism
+    P = L·U of A: L is unit lower triangular with any entries, U is unit
+    upper triangular with U_ij a multiple of q_i/q_j.
+    """
+    while True:
+        blocks = [(p, rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        blocks += [(1, rng.randint(1, 6)) for _ in range(rng.randint(1, 7))]
+        gens = sorted(((e, b, i) for b, (size, e) in enumerate(blocks) for i in range(size)), reverse=True)
+        if 8 <= len(gens) <= 16 and gens[0][0] != gens[-1][0]:
+            break
+    k = len(gens)
+    factors = tuple(p**e for e, _, _ in gens)
+    index = {(b, i): j for j, (_, b, i) in enumerate(gens)}
+    tau = [[0] * k for _ in range(k)]
+    for j, (_, b, i) in enumerate(gens):
+        tau[index[(b, (i + 1) % blocks[b][0])]][j] = 1
+    J = [[rng.choice((1, -1)) if i == j else 0 for j in range(k)] for i in range(k)]
+    L = [[int(i == j) or (rng.randrange(-3, 4) if i > j else 0) for j in range(k)] for i in range(k)]
+    U = [
+        [int(i == j) or (rng.randrange(-3, 4) * factors[i] // factors[j] if i < j else 0) for j in range(k)]
+        for i in range(k)
+    ]
+    P = _mat_mul(L, U)
+    P_inv = _mat_mul(_unit_triangular_inverse(U, False), _unit_triangular_inverse(L, True))
+    actions = {name: _mat_mul(_mat_mul(P, X), P_inv) for name, X in (("tau", tau), ("J", J))}
+    return FinitePModule(p, factors, actions=actions, orders={"tau": p})
+
+
+def test_tate_groups_match_relation_lattice_oracle():
+    rng = random.Random(12)
+    nontrivial_h0 = 0
+    for case in range(16):
+        p = (3, 5)[case % 2]
+        module = _block_module(rng, p)
+        expected = tate_groups_by_relation_lattice(module, p)
+        assert fixed_points(module, "tau").invariant_factors == expected["fixed_points"]
+        assert norm_image(module, "tau").invariant_factors == expected["norm_image"]
+        assert tate_h0(module, "tau").invariant_factors == expected["tate_h0"]
+        assert tate_hm1(module, "tau").invariant_factors == expected["tate_hm1"]
+        assert minus_part(module, "J").invariant_factors == expected["minus_part"]
+        assert herbrand_check(module, "tau") == expected["herbrand_check"] is True
+        nontrivial_h0 += expected["tate_h0"] != ()
+    assert nontrivial_h0 >= 8
 
 
 def test_minus_part_sizes_multiply():

@@ -21,7 +21,16 @@ from anticyclo.linalg import (
 from anticyclo.padic import PadicInt, teichmuller, val
 from anticyclo.snf import cokernel_mod
 
-from conftest import charpoly_by_expansion, enumerate_intertwiner, mat_pow_zeta_by_series
+from conftest import (
+    charpoly_by_expansion,
+    enumerate_intertwiner,
+    evaluate_charpoly,
+    is_invertible,
+    is_zero_matrix,
+    mat_pow_zeta_by_series,
+    matrix_power,
+    padic_det,
+)
 
 
 def test_charpoly_examples():
@@ -51,7 +60,7 @@ def test_cayley_hamilton():
             M = PadicMatrix(
                 p, precision, [[rng.randrange(p**precision) for _ in range(n)] for _ in range(n)]
             )
-            assert charpoly(M).evaluate(M).is_zero()
+            assert is_zero_matrix(evaluate_charpoly(charpoly(M), M))
 
 
 def test_charpoly_conjugation_invariance():
@@ -62,7 +71,7 @@ def test_charpoly_conjugation_invariance():
         M = PadicMatrix(p, precision, [[rng.randrange(27) for _ in range(n)] for _ in range(n)])
         while True:
             D = PadicMatrix(p, precision, [[rng.randrange(27) for _ in range(n)] for _ in range(n)])
-            if D.is_invertible():
+            if is_invertible(D):
                 break
         assert charpoly(D.inverse() @ M @ D) == charpoly(M)
 
@@ -70,7 +79,7 @@ def test_charpoly_conjugation_invariance():
 def test_inverse_and_determinant():
     M = PadicMatrix(3, 3, [[4, 1], [3, 2]])
     assert (M @ M.inverse()) == PadicMatrix.identity(3, 3, 2)
-    assert M.det().residue == (4 * 2 - 3) % 27
+    assert padic_det(M).residue == (4 * 2 - 3) % 27
     singular = PadicMatrix(3, 3, [[3, 0], [0, 1]])
     with pytest.raises(NotInvertibleError):
         singular.inverse()
@@ -83,15 +92,17 @@ def test_zeta_power_examples():
     assert mat_pow_zeta(M, 1) == M
     zeta = teichmuller(2, 5, 2)
     E = PadicMatrix(5, 2, [[1, 5], [0, 1]])
-    assert mat_pow_zeta(E, zeta) == E**7
+    assert mat_pow_zeta(E, zeta) == matrix_power(E, 7)
 
 
 def test_zeta_power_group_laws():
     M = PadicMatrix(3, 4, [[4, 6], [3, 7]])
     assert mat_pow_zeta(M, 2) @ mat_pow_zeta(M, 5) == mat_pow_zeta(M, 7)
     assert mat_pow_zeta(mat_pow_zeta(M, 2), 3) == mat_pow_zeta(M, 6)
-    assert mat_pow_zeta(M, 3) == M**3
-    assert mat_pow_zeta(M, -2) == M**-2
+    # for plain integer zeta the series agrees with repeated
+    # multiplication, and with inversion for negative zeta
+    assert mat_pow_zeta(M, 3) == matrix_power(M, 3)
+    assert mat_pow_zeta(M, -2) == matrix_power(M, -2)
     zeta = teichmuller(2, 3, 4)
     assert mat_pow_zeta(mat_pow_zeta(M, zeta), zeta) == mat_pow_zeta(M, zeta * zeta)
 
@@ -136,7 +147,7 @@ def test_intertwiner_swap_witness():
     assert result.status == "witness"
     B = mat_pow_zeta(M, -1)
     assert B @ result.witness == result.witness @ M
-    assert result.witness.is_invertible()
+    assert is_invertible(result.witness)
     swap = PadicMatrix(3, 3, [[0, 1], [1, 0]])
     assert B @ swap == swap @ M  # the antidiagonal swap intertwines too
 
@@ -246,7 +257,7 @@ def test_orbit_construct_default_seeds_with_many_orbits():
     # eigenvalue has v(lambda - 1) = 1 and det(M - I) has valuation d·s.
     for precision, s in ((8, 3), (9, 4)):
         M, _ = orbit_block_construct(3, precision, 2, s, -1)
-        assert val((M - PadicMatrix.identity(3, precision, M.dim)).det()) == 2 * s
+        assert val(padic_det(M - PadicMatrix.identity(3, precision, M.dim))) == 2 * s
         assert rank_divisibility_check(M, -1, 2) == "consistent"
 
 
@@ -264,7 +275,7 @@ def test_random_unipotent_matrix_contract():
         M = random_unipotent_matrix(3, 4, 3, rng)
         assert M.is_one_mod_p()
         shift = M - PadicMatrix.identity(3, 4, 3)
-        assert not shift.det().is_zero()
+        assert not padic_det(shift).is_zero()
 
 
 def test_randomized_rank_divisibility_campaign():
@@ -285,14 +296,14 @@ def test_intertwiner_sampling_path_for_large_kernels():
     M = PadicMatrix.identity(3, 3, 3)
     result = intertwiner_solve(M, 1, seed=5)
     assert result.status == "witness"
-    assert result.witness.is_invertible()
+    assert is_invertible(result.witness)
 
 
 def _conjugate(M, rng):
     p, N, r = M.p, M.precision, M.dim
     while True:
         P = PadicMatrix(p, N, [[rng.randrange(p**N) for _ in range(r)] for _ in range(r)])
-        if P.is_invertible():
+        if is_invertible(P):
             return P @ M @ P.inverse()
 
 
@@ -327,7 +338,7 @@ def _mod_p(D):
 
 
 def _assert_invertible_intertwiner(M, zeta, D):
-    assert mat_pow_zeta(M, zeta) @ D == D @ M and D.is_invertible()
+    assert mat_pow_zeta(M, zeta) @ D == D @ M and is_invertible(D)
 
 
 def test_intertwiner_agrees_with_enumeration_oracle(oracle_cases):
@@ -441,7 +452,7 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     S = [[1, 1], [0, 1]]
     M = PadicMatrix.identity(p, N, 2) + PadicMatrix(p, N, S).scale(p)
     minus_S = PadicMatrix(p, 1, S).scale(-1)
-    assert cokernel_mod(charpoly(PadicMatrix(p, 1, S)).evaluate(minus_S).rows, p, 1) == ()
+    assert cokernel_mod(evaluate_charpoly(charpoly(PadicMatrix(p, 1, S)), minus_S).rows, p, 1) == ()
     calls = _count_dense_calls(monkeypatch)
     assert _cyclic_kernel_space(M, mat_pow_zeta(M, -1)) == []
     assert intertwiner_solve(M, -1).status == "none"
@@ -455,7 +466,7 @@ def test_intertwiner_samples_run_first_on_large_projective_counts():
     M, _ = orbit_block_construct(7, 8, 6, 1, zeta)
     assert _kernel_dim(M, zeta) == 6
     result = intertwiner_solve(M, zeta)
-    assert result.status == "witness" and result.witness.is_invertible()
+    assert result.status == "witness" and is_invertible(result.witness)
     assert mat_pow_zeta(M, zeta) @ result.witness == result.witness @ M
     assert result.witness != intertwiner_solve(M, zeta, sample_trials=0).witness
 
