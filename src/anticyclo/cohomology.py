@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
 from .padic import is_odd_prime, valuation
-from .snf import _local_snf, cokernel_mod, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
+from .snf import _local_snf, cokernel_mod, kernel_mod, mat_mul
 
 
 def _p_power_exponent(q: int, p: int) -> int:
@@ -92,14 +93,16 @@ class FinitePModule:
         ]
 
     def _matrix_power(self, matrix, m):
-        k = len(self.invariant_factors)
-        acc = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        base = [list(r) for r in matrix]
-        while m:
-            if m & 1:
-                acc = self._reduce(mat_mul(acc, base))
-            base = self._reduce(mat_mul(base, base))
-            m >>= 1
+        """matrix^m for m >= 1 (m = 0 would return the matrix itself; the
+        constructor rejects it first) by the left-to-right binary chain:
+        one squaring per bit after the leading one and one product per
+        further set bit, floor(log2 m) + popcount(m) - 1 products, so 1
+        for m = 2, 2 for m = 3 and 3 for m = 5."""
+        acc = matrix
+        for bit in bin(m)[3:]:
+            acc = self._reduce(mat_mul(acc, acc))
+            if bit == "1":
+                acc = self._reduce(mat_mul(acc, matrix))
         return acc
 
     def _is_identity(self, rows):
@@ -169,20 +172,30 @@ def _subquotient(module: FinitePModule, X, Y) -> tuple[int, ...]:
     span ⊕ p^(v_i)·Z/p^E, a zero pivot meaning v_i = E.  In the
     coordinates x·V, X is ⊕ Z/p^(E-v_i) and Y is spanned by the rows
     (y·V)_i / p^(v_i), so X/Y is the cokernel of those columns beside
-    diag(p^(E-v_i)).  A y outside X raises ArithmeticError.
+    diag(p^(E-v_i)).  A y outside X raises ArithmeticError; that check
+    runs on every coordinate before anything is dropped.
+
+    One local SNF with V (read as the list of its columns, so coordinate
+    i is y·V[:, i]) and one pivot-only ``cokernel_mod``.  The cokernel
+    matrix is trimmed first: a row with a zero pivot carries the unit
+    relation e_i, which kills it, and a unit pivot gives the relation
+    p^E·e_i = 0, a zero column.
     """
     p, E = module.p, module.exponent
     m = p**E
     k = len(module.invariant_factors)
     # no generators (a trivial kernel) span the zero submodule
-    diag, V = smith_normal_form_mod_prime_power(X or [[0] * k], p, E)
-    scales = [d or m for d in diag]
-    coords = [[c % m for c in row] for row in mat_mul(Y, V)]
-    cokernel = []
-    for i, s in enumerate(scales):
-        if any(row[i] % s for row in coords):
+    diag, Vc = _local_snf(X or [[0] * k], p, E, True)
+    rows = []
+    for d, v in zip(diag, Vc):
+        s = d or m
+        coords = [sum(map(mul, y, v)) % m for y in Y]
+        if any(c % s for c in coords):
             raise ArithmeticError("subquotient generators are not inside the ambient lattice")
-        cokernel.append([row[i] // s for row in coords] + [m // s if j == i else 0 for j in range(k)])
+        if d:
+            rows.append([c // s for c in coords])
+    relations = [(i, m // d) for i, d in enumerate(d for d in diag if d) if d != 1]
+    cokernel = [row + [r if i == j else 0 for j, r in relations] for i, row in enumerate(rows)]
     return cokernel_mod(cokernel, p, E)
 
 
@@ -203,17 +216,25 @@ def _shift_matrix(module: FinitePModule, name: str):
 
 
 def _norm_matrix(module: FinitePModule, name: str, m: int):
-    """1 + T + ... + T^(m-1); the loop ends on T^m, which must be 1."""
+    """1 + T + ... + T^(m-1); the loop ends on T^m, which must be 1.
+
+    m - 1 products power·T, each row reduced mod its q_i inside the
+    product, with T's columns read once; the sum is reduced once at the
+    end.  The T^m = 1 check runs on every call, whatever order the
+    module declares.
+    """
     T = module.action(name)
     k = len(T)
+    factors = module.invariant_factors
+    cols = list(zip(*T))
     acc = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     power = T
     for _ in range(m - 1):
-        acc = module._reduce([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)])
-        power = module._reduce(mat_mul(T, power))
+        acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)]
+        power = [[sum(map(mul, row, col)) % q for col in cols] for row, q in zip(power, factors)]
     if not module._is_identity(power):
         raise ValueError(f"action {name!r} does not satisfy {name}^{m} = identity")
-    return acc
+    return module._reduce(acc)
 
 
 def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
@@ -252,13 +273,16 @@ def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -
 def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
     """Image of the idempotent (1 - J)/2 (p odd, so 2 is invertible).
 
-    The result carries J = -identity, so taking the minus part twice is
-    the identity on structures.
+    J^2 = 1 is checked here, with one product, only when the module does
+    not declare an order of J dividing 2: a declared order (2 by default
+    for an action named "J") was verified at construction.  The result
+    carries J = -identity, so taking the minus part twice is the identity
+    on structures; building it checks (-1)^2 = 1 with one product.
     """
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
     J = module.action(action)
-    if not module._is_identity(module._matrix_power(J, 2)):
+    if module.orders.get(action) not in (1, 2) and not module._is_identity(module._matrix_power(J, 2)):
         raise ValueError(f"action {action!r} is not an involution")
     k = len(module.invariant_factors)
     inv2 = pow(2, -1, module.invariant_factors[0])

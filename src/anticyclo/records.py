@@ -157,9 +157,10 @@ def check_records(records) -> tuple[list[dict], bool]:
         layers = {}
         clash = False
         for rec in group:
-            if rec.n in layers and layers[rec.n] != rec.size_exponent():
+            e = rec.size_exponent()
+            if rec.n in layers and layers[rec.n] != e:
                 clash = True
-            layers[rec.n] = rec.size_exponent()
+            layers[rec.n] = e
         if clash:
             contradiction = True
             checks.append(base | {"verdict": "contradiction", "reason": "conflicting sizes for one layer"})

@@ -39,8 +39,10 @@ def _local_snf(A, p: int, precision: int, track_v: bool):
     columns >= t) as v_p(gcd(p^N, *entries)), by C-level gcds row by row,
     and pivots on the first entry in row-major order with valuation v:
     the first row whose gcd is p^v, then its first entry not divisible by
-    p^(v+1).  Row operations clear the column below the pivot.  Rows
-    above are finished pivot rows, which nothing reads again.
+    p^(v+1).  The scan stops at the first row whose gcd is 1, since no
+    later row can have a smaller one.  Row operations clear the column
+    below the pivot.  Rows above are finished pivot rows, which nothing
+    reads again.
 
     M gets no column operations.  After the row pass, column t is zero
     off the pivot, so a column operation on M would only zero an entry
@@ -58,12 +60,17 @@ def _local_snf(A, p: int, precision: int, track_v: bool):
     Vc = identity_matrix(cols) if track_v else None  # the columns of V
     diag = [0] * cols
     for t in range(min(rows, cols)):
-        # columns < t are zero in every row >= t, so whole rows can be read
-        row_gcds = [gcd(m, *row) for row in M[t:]]
-        g = min(row_gcds)  # p^v, v the least valuation; p^N when all vanish
+        # columns < t are zero in every row >= t, so whole rows can be read;
+        # g = p^v, v the least valuation, is p^N when all vanish
+        g, bi = m, t
+        for i in range(t, rows):
+            r = gcd(m, *M[i])
+            if r < g:
+                g, bi = r, i
+                if r == 1:
+                    break  # a unit row is the first minimum
         if g == m:
             break
-        bi = t + row_gcds.index(g)
         gp = g * p
         bj = next(j for j, x in enumerate(M[bi]) if x % gp)
         M[t], M[bi] = M[bi], M[t]

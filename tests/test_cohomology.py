@@ -16,8 +16,17 @@ from anticyclo.cohomology import (
     theorem2_cyclic_obstruction,
 )
 from anticyclo.iwasawa import coinvariants
+from anticyclo.snf import _local_snf
 
-from conftest import all_elements, apply_rows, quotient_structure, tate_groups_by_relation_lattice
+from conftest import (
+    add_elements,
+    all_elements,
+    apply_rows,
+    quotient_structure,
+    subgroup_closure,
+    subquotient_by_full_elimination,
+    tate_groups_by_relation_lattice,
+)
 
 
 def test_construction_validation():
@@ -34,6 +43,41 @@ def test_construction_validation():
         FinitePModule(3, (9,), actions={"tau": [[4]]}, orders={"tau": 2})
     with pytest.raises(ValueError, match="involution|order"):
         FinitePModule(3, (9,), actions={"J": [[4]]})
+
+
+def test_matrix_power_is_the_binary_chain(monkeypatch):
+    # left-to-right binary powering: floor(log2 m) + popcount(m) - 1 products
+    import anticyclo.cohomology as cohomology
+
+    products = []
+    multiply = cohomology.mat_mul
+    monkeypatch.setattr(cohomology, "mat_mul", lambda A, B: products.append(1) or multiply(A, B))
+    rng = random.Random(13)
+    factors = (27, 9, 9, 3)
+    module = FinitePModule(3, factors)
+    for _ in range(12):
+        A = _random_action(rng, factors)
+        repeated = A
+        for m in range(1, 10):
+            products.clear()
+            assert module._matrix_power(A, m) == repeated
+            assert len(products) == m.bit_length() + bin(m).count("1") - 2
+            repeated = module._reduce(_mat_mul(repeated, A))
+
+
+def test_declared_orders_are_verified_at_construction(monkeypatch):
+    factors = (27, 9, 9, 3)
+    # swapping the two Z/9 generators has order 2, which does not divide 3
+    swap = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="does not have order dividing 3"):
+        FinitePModule(3, factors, actions={"tau": swap}, orders={"tau": 3})
+    assert FinitePModule(3, factors, actions={"tau": swap}, orders={"tau": 4}).orders == {"tau": 4}
+    # an order of 0 is rejected before any power is taken
+    powers = []
+    monkeypatch.setattr(FinitePModule, "_matrix_power", lambda self, matrix, m: powers.append(m))
+    with pytest.raises(ValueError, match="must be positive"):
+        FinitePModule(3, factors, actions={"tau": swap}, orders={"tau": 0})
+    assert powers == []
 
 
 def test_fixed_points_examples():
@@ -117,6 +161,70 @@ def test_subquotient_rejects_generators_outside_the_lattice():
     assert _subquotient(module, generators, relations) == (9, 3)
 
 
+def _span_in_free_module(gens, m, k):
+    return subgroup_closure(lambda x, y: add_elements(x, y, (m,) * k), [tuple(g) for g in gens], (0,) * k)
+
+
+def test_subquotient_trims_dead_rows_and_columns():
+    # E = 3 and k = 3: X and Y are submodules of (Z/27)^3, given by rows
+    module = FinitePModule(3, (27, 9, 3))
+    m, k = 27, 3
+    for X, Y, expected in (
+        ([[3, 6, 0], [0, 0, 0]], [[9, 18, 0]], (3,)),  # pivots (3, 0, 0): two zero pivots
+        ([[1, 3, 9], [0, 3, 0]], [[3, 9, 0]], (9, 3)),  # pivots (1, 3, 0): a unit pivot
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[3, 0, 0]], (27, 27, 3)),  # every pivot a unit
+        ([[1, 3, 9], [0, 3, 0]], [[1, 3, 9], [0, 3, 0]], ()),  # Y = X
+        ([[9, 0, 0]], [[9, 0, 0]], ()),
+        ([], [[0, 0, 0]], ()),  # no generators: the zero submodule
+    ):
+        oracle = quotient_structure(
+            _span_in_free_module(X, m, k), _span_in_free_module(Y, m, k), (m,) * k, 3
+        )
+        assert _subquotient(module, X, Y) == oracle == expected
+    # the only coordinate of y outside X lies in a zero-pivot row, which the
+    # trimmed cokernel drops: the containment check still sees it
+    for X, Y in (
+        ([[1, 0, 0]], [[5, 0, 9]]),
+        ([[3, 6, 0], [0, 0, 0]], [[0, 0, 1]]),
+        ([], [[0, 9, 0]]),
+    ):
+        with pytest.raises(ArithmeticError, match="not inside"):
+            _subquotient(module, X, Y)
+
+
+def test_subquotient_matches_full_elimination_on_random_lattices():
+    rng = random.Random(31)
+    seen = {"zero pivot": 0, "unit pivot": 0, "y = x": 0}
+    for case in range(60):
+        p = (3, 5)[case % 2]
+        # at most p^E = 27 or 25 on k <= 3 coordinates, for the enumeration oracle
+        exps = sorted((rng.randint(1, 3 if p == 3 else 2) for _ in range(rng.randint(1, 3))), reverse=True)
+        module = FinitePModule(p, tuple(p**e for e in exps))
+        E, k = exps[0], len(exps)
+        m = p**E
+        X = [[rng.choice((0, 1, p, p * rng.randrange(m))) for _ in range(k)] for _ in range(rng.randint(1, k))]
+        if case % 3 == 0:
+            Y = [list(x) for x in X]
+        else:
+            Y = []
+            for _ in range(rng.randint(1, 3)):
+                c = [rng.randrange(m) for _ in X]
+                Y.append([sum(a * x[j] for a, x in zip(c, X)) % m for j in range(k)])
+        diag, _ = _local_snf(X, p, E, False)
+        seen["zero pivot"] += 0 in diag
+        seen["unit pivot"] += 1 in diag
+        seen["y = x"] += Y == X
+        expected = subquotient_by_full_elimination(X, Y, p, E)
+        assert _subquotient(module, X, Y) == expected
+        if Y == X:
+            assert expected == ()
+        oracle = quotient_structure(
+            _span_in_free_module(X, m, k), _span_in_free_module(Y, m, k), (m,) * k, p
+        )
+        assert expected == oracle
+    assert min(seen.values()) >= 10
+
+
 def test_empty_kernels_give_trivial_groups():
     # T = -1 of order 2: T - 1 = -2 is invertible, so nothing is fixed,
     # N = 1 + T = 0, and every element is a shift
@@ -141,6 +249,41 @@ def test_minus_part_examples_and_idempotence():
     assert minus_part(part).invariant_factors == (3,)
 
 
+def test_minus_part_checks_undeclared_involutions():
+    # tau of order 3 is not an involution; neither a declared order 3 nor
+    # no declared order lets minus_part skip its check
+    for orders in ({"tau": 3}, {}):
+        module = FinitePModule(3, (9,), actions={"tau": [[4]]}, orders=orders)
+        with pytest.raises(ValueError, match="is not an involution"):
+            minus_part(module, "tau")
+    mixed = FinitePModule(3, (27, 9, 3), actions={"tau": [[4, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    with pytest.raises(ValueError, match="is not an involution"):
+        minus_part(mixed, "tau")
+
+
+def test_minus_part_trusts_a_declared_order_two(monkeypatch):
+    # an involution declared of order 2 under another name gives the
+    # oracle's minus part, with one J^2 check fewer than an undeclared one
+    rng = random.Random(41)
+    powers = []
+    power = FinitePModule._matrix_power
+    for case in range(30):
+        p = (3, 5)[case % 2]
+        module, _ = _random_module_with_cyclic_action(rng, p, 5 if p == 3 else 3, distinct=case % 2 == 1)
+        J = module.actions["J"]
+        declared = FinitePModule(p, module.invariant_factors, actions={"sigma": J, "J": J}, orders={"sigma": 2})
+        undeclared = FinitePModule(p, module.invariant_factors, actions={"sigma": J})
+        expected = _oracle_minus_part(declared)
+        with monkeypatch.context() as patch:
+            patch.setattr(FinitePModule, "_matrix_power", lambda *args: powers.append(1) or power(*args))
+            counts = []
+            for source in (declared, undeclared):
+                powers.clear()
+                assert minus_part(source, "sigma").invariant_factors == expected
+                counts.append(len(powers))
+        assert counts[1] == counts[0] + 1
+
+
 def _random_module_with_cyclic_action(rng, p, max_size_exponent, distinct=False):
     """Random finite module of order <= p^max_size_exponent with a random
     finite-order action tau and an involution J = tau·D·tau^-1, D = ±1
@@ -151,13 +294,7 @@ def _random_module_with_cyclic_action(rng, p, max_size_exponent, distinct=False)
         if sum(exps) > max_size_exponent or (distinct and exps[0] == exps[-1]):
             continue
         factors = tuple(p**e for e in exps)
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                need = factors[i] // gcd(factors[i], factors[j])
-                row.append(need * rng.randrange(0, max(1, factors[i] // need)))
-            rows.append(row)
+        rows = _random_action(rng, factors)
         try:
             module = FinitePModule(p, factors, actions={"tau": rows})
         except ValueError:
@@ -176,6 +313,19 @@ def _random_module_with_cyclic_action(rng, p, max_size_exponent, distinct=False)
                     order,
                 )
             powers.append(module._reduce(_mat_mul(powers[-1], rows)))
+
+
+def _random_action(rng, factors):
+    """A random well-defined endomorphism of ⊕ Z/q_i: entry (i, j) is a
+    multiple of q_i/gcd(q_i, q_j), reduced mod q_i."""
+    rows = []
+    for qi in factors:
+        row = []
+        for qj in factors:
+            need = qi // gcd(qi, qj)
+            row.append(need * rng.randrange(0, max(1, qi // need)))
+        rows.append(row)
+    return rows
 
 
 def _mat_mul(A, B):
