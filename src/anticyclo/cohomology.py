@@ -199,6 +199,11 @@ def _subquotient(module: FinitePModule, X, Y) -> tuple[int, ...]:
     return cokernel_mod(cokernel, p, E)
 
 
+def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
+    """Invariant factors of ker F / im G for endomorphisms with F·G = 0."""
+    return _subquotient(module, _preimage_gens(module, F), _image_gens(module, G))
+
+
 def _order(module: FinitePModule, name: str, m: int | None) -> int:
     if m is None:
         m = module.orders.get(name)
@@ -256,18 +261,16 @@ def tate_h0(module: FinitePModule, action: str = "tau", m: int | None = None) ->
     """Degree-0 Tate cohomology: fixed points modulo norms."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    norms = _image_gens(module, _norm_matrix(module, action, _order(module, action, m)))
-    fix = _preimage_gens(module, _shift_matrix(module, action))
-    return FinitePModule(module.p, _subquotient(module, fix, norms))
+    norm = _norm_matrix(module, action, _order(module, action, m))
+    return FinitePModule(module.p, _ker_mod_im(module, _shift_matrix(module, action), norm))
 
 
 def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Degree-(-1) Tate cohomology: norm kernel modulo the augmentation image."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    norm_kernel = _preimage_gens(module, _norm_matrix(module, action, _order(module, action, m)))
-    aug_image = _image_gens(module, _shift_matrix(module, action))
-    return FinitePModule(module.p, _subquotient(module, norm_kernel, aug_image))
+    norm = _norm_matrix(module, action, _order(module, action, m))
+    return FinitePModule(module.p, _ker_mod_im(module, norm, _shift_matrix(module, action)))
 
 
 def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
@@ -309,9 +312,7 @@ def herbrand_check(module: FinitePModule, action: str = "tau", m: int | None = N
         return True
     norm = _norm_matrix(module, action, _order(module, action, m))
     shift = _shift_matrix(module, action)
-    h0 = _subquotient(module, _preimage_gens(module, shift), _image_gens(module, norm))
-    hm1 = _subquotient(module, _preimage_gens(module, norm), _image_gens(module, shift))
-    return prod(h0) == prod(hm1)
+    return prod(_ker_mod_im(module, shift, norm)) == prod(_ker_mod_im(module, norm, shift))
 
 
 class ObstructionResult(NamedTuple):

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, binom, pow_one_unit
-from .snf import cokernel_mod, kernel_mod, mat_mul
+from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
 #: invertible element, one combo per projective point (unit multiples
@@ -63,7 +63,7 @@ class PadicMatrix:
 
     @classmethod
     def identity(cls, p: int, precision: int, dim: int) -> "PadicMatrix":
-        return cls(p, precision, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return cls(p, precision, identity_matrix(dim))
 
     @classmethod
     def block_diag(cls, blocks: Sequence["PadicMatrix"]) -> "PadicMatrix":
@@ -113,12 +113,7 @@ class PadicMatrix:
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._require_compatible(other)
-        cols = list(zip(*other.rows))
-        return PadicMatrix(
-            self.p,
-            self.precision,
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
-        )
+        return PadicMatrix(self.p, self.precision, mat_mul(self.rows, other.rows))
 
     def scale(self, c: int) -> "PadicMatrix":
         return PadicMatrix(self.p, self.precision, [[c * x for x in row] for row in self.rows])
@@ -131,20 +126,17 @@ class PadicMatrix:
         )
 
     def inverse(self) -> "PadicMatrix":
-        """Inverse via Cayley-Hamilton; needs a unit determinant."""
+        """Inverse via Cayley-Hamilton; needs a unit determinant.
+
+        sum_k c_k·M^k = 0 gives M^-1 = -c_0^-1 · sum_(k>=1) c_k·M^(k-1),
+        one Horner evaluation (``_poly_at``) with the scaled coefficients.
+        """
         c = charpoly(self).coeffs
         if c[0] % self.p == 0:
             raise NotInvertibleError("matrix is not invertible at this precision")
-        r = self.dim
-        ident = PadicMatrix.identity(self.p, self.precision, r)
-        acc = ident.scale(0)
-        power = ident
-        for i in range(1, r + 1):
-            acc = acc + power.scale(c[i])
-            if i < r:
-                power = power @ self
         neg_c0_inv = -pow(c[0], -1, self.modulus)
-        return acc.scale(neg_c0_inv)
+        coeffs = [neg_c0_inv * ci for ci in c[1:]]
+        return PadicMatrix(self.p, self.precision, _poly_at(coeffs, self.rows, self.modulus))
 
     def __repr__(self) -> str:
         return f"PadicMatrix({self.dim}x{self.dim} mod {self.p}^{self.precision}: {list(map(list, self.rows))})"

@@ -61,12 +61,6 @@ class MetacyclicGroup:
 
     identity: Element = (0, 0)
 
-    def element(self, a: int, c: int) -> Element:
-        return (a % self.mod_a, c % self.p)
-
-    def elements(self):
-        return [(a, c) for a in range(self.mod_a) for c in range(self.p)]
-
     # tau^c acts on x as multiplication by t^c = (1 + p^u)^c, which is
     # 1 + c·p^u mod p^(u+1) because 2u >= u + 1.
 
@@ -92,14 +86,6 @@ class MetacyclicGroup:
             base = self.mul(base, base)
             n >>= 1
         return result
-
-    def element_order(self, g: Element) -> int:
-        order = 1
-        cur = g
-        while cur != self.identity:
-            cur = self.power(cur, self.p)
-            order *= self.p
-        return order
 
     def hom_check(self, images: GeneratorImages) -> HomCheck:
         """Do the images satisfy the defining relations of G?

@@ -137,9 +137,7 @@ def val(x: PadicInt):
 
 def inv(x: PadicInt) -> PadicInt:
     """Multiplicative inverse of a unit mod p^N."""
-    if not x.is_unit():
-        raise NotInvertibleError("not invertible at this precision")
-    return PadicInt(x.p, x.precision, pow(x.residue, -1, x.modulus))
+    return x**-1
 
 
 def teichmuller(a: int, p: int, precision: int) -> PadicInt:

@@ -83,6 +83,30 @@ def test_inverse_and_determinant():
     singular = PadicMatrix(3, 3, [[3, 0], [0, 1]])
     with pytest.raises(NotInvertibleError):
         singular.inverse()
+    # seeded sweep; invertibility mod p is read from the local SNF, not
+    # from the characteristic polynomial that the inverse is built from
+    rng = random.Random(14)
+    seen = {True: 0, False: 0}
+    for p in (3, 5, 7):
+        for N in range(1, 6):
+            m = p**N
+            for r in range(1, 7):
+                ident = PadicMatrix.identity(p, N, r)
+                for trial in range(4):
+                    rows = [[rng.randrange(m) for _ in range(r)] for _ in range(r)]
+                    if trial % 2:  # last row ≡ c·(first row) mod p: singular mod p
+                        c = rng.randrange(p) if r > 1 else 0
+                        rows[-1] = [(c * a + p * rng.randrange(m)) % m for a in rows[0]]
+                    K = PadicMatrix(p, N, rows)
+                    invertible = cokernel_mod(rows, p, 1) == ()
+                    seen[invertible] += 1
+                    if invertible:
+                        K_inv = K.inverse()
+                        assert K @ K_inv == ident == K_inv @ K
+                    else:
+                        with pytest.raises(NotInvertibleError):
+                            K.inverse()
+    assert min(seen.values()) > 100
 
 
 def test_zeta_power_examples():
