@@ -17,18 +17,15 @@ M = I + p·S and M^zeta = I + p·S', the solutions are the X with
 S'·X ≡ X·S mod p^(N-1).  Every column of a solution lies in the kernel
 of chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves
 no solution but 0 mod p (as when chi_S and chi_S' are coprime mod p,
-Sylvester, C. R. Acad. Sci. Paris 99, 1884).  When S has a cyclic vector
-v mod p, X is fixed by x = X·v, and the x that occur are exactly that
-kernel (the centralizer of a nonderogatory matrix, Gantmacher, The
-Theory of Matrices I, ch. VIII).  The dense r²×r² system of the equation
-is solved only for N = 1, or for a visible kernel and a derogatory S.
+Sylvester, C. R. Acad. Sci. Paris 99, 1884).  Only when that kernel is
+visible mod p, or N = 1, is the dense r²×r² system of the equation
+solved, for the solutions mod p and their lifts.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
-from operator import mul
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
@@ -332,57 +329,26 @@ def _kernel_space(M: PadicMatrix, B: PadicMatrix):
     return _rref_basis(unit_gens, M.p, m)
 
 
-def _krylov(A, v, m: int):
-    """The columns v, A·v, ..., A^(r-1)·v mod m."""
-    cols = [v]
-    for _ in range(len(v) - 1):
-        cols.append([sum(map(mul, row, cols[-1])) % m for row in A])
-    return cols
-
-
-def _cyclic_kernel_space(M: PadicMatrix, B: PadicMatrix):
-    """``_kernel_space`` by an r×r system, or None when it does not apply.
+def _no_visible_solution(M: PadicMatrix, B: PadicMatrix) -> bool:
+    """True when every solution of B·X ≡ X·M mod p^N is ≡ 0 mod p, read
+    from one r×r system; False when its kernel is visible mod p, or N = 1.
 
     With M = I + p·S and B = I + p·S', B·X ≡ X·M mod p^N iff
     S'·X ≡ X·S mod p^(N-1).  Then chi_S(S')·X = X·chi_S(S) = 0, so every
-    column of a solution lies in ker chi_S(S'), and when that kernel is
-    ≡ 0 mod p, so is every solution, whatever S is.  Otherwise take v
-    with K_v = [v, S·v, ..., S^(r-1)·v] invertible mod p, from the unit
-    vectors and then eight seeded vectors.  A solution has
-    X·K_v = [x, S'·x, ..., S'^(r-1)·x] for x = X·v; conversely that
-    formula turns every x in ker chi_S(S') into a solution, since
-    S·K_v = K_v·(companion matrix of chi_S).  So X -> X·v is a bijection
-    onto ker chi_S(S') mod p^(N-1), and X ≡ 0 mod p iff x ≡ 0 mod p.
-    None when N = 1, or when the kernel is visible and no listed v is
-    cyclic, which includes every S that is derogatory mod p.
+    column of a solution lies in ker chi_S(S') mod p^(N-1), whatever S is.
+    That kernel is ≡ 0 mod p exactly when the local SNF of chi_S(S') has
+    no zero pivot, i.e. no cokernel factor p^(N-1).
     """
-    p, N, r = M.p, M.precision, M.dim
+    p, N = M.p, M.precision
     if N == 1:
-        return None
+        return False
     m1 = p ** (N - 1)
     S, S2 = (
         [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
         for A in (M, B)
     )
     chi = charpoly(PadicMatrix(p, N - 1, S)).coeffs
-    gens = [x for x, mult in kernel_mod(_poly_at(chi, S2, m1), p, N - 1) if mult == 1]
-    if not gens:
-        return []
-    rng = Random(0)
-    candidates = itertools.chain(
-        ([int(i == j) for j in range(r)] for i in range(r)),
-        ([rng.randrange(p) for _ in range(r)] for _ in range(8)),
-    )
-    # the Krylov columns are the rows of K_v's transpose, invertible alike
-    cols = next((c for v in candidates if cokernel_mod(c := _krylov(S, v, m1), p, 1) == ()), None)
-    if cols is None:
-        return None
-    K_inv = PadicMatrix(p, N - 1, list(zip(*cols))).inverse().rows
-    lifts = []
-    for x in gens:
-        X = mat_mul(list(zip(*_krylov(S2, x, m1))), K_inv)
-        lifts.append([x % m1 for col in zip(*X) for x in col])  # column-major
-    return _rref_basis(lifts, p, M.modulus)
+    return m1 not in cokernel_mod(_poly_at(chi, S2, m1), p, N - 1)
 
 
 def intertwiner_solve(
@@ -396,11 +362,10 @@ def intertwiner_solve(
 
     An invertible solution exists iff the reduction mod p of the solution
     module, of dimension k, contains an invertible matrix.  That reduction
-    is read from one r×r kernel of chi_S(S') mod p^(N-1), S = (M-I)/p,
-    when the kernel is ≡ 0 mod p or S has a cyclic vector
-    (``_cyclic_kernel_space``), and from the dense r²×r² kernel of
-    D -> M^zeta·D - D·M otherwise (``_kernel_space``); both give the same
-    canonical RREF basis mod p.  Scaling by a unit
+    is 0 when the r×r kernel of chi_S(S') mod p^(N-1), S = (M-I)/p, is
+    ≡ 0 mod p (``_no_visible_solution``); otherwise it is read, as a
+    canonical RREF basis mod p with lifts, from the dense r²×r² kernel of
+    D -> M^zeta·D - D·M (``_kernel_space``).  Scaling by a unit
     keeps invertibility, so only the (p^k - 1)/(p - 1) combos whose first
     nonzero coordinate is 1 need a look; scanned in lexicographic order
     they give the lexicographically least invertible combo.  The determinant is a form of degree r in the
@@ -417,9 +382,7 @@ def intertwiner_solve(
     B = mat_pow_zeta(M, zeta)
     r = M.dim
     p = M.p
-    basis = _cyclic_kernel_space(M, B)
-    if basis is None:
-        basis = _kernel_space(M, B)
+    basis = [] if _no_visible_solution(M, B) else _kernel_space(M, B)
     dim = len(basis)
     if dim == 0:
         return IntertwinerResult("none")

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -240,6 +241,49 @@ def test_machine_format_is_json_lines():
     assert kinds == {"header", "check", "summary"}
     checks = [line for line in lines if line["record"] == "check"]
     assert all("verdict" in c for c in checks)
+
+
+# Exit code and sha256 of the ``--format machine --no-timestamps`` stdout
+# of each run below, recorded at commit 801795d.  A change that alters the
+# machine output on purpose updates these digests and says so.
+GOLDEN_DIGESTS = {
+    "lemma2-campaign p=3 zeta=-1": (0, "354c19523a524aa23ea776a1a2c76748c67ba48f0114d5afdb5e999d54c37159"),
+    "lemma2-campaign p=3 zeta=1": (0, "36ce52d40f65e549f72d688819533a2e48bf7edc789bb5bd4cff725d982dc271"),
+    "lemma2-campaign p=5": (0, "95babe12786a3726f91edc07d20444e161ed86ab6ba3b4f63623d72656df817a"),
+    "lemma2-campaign p=7 zeta=t2": (0, "2d4f23f66f29f76e5a3d3555abdebc2906e10bf36fb882547f217e22be41a417"),
+    "verify-lemma1": (0, "0a33f521b1db5cbdaa83aba76c931a28a4072a2583c96a12c76d2eb1a660fd19"),
+    "growth": (0, "9fb22e2e9691195e0e78c3b7bf42c2cbab024be3d9582139f20c87e52e6d9ce3"),
+    "check-records": (0, "c2c35e97da705bf8c241fd067310ae55c1c9297b336e3732c55868fb61e69b25"),
+    "audit-parity d=2": (0, "15afe6236c47709cf9c8ad738f64630751102e86ed9a971104826a868a320b22"),
+    "audit-parity d=4": (0, "2d6f8e074886b8652b5e4cfd5b80a460ef58a7748889b64fb2dab65c0c1cb341"),
+    "audit-parity without D": (0, "15afe6236c47709cf9c8ad738f64630751102e86ed9a971104826a868a320b22"),
+}
+
+
+def test_machine_output_matches_recorded_digests(tmp_path):
+    model = json.loads((DATA / "model_d2.json").read_text())
+    del model["D"]  # the audit must solve for the intertwiner itself
+    no_d = tmp_path / "model_no_d.json"
+    no_d.write_text(json.dumps(model))
+    runs = {
+        "lemma2-campaign p=3 zeta=-1": ["lemma2-campaign", "--p", "3", "--r", "1", "2", "3", "--trials", "20"],
+        "lemma2-campaign p=3 zeta=1":
+            ["lemma2-campaign", "--p", "3", "--zeta", "1", "--r", "1", "2", "3", "--trials", "20"],
+        "lemma2-campaign p=5": ["--precision", "8", "lemma2-campaign", "--p", "5", "--r", "2", "4", "6", "--trials", "5"],
+        "lemma2-campaign p=7 zeta=t2":
+            ["--precision", "6", "lemma2-campaign", "--p", "7", "--zeta", "t2", "--r", "3", "--trials", "10"],
+        "verify-lemma1": ["verify-lemma1"],
+        "growth": ["growth", "--p", "3", "--module", "T-3", "--n-max", "5"],
+        "check-records": ["check-records", str(DATA / "records_sample.jsonl")],
+        "audit-parity d=2": ["audit-parity", str(DATA / "model_d2.json")],
+        "audit-parity d=4": ["audit-parity", str(DATA / "model_d4.json")],
+        "audit-parity without D": ["audit-parity", str(no_d)],
+    }
+    digests = {}
+    for label, argv in runs.items():
+        code, out = run(["--format", "machine", "--no-timestamps", *argv])
+        digests[label] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_usage_errors_exit_2():

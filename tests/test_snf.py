@@ -79,6 +79,28 @@ def test_cokernel_order_decides_determinant_tests():
     assert any(big and not zero and not nonzero for _, big, zero, nonzero in seen)
 
 
+def test_zero_pivot_iff_kernel_visible_mod_p():
+    # A square A has a zero pivot (a cokernel factor p^N) exactly when its
+    # kernel holds a vector ≢ 0 mod p, the multiplier-1 generators; the
+    # intertwiner certificate reads the cokernel for the kernel's sake.
+    rng = random.Random(37)
+    seen = set()
+    for p in (3, 5, 7):
+        for N in range(1, 6):
+            m = p**N
+            for r in range(1, 7):
+                for _ in range(45):
+                    A = [
+                        [rng.choice([0, rng.randrange(m), rng.randrange(m) * p ** rng.randrange(1, N + 1) % m])
+                         for _ in range(r)]
+                        for _ in range(r)
+                    ]
+                    zero_pivot = m in cokernel_mod(A, p, N)
+                    assert zero_pivot == any(mult == 1 for _, mult in kernel_mod(A, p, N))
+                    seen.add((r, zero_pivot))
+    assert seen == {(r, zero) for r in range(1, 7) for zero in (False, True)}
+
+
 def test_local_ring_snf_agrees_with_integer_snf():
     # the column span is ⊕ Z/p^(N - v_i) over the nonzero pivots p^(v_i)
     rng = random.Random(23)

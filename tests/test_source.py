@@ -57,3 +57,34 @@ def test_every_imported_name_is_used():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert found == []
+
+
+def test_every_private_definition_is_used():
+    # A private function, class or method that nothing in the package
+    # refers to is a leftover of a deleted code path; dunder methods are
+    # called by Python itself and are exempt.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    refs = [
+        (name, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    defs = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert len(defs) > 30, "private definitions not found"
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in defs
+        if not any(
+            ident == node.name and (where != name or not node.lineno <= line <= node.end_lineno)
+            for where, ident, line in refs
+        )
+    ]
+    assert found == []
