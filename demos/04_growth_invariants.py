@@ -19,7 +19,7 @@ from anticyclo import (
     coinvariants,
     fit_invariants,
     invariants_of,
-    layer_size_exponent,
+    layer_exponents,
     parity_audit,
     t_multiplicity,
 )
@@ -28,7 +28,7 @@ module = ElementaryLambdaModule(3, mu_parts=(1,), poly_parts=((-3, 1), (9, 3, 1)
 print("module: Lambda/(3) + Lambda/(T-3) + Lambda/(T^2+3T+9)")
 print("structural (lambda, mu):", invariants_of(module))
 
-exponents = [layer_size_exponent(module, n) for n in range(7)]
+exponents = layer_exponents(module, 6)
 print("\n n | e_n")
 for n, e in enumerate(exponents):
     print(f" {n} | {e}")

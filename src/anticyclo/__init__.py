@@ -34,6 +34,7 @@ from .iwasawa import (
     coinvariants,
     fit_invariants,
     invariants_of,
+    layer_exponents,
     layer_size_exponent,
     omega_n,
     parity_audit,
@@ -71,7 +72,8 @@ __all__ = [
     "IntertwinerResult", "orbit_block_construct", "rank_divisibility_check",
     "random_unipotent_matrix", "zeta_order",
     "ElementaryLambdaModule", "IwasawaInvariants", "GammaModel", "omega_n",
-    "layer_size_exponent", "invariants_of", "fit_invariants", "coinvariants",
+    "layer_exponents", "layer_size_exponent", "invariants_of", "fit_invariants",
+    "coinvariants",
     "t_multiplicity", "parity_audit", "build_gamma_model", "validate_gamma_model",
     "FinitePModule", "fixed_points", "norm_image", "tate_h0", "tate_hm1",
     "minus_part", "herbrand_check", "theorem2_cyclic_obstruction", "ObstructionResult",

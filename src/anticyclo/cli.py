@@ -34,9 +34,9 @@ from .errors import (
 from .iwasawa import (
     ElementaryLambdaModule,
     GammaModel,
-    _layer_exponents,
     fit_invariants,
     invariants_of,
+    layer_exponents,
     parity_audit,
 )
 from .linalg import (
@@ -275,7 +275,7 @@ def cmd_growth(args, report: Report) -> int:
                 f"sum(mu)·{args.p}^n prints within the interpreter's {digits}-digit limit; "
                 f"pass --n-max {n_fit} or less"
             )
-    exponents = _layer_exponents(module, args.n_max)
+    exponents = layer_exponents(module, args.n_max)
     for n, e in enumerate(exponents):
         report.add(verdict="info", n=n, exponent=e)
     fit = fit_invariants(exponents, args.p)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
 from .padic import is_odd_prime, valuation
-from .snf import _local_snf, cokernel_mod, kernel_mod, mat_mul
+from .snf import cokernel_mod, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
 
 
 def _p_power_exponent(q: int, p: int) -> int:
@@ -160,7 +160,7 @@ def _span(module: FinitePModule, X) -> tuple[int, ...]:
     """Invariant factors of the submodule of (Z/p^E)^k spanned by the rows
     of X: p^E/d for each pivot d ≠ 0 of one pivot-only local SNF."""
     m = module.p**module.exponent
-    diag, _ = _local_snf(X, module.p, module.exponent, False)
+    diag, _ = smith_normal_form_mod_prime_power(X, module.p, module.exponent, False)
     return tuple(m // d for d in diag if d)
 
 
@@ -185,7 +185,7 @@ def _subquotient(module: FinitePModule, X, Y) -> tuple[int, ...]:
     m = p**E
     k = len(module.invariant_factors)
     # no generators (a trivial kernel) span the zero submodule
-    diag, Vc = _local_snf(X or [[0] * k], p, E, True)
+    diag, Vc = smith_normal_form_mod_prime_power(X or [[0] * k], p, E)
     rows = []
     for d, v in zip(diag, Vc):
         s = d or m

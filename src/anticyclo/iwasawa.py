@@ -20,7 +20,6 @@ of the characteristic polynomial of (generator - 1) is a multiple of d.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Union
@@ -36,7 +35,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, is_odd_prime, teichmuller, valuation
-from .snf import _local_snf, cokernel_mod
+from .snf import cokernel_mod, smith_normal_form_mod_prime_power
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +138,7 @@ def _level_terms(g, p: int):
             # matrix, which has the same invariant factors
             rows = [_poly_mod_monic([0] * i + w, g) for i in range(deg)]
             K = deg + 1
-            while not all(diag := _local_snf(rows, p, K, False)[0]):
+            while not all(diag := smith_normal_form_mod_prime_power(rows, p, K, False)[0]):
                 K *= 2
             yield sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
         k += 1
@@ -149,34 +148,13 @@ def _not_finite(g, n: int) -> ValueError:
     return ValueError(f"quotient not finite at level {n}: {list(g)} shares a root with omega_{n}")
 
 
-def _poly_quotient_exponent(g, p: int, n: int) -> int:
-    """p-exponent of Λ/(g, omega_n), i.e. v_p(Res(g, omega_n)): the sum of
-    the level terms c_k of ``_level_terms`` over k <= n, deg g for each
-    level past them."""
-    e = levels = 0
-    for c in itertools.islice(_level_terms(g, p), n + 1):
-        if c is None:
-            raise _not_finite(g, n)
-        e += c
-        levels += 1
-    return e + (len(g) - 1) * (n + 1 - levels)
-
-
-def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:
-    """e_n with |E/omega_n·E| = p^(e_n); additive over the factors."""
-    if n < 0:
+def layer_exponents(module: ElementaryLambdaModule, n_max: int) -> list[int]:
+    """[e_0, ..., e_(n_max)] with |E/omega_n·E| = p^(e_n), additive over
+    the factors.  Each level term is computed once: e_n = e_(n-1) + Σ_g c_n(g)
+    in the polynomial part, c_n(g) = deg g past the levels ``_level_terms``
+    yields.  The first layer with an infinite quotient raises, naming it."""
+    if n_max < 0:
         raise ValueError("layer index must be non-negative")
-    e = sum(m * module.p**n for m in module.mu_parts)
-    for g in module.poly_parts:
-        e += _poly_quotient_exponent(g, module.p, n)
-    return e
-
-
-def _layer_exponents(module: ElementaryLambdaModule, n_max: int) -> list[int]:
-    """[layer_size_exponent(module, n) for n in 0..n_max], with each level
-    term computed once: e_n = e_(n-1) + Σ_g c_n(g) in the polynomial part.
-    The first layer with an infinite quotient raises the error that
-    ``layer_size_exponent`` raises there."""
     p, mu = module.p, sum(module.mu_parts)
     parts = [(g, _level_terms(g, p)) for g in module.poly_parts]
     exponents = []
@@ -189,6 +167,11 @@ def _layer_exponents(module: ElementaryLambdaModule, n_max: int) -> list[int]:
             e += c
         exponents.append(mu * p**n + e)
     return exponents
+
+
+def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:
+    """e_n with |E/omega_n·E| = p^(e_n): entry n of ``layer_exponents``."""
+    return layer_exponents(module, n)[n]
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,17 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def _local_snf(A, p: int, precision: int, track_v: bool):
-    """The elimination engine behind every public function here.
+def smith_normal_form_mod_prime_power(A, p: int, precision: int, track_v: bool = True):
+    """Diagonalize A over the local ring Z/p^N: returns (diag, Vc).
+
+    diag[i] is p^(v_i) with non-decreasing v_i (0 entries mean the image
+    vanishes in that direction).  Vc is the list of the columns of a V
+    invertible mod p^N with U·A·V ≡ diag for a suitable invertible U (not
+    tracked), or None when ``track_v`` is false.  Over a local ring an
+    entry of least valuation divides everything in sight, so one
+    elimination pass per pivot suffices and entries stay reduced mod p^N;
+    this avoids the coefficient blowup of integer SNF.  This is the
+    elimination engine behind every other function here.
 
     Step t takes the least valuation v of the active block (rows and
     columns >= t) as v_p(gcd(p^N, *entries)), by C-level gcds row by row,
@@ -101,22 +110,6 @@ def _local_snf(A, p: int, precision: int, track_v: bool):
     return diag, Vc
 
 
-def smith_normal_form_mod_prime_power(A, p: int, precision: int):
-    """Diagonalize A over the local ring Z/p^N: returns (diag, V).
-
-    diag[i] is p^(v_i) with non-decreasing v_i (0 entries mean the image
-    vanishes in that direction) and V is invertible mod p^N with
-    U·A·V ≡ diag for a suitable invertible U (not tracked).  Over a local
-    ring an entry of least valuation divides everything in sight, so one
-    elimination pass per pivot suffices and entries stay reduced mod p^N;
-    this avoids the coefficient blowup of integer SNF.  The least
-    valuation is read from a gcd, not entry by entry, and only V takes
-    column operations (see ``_local_snf``).
-    """
-    diag, Vc = _local_snf(A, p, precision, True)
-    return diag, [list(row) for row in zip(*Vc)]
-
-
 def kernel_mod(A, p: int, precision: int):
     """Generators of {x in (Z/p^N)^n : A·x ≡ 0 mod p^N}.
 
@@ -126,15 +119,13 @@ def kernel_mod(A, p: int, precision: int):
     generated subgroup is the full kernel.
     """
     m = p**precision
-    n = len(A[0]) if A else 0
-    diag, V = smith_normal_form_mod_prime_power(A, p, precision)
+    diag, Vc = smith_normal_form_mod_prime_power(A, p, precision)
     gens = []
-    for i in range(n):
-        mult = m // gcd(diag[i], m)
+    for d, v in zip(diag, Vc):
+        mult = m // gcd(d, m)
         if mult == m:
             continue  # generator would be 0 mod p^N
-        vec = [V[r][i] * mult % m for r in range(n)]
-        gens.append((vec, mult))
+        gens.append(([x * mult % m for x in v], mult))
     return gens
 
 
@@ -149,6 +140,6 @@ def cokernel_mod(A, p: int, precision: int) -> tuple[int, ...]:
     """
     m = p**precision
     rows = len(A)
-    diag, _ = _local_snf(A, p, precision, False)
+    diag, _ = smith_normal_form_mod_prime_power(A, p, precision, False)
     pivots = (diag + [0] * rows)[:rows]
     return tuple(sorted((d or m for d in pivots if d != 1), reverse=True))

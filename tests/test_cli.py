@@ -342,8 +342,10 @@ def test_growth_table_runs_each_level_elimination_once(monkeypatch):
     import anticyclo.iwasawa as iwasawa
 
     calls = []
-    engine = iwasawa._local_snf
-    monkeypatch.setattr(iwasawa, "_local_snf", lambda *args: calls.append(args) or engine(*args))
+    engine = iwasawa.smith_normal_form_mod_prime_power
+    monkeypatch.setattr(
+        iwasawa, "smith_normal_form_mod_prime_power", lambda *args: calls.append(args) or engine(*args)
+    )
     argv = ["--no-timestamps", "--format", "machine", "growth", "--p", "3", "--module", "T^8+3T+3", "--n-max", "1000"]
     code, out = run(argv)
     assert code == 0

@@ -16,7 +16,7 @@ from anticyclo.cohomology import (
     theorem2_cyclic_obstruction,
 )
 from anticyclo.iwasawa import coinvariants
-from anticyclo.snf import _local_snf
+from anticyclo.snf import smith_normal_form_mod_prime_power
 
 from conftest import (
     add_elements,
@@ -210,7 +210,7 @@ def test_subquotient_matches_full_elimination_on_random_lattices():
             for _ in range(rng.randint(1, 3)):
                 c = [rng.randrange(m) for _ in X]
                 Y.append([sum(a * x[j] for a, x in zip(c, X)) % m for j in range(k)])
-        diag, _ = _local_snf(X, p, E, False)
+        diag, _ = smith_normal_form_mod_prime_power(X, p, E, False)
         seen["zero pivot"] += 0 in diag
         seen["unit pivot"] += 1 in diag
         seen["y = x"] += Y == X

@@ -8,12 +8,12 @@ from anticyclo.errors import ModelInvariantError, PrecisionError
 from anticyclo.iwasawa import (
     ElementaryLambdaModule,
     GammaModel,
-    _layer_exponents,
     build_gamma_model,
     coinvariants,
     default_zeta,
     fit_invariants,
     invariants_of,
+    layer_exponents,
     layer_size_exponent,
     omega_n,
     parity_audit,
@@ -71,13 +71,14 @@ def test_layer_growth_examples():
 def test_planted_cyclotomic_factor_is_not_finite_from_its_level(p, k):
     # g = Phi_{p^k}(1+T)·(T+p) shares a root with omega_n exactly when
     # n >= k; below that, Res(Phi_{p^k}, Phi_{p^m}) = p^phi(p^m) for m < k
-    # adds up to p^n, and T + p contributes 1 + n
+    # adds up to p^n, and T + p contributes 1 + n.  Every layer from k on
+    # names the first infinite level, k.
     phi = cyclotomic_at_one_plus_t(p, k)
     g = tuple(p * a + b for a, b in zip(phi + [0], [0] + phi))
     module = ElementaryLambdaModule(p, poly_parts=(g,))
     for n in range(k + 2):
         if n >= k:
-            with pytest.raises(ValueError, match=f"quotient not finite at level {n}"):
+            with pytest.raises(ValueError, match=f"quotient not finite at level {k}: .* omega_{k}$"):
                 layer_size_exponent(module, n)
         else:
             assert layer_size_exponent(module, n) == p**n + 1 + n
@@ -124,15 +125,16 @@ def test_layer_growth_against_the_whole_omega_oracle():
             assert layer_size_exponent(module, n) == expected, (p, g, n)
 
 
-def test_growth_table_matches_single_layer_calls():
-    # the table carries e_n = e_(n-1) + c_n; it must agree with
-    # layer_size_exponent at every layer and fail at the same first layer
-    # with the same message, naming the same polynomial
+def test_growth_table_matches_the_whole_omega_oracle():
+    # the table carries e_n = e_(n-1) + c_n; at every layer it must equal
+    # the μ-term plus v_p(Res(g, omega_n)) from the whole omega_n, and it
+    # must fail at the first infinite level, naming the first polynomial
+    # infinite there
     rng = random.Random(61)
     failed_at = set()
     for _ in range(120):
         p = rng.choice([3, 5])
-        n_max = rng.randint(0, 6)
+        n_max = rng.randint(0, {3: 5, 5: 3}[p])  # the whole-omega oracle's caps
         polys = []
         for _ in range(rng.randint(0, 3)):
             shape = rng.random()
@@ -145,17 +147,22 @@ def test_growth_table_matches_single_layer_calls():
                 polys.append(tuple(p * rng.randint(-3, 3) for _ in range(rng.randint(1, 6))) + (1,))
         module = ElementaryLambdaModule(p, mu_parts=tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 2))),
                                         poly_parts=tuple(polys))
-        expected = []
-        try:
-            for n in range(n_max + 1):
-                expected.append(layer_size_exponent(module, n))
-        except ValueError as exc:
-            with pytest.raises(ValueError) as caught:
-                _layer_exponents(module, n_max)
-            assert str(caught.value) == str(exc)
-            failed_at.add(len(expected))
+        expected, infinite = [], None
+        for n in range(n_max + 1):
+            terms = [omega_layer_exponent(p, g, n) for g in polys]
+            if None in terms:
+                infinite = polys[terms.index(None)]
+                break
+            expected.append(sum(module.mu_parts) * p**n + sum(terms))
+        if infinite is None:
+            assert layer_exponents(module, n_max) == expected, (p, polys, n_max)
         else:
-            assert _layer_exponents(module, n_max) == expected, (p, polys, n_max)
+            n = len(expected)
+            message = f"quotient not finite at level {n}: {list(infinite)} shares a root with omega_{n}"
+            with pytest.raises(ValueError) as caught:
+                layer_exponents(module, n_max)
+            assert str(caught.value) == message
+            failed_at.add(n)
     assert {0, 1, 2} <= failed_at
 
 

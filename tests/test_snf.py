@@ -37,7 +37,8 @@ def local_matrices(draw):
 def test_local_ring_snf_properties(case):
     A, p, precision = case
     m = p**precision
-    diag, V = smith_normal_form_mod_prime_power(A, p, precision)
+    diag, Vc = smith_normal_form_mod_prime_power(A, p, precision)
+    V = [list(row) for row in zip(*Vc)]
     assert len(diag) == len(A[0])
     # pivots are p-powers below p^N with non-decreasing exponents, then zeros
     nonzero = [d for d in diag if d]
@@ -109,7 +110,8 @@ def test_local_ring_snf_agrees_with_integer_snf():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 3)
         A = [[rng.randrange(p**precision) for _ in range(cols)] for _ in range(rows)]
-        diag, V = smith_normal_form_mod_prime_power(A, p, precision)
+        diag, Vc = smith_normal_form_mod_prime_power(A, p, precision)
+        V = [list(row) for row in zip(*Vc)]
         got = tuple(sorted((p**precision // d for d in diag if d), reverse=True))
         assert got == column_span_structure(A, p, precision)
         assert charpoly_by_expansion(V, p)[0] != 0  # V invertible over the local ring
@@ -188,7 +190,9 @@ def test_lean_elimination_matches_full_elimination():
             j = rng.randrange(cols)
             for row in A:
                 row[j] = 0
-        assert smith_normal_form_mod_prime_power(A, p, N) == snf_by_full_elimination(A, p, N)
+        diag, Vc = smith_normal_form_mod_prime_power(A, p, N)
+        assert (diag, [list(row) for row in zip(*Vc)]) == snf_by_full_elimination(A, p, N)
+        assert smith_normal_form_mod_prime_power(A, p, N, False) == (diag, None)
         assert kernel_mod(A, p, N) == kernel_by_full_elimination(A, p, N)
         assert cokernel_mod(A, p, N) == cokernel_by_full_elimination(A, p, N)
         shapes.add("empty" if rows * cols == 0 else "wide" if rows < cols else "tall" if rows > cols else "square")

@@ -88,3 +88,19 @@ def test_every_private_definition_is_used():
         )
     ]
     assert found == []
+
+
+def test_no_private_name_crosses_a_module():
+    # A module reaches another only through its public names, which are
+    # the seams the benchmark's tracer wraps; dunders are exempt.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
+    assert found == []
