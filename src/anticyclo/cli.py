@@ -21,6 +21,7 @@ import math
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
@@ -187,38 +188,31 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
     precision = args.precision
     zeta = _parse_zeta(args.zeta, p, precision)
     d = zeta_order(zeta, p)
-    violations = 0
-    undetermined = 0
-    witnesses = 0
+    totals = Counter()  # intertwiner statuses, plus "violation"
     counter = 0
     for r in args.r:
-        r_witnesses = r_undetermined = r_violations = 0
+        tally = Counter()
         for _ in range(args.trials):
             rng = Random(args.seed * 1_000_003 + counter)
             counter += 1
             M = random_unipotent_matrix(p, precision, r, rng)
             result = intertwiner_solve(M, zeta, seed=args.seed * 1_000_003 + counter)
-            if result.status == "undetermined":
-                r_undetermined += 1
-            elif result.status == "witness":
-                r_witnesses += 1
-                if rank_divisibility_check(M, zeta, d, result) == "violation":
-                    r_violations += 1
-                    report.add(
-                        verdict="violation",
-                        r=r,
-                        matrix=list(map(list, M.rows)),
-                        reason=f"invertible intertwiner with r = {r} not divisible by d = {d}",
-                    )
-        witnesses += r_witnesses
-        undetermined += r_undetermined
-        violations += r_violations
+            tally[result.status] += 1
+            if result.status == "witness" and rank_divisibility_check(M, zeta, d, result) == "violation":
+                tally["violation"] += 1
+                report.add(
+                    verdict="violation",
+                    r=r,
+                    matrix=list(map(list, M.rows)),
+                    reason=f"invertible intertwiner with r = {r} not divisible by d = {d}",
+                )
+        totals += tally
         report.add(
-            verdict="ok" if r_violations == 0 else "violation",
+            verdict="violation" if tally["violation"] else "ok",
             r=r,
             trials=args.trials,
-            witnesses=r_witnesses,
-            undetermined=r_undetermined,
+            witnesses=tally["witness"],
+            undetermined=tally["undetermined"],
             reason="necessity trials complete",
         )
         # positive control whenever the dimension can hold full orbits
@@ -232,7 +226,7 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
             verdict = rank_divisibility_check(M, zc, d, refound)
             ok = refound.status == "witness" and verdict == "consistent"
             if not ok:
-                violations += 1
+                totals["violation"] += 1
             report.add(
                 verdict="ok" if ok else "violation",
                 r=r,
@@ -245,11 +239,11 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
             )
     report.counters = {
         "trials": args.trials * len(args.r),
-        "witnesses": witnesses,
-        "undetermined": undetermined,
-        "violations": violations,
+        "witnesses": totals["witness"],
+        "undetermined": totals["undetermined"],
+        "violations": totals["violation"],
     }
-    return 1 if violations or undetermined else 0
+    return 1 if totals["violation"] or totals["undetermined"] else 0
 
 
 def cmd_growth(args, report: Report) -> int:

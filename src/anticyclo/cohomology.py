@@ -204,30 +204,26 @@ def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
     return _subquotient(module, _preimage_gens(module, F), _image_gens(module, G))
 
 
-def _order(module: FinitePModule, name: str, m: int | None) -> int:
-    if m is None:
-        m = module.orders.get(name)
-        if m is None:
-            raise ValueError(f"order of {name!r} neither declared nor given")
-    if m < 1:
-        raise ValueError(f"order of {name!r} must be positive, got {m}")
-    return m
-
-
 def _shift_matrix(module: FinitePModule, name: str):
     T = module.action(name)
     k = len(T)
     return [[T[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
 
 
-def _norm_matrix(module: FinitePModule, name: str, m: int):
+def _norm_matrix(module: FinitePModule, name: str, m: int | None):
     """1 + T + ... + T^(m-1); the loop ends on T^m, which must be 1.
 
-    m - 1 products power·T, each row reduced mod its q_i inside the
-    product, with T's columns read once; the sum is reduced once at the
-    end.  The T^m = 1 check runs on every call, whatever order the
-    module declares.
+    m defaults to the order the module declares for T.  m - 1 products
+    power·T, each row reduced mod its q_i inside the product, with T's
+    columns read once; the sum is reduced once at the end.  The T^m = 1
+    check runs on every call, whatever order the module declares.
     """
+    if m is None:
+        m = module.orders.get(name)
+        if m is None:
+            raise ValueError(f"order of {name!r} neither declared nor given")
+    if m < 1:
+        raise ValueError(f"order of {name!r} must be positive, got {m}")
     T = module.action(name)
     k = len(T)
     factors = module.invariant_factors
@@ -253,7 +249,7 @@ def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None)
     """Image of 1 + T + ... + T^(m-1) for an action T with T^m = identity."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    norm = _norm_matrix(module, action, _order(module, action, m))
+    norm = _norm_matrix(module, action, m)
     return FinitePModule(module.p, _span(module, _image_gens(module, norm)))
 
 
@@ -261,7 +257,7 @@ def tate_h0(module: FinitePModule, action: str = "tau", m: int | None = None) ->
     """Degree-0 Tate cohomology: fixed points modulo norms."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    norm = _norm_matrix(module, action, _order(module, action, m))
+    norm = _norm_matrix(module, action, m)
     return FinitePModule(module.p, _ker_mod_im(module, _shift_matrix(module, action), norm))
 
 
@@ -269,7 +265,7 @@ def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -
     """Degree-(-1) Tate cohomology: norm kernel modulo the augmentation image."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    norm = _norm_matrix(module, action, _order(module, action, m))
+    norm = _norm_matrix(module, action, m)
     return FinitePModule(module.p, _ker_mod_im(module, norm, _shift_matrix(module, action)))
 
 
@@ -310,7 +306,7 @@ def herbrand_check(module: FinitePModule, action: str = "tau", m: int | None = N
     """
     if not module.invariant_factors:
         return True
-    norm = _norm_matrix(module, action, _order(module, action, m))
+    norm = _norm_matrix(module, action, m)
     shift = _shift_matrix(module, action)
     return prod(_ker_mod_im(module, shift, norm)) == prod(_ker_mod_im(module, norm, shift))
 

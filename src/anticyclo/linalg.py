@@ -19,13 +19,16 @@ of chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves
 no solution but 0 mod p (as when chi_S and chi_S' are coprime mod p,
 Sylvester, C. R. Acad. Sci. Paris 99, 1884).  Only when that kernel is
 visible mod p, or N = 1, is the dense r²×r² system of the equation
-solved, for the solutions mod p and their lifts.
+solved.  Its solutions are kept once, mod p^N, as a basis whose
+reduction mod p is the canonical echelon basis; each combination of them
+is one candidate, tested for invertibility mod p and returned as it is.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
+from operator import mul
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
@@ -39,6 +42,11 @@ from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul
 #: outnumber them; beyond it the solver only samples and may return
 #: "undetermined" instead of certifying "none".
 EXHAUSTIVE_KERNEL_DIM = 8
+
+#: Seeded random combos tried before the projective scan whenever the
+#: scan has more points than this, and the whole search beyond
+#: EXHAUSTIVE_KERNEL_DIM.
+SAMPLE_TRIALS = 512
 
 
 class PadicMatrix:
@@ -256,12 +264,7 @@ def zeta_order(zeta: PadicExponent, p: int | None = None) -> int:
         if pow(zeta.residue, zeta.p - 1, zeta.modulus) != 1:
             raise ValueError("exponent is not a (p-1)-st root of unity at this precision")
         z = zeta.residue % zeta.p
-        d = 1
-        acc = z
-        while acc != 1:
-            acc = acc * z % zeta.p
-            d += 1
-        return d
+        return next(d for d in range(1, zeta.p) if pow(z, d, zeta.p) == 1)
     if zeta == 1:
         return 1
     if zeta == -1:
@@ -280,53 +283,48 @@ def _unvec(v, r):
 
 
 def _rref_basis(gens, p: int, m: int):
-    """The canonical reduced row echelon basis of the span of ``gens`` mod
-    p, as (mod_p_vector, full_vector) pairs sorted by pivot.  Each full
-    vector is the same combination of the generators mod m, so it is a
-    kernel element whenever they are."""
-    basis = []  # (pivot, mod-p vector, full vector), pivot entries 1
-    for gen in gens:
-        vec, full = [x % p for x in gen], list(gen)
-        for piv, bvec, bfull in basis:
-            if c := vec[piv]:
-                vec = [(a - c * b) % p for a, b in zip(vec, bvec)]
-                full = [(a - c * b) % m for a, b in zip(full, bfull)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
+    """Vectors mod m, sorted by pivot, whose reductions mod p are the
+    canonical reduced row echelon basis of the span of ``gens`` mod p.
+
+    Pivots and elimination coefficients are read mod p, so each vector is
+    a combination of the generators mod m, and a kernel element whenever
+    they are; its pivot entry is ≡ 1 mod p.
+    """
+    basis = []  # (pivot, vector mod m)
+    for vec in gens:
+        for piv, b in basis:
+            if c := vec[piv] % p:
+                vec = [(a - c * x) % m for a, x in zip(vec, b)]
+        piv = next((i for i, x in enumerate(vec) if x % p), None)
         if piv is None:
             continue
         u = pow(vec[piv], -1, p)
-        vec = [a * u % p for a in vec]
-        full = [a * u % m for a in full]
-        for k, (bpiv, bvec, bfull) in enumerate(basis):
-            if c := bvec[piv]:
-                basis[k] = (
-                    bpiv,
-                    [(a - c * b) % p for a, b in zip(bvec, vec)],
-                    [(a - c * b) % m for a, b in zip(bfull, full)],
-                )
-        basis.append((piv, vec, full))
-    return [(vec, full) for _, vec, full in sorted(basis)]
+        vec = [a * u % m for a in vec]
+        for k, (bpiv, b) in enumerate(basis):
+            if c := b[piv] % p:
+                basis[k] = (bpiv, [(a - c * x) % m for a, x in zip(b, vec)])
+        basis.append((piv, vec))
+    return [vec for _, vec in sorted(basis)]
 
 
 def _kernel_space(M: PadicMatrix, B: PadicMatrix):
-    """Mod-p visible part of {D : B·D ≡ D·M mod p^N}, with full lifts,
-    from the dense r²×r² system D -> B·D - D·M.
+    """Mod-p visible part of {D : B·D ≡ D·M mod p^N}, from the dense
+    r²×r² system D -> B·D - D·M.
 
-    Returns the canonical RREF basis of the kernel's reduction mod p
-    (r²-vectors, column-major), each vector paired with an honest kernel
-    element at precision reducing to it.
+    Returns kernel elements at precision (r²-vectors mod p^N,
+    column-major) whose reductions mod p are the canonical RREF basis of
+    the kernel's reduction mod p.
     """
     r = M.dim
-    m = M.modulus
     K = [[0] * (r * r) for _ in range(r * r)]
     for j in range(r):
         for i in range(r):
             row = j * r + i
             for k in range(r):
-                K[row][j * r + k] = (K[row][j * r + k] + B.rows[i][k]) % m
-                K[row][k * r + i] = (K[row][k * r + i] - M.rows[k][j]) % m
+                K[row][j * r + k] += B.rows[i][k]
+                K[row][k * r + i] -= M.rows[k][j]
     unit_gens = [vec for vec, mult in kernel_mod(K, M.p, M.precision) if mult == 1]
-    return _rref_basis(unit_gens, M.p, m)
+    return _rref_basis(unit_gens, M.p, M.modulus)
 
 
 def _no_visible_solution(M: PadicMatrix, B: PadicMatrix) -> bool:
@@ -351,33 +349,29 @@ def _no_visible_solution(M: PadicMatrix, B: PadicMatrix) -> bool:
     return m1 not in cokernel_mod(_poly_at(chi, S2, m1), p, N - 1)
 
 
-def intertwiner_solve(
-    M: PadicMatrix,
-    zeta: PadicExponent,
-    *,
-    sample_trials: int = 512,
-    seed: int = 0,
-) -> IntertwinerResult:
+def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> IntertwinerResult:
     """Find an invertible D with M^zeta · D ≡ D · M mod p^N, if any.
 
     An invertible solution exists iff the reduction mod p of the solution
     module, of dimension k, contains an invertible matrix.  That reduction
     is 0 when the r×r kernel of chi_S(S') mod p^(N-1), S = (M-I)/p, is
-    ≡ 0 mod p (``_no_visible_solution``); otherwise it is read, as a
-    canonical RREF basis mod p with lifts, from the dense r²×r² kernel of
-    D -> M^zeta·D - D·M (``_kernel_space``).  Scaling by a unit
-    keeps invertibility, so only the (p^k - 1)/(p - 1) combos whose first
-    nonzero coordinate is 1 need a look; scanned in lexicographic order
-    they give the lexicographically least invertible combo.  The determinant is a form of degree r in the
+    ≡ 0 mod p (``_no_visible_solution``); otherwise it is read from the
+    dense r²×r² kernel of D -> M^zeta·D - D·M (``_kernel_space``), as
+    vectors mod p^N reducing to the canonical RREF basis mod p.  Each
+    combo of them is one candidate, tested for invertibility mod p and
+    returned as it is.  Scaling by a unit keeps invertibility, so only the
+    (p^k - 1)/(p - 1) combos whose first nonzero coordinate is 1 need a
+    look; scanned in lexicographic order they give the lexicographically
+    least invertible combo.  The determinant is a form of degree r in the
     combo, so when it is not identically zero a uniform combo is
     invertible with probability at least 1 - r/p (Schwartz-Zippel).
 
     Combos are tried in one stream: the projective scan alone when
-    k <= EXHAUSTIVE_KERNEL_DIM and it has at most ``sample_trials``
-    points; ``sample_trials`` seeded samples then the projective scan
-    when k <= EXHAUSTIVE_KERNEL_DIM; the samples alone otherwise.
-    "none" is returned only after a complete projective scan, and a
-    sample-only search that finds nothing returns "undetermined".
+    k <= EXHAUSTIVE_KERNEL_DIM and it has at most SAMPLE_TRIALS points;
+    SAMPLE_TRIALS seeded samples then the projective scan when
+    k <= EXHAUSTIVE_KERNEL_DIM; the samples alone otherwise.  "none" is
+    returned only after a complete projective scan, and a sample-only
+    search that finds nothing returns "undetermined".
     """
     B = mat_pow_zeta(M, zeta)
     r = M.dim
@@ -387,20 +381,9 @@ def intertwiner_solve(
     if dim == 0:
         return IntertwinerResult("none")
 
-    def lift_and_verify(combo):
-        m = M.modulus
-        full = [0] * (r * r)
-        for c, (_, bfull) in zip(combo, basis):
-            if c:
-                full = [(a + c * b) % m for a, b in zip(full, bfull)]
-        D = PadicMatrix(p, M.precision, _unvec(full, r))
-        if B @ D != D @ M:
-            raise ArithmeticError("kernel lift failed to intertwine")
-        return D
-
     def samples():
         rng = Random(seed)
-        for _ in range(sample_trials):
+        for _ in range(SAMPLE_TRIALS):
             yield tuple(rng.randrange(p) for _ in range(dim))
 
     def projective_scan():
@@ -411,19 +394,21 @@ def intertwiner_solve(
     exhaustive = dim <= EXHAUSTIVE_KERNEL_DIM
     if not exhaustive:
         combos = samples()
-    elif (p**dim - 1) // (p - 1) <= sample_trials:
+    elif (p**dim - 1) // (p - 1) <= SAMPLE_TRIALS:
         combos = projective_scan()
     else:
         combos = itertools.chain(samples(), projective_scan())
+    m = M.modulus
+    cols = list(zip(*basis))
     for combo in combos:
         if not any(combo):
             continue
-        cand = [
-            sum(c * bvec[i] for c, (bvec, _) in zip(combo, basis)) % p
-            for i in range(r * r)
-        ]
-        if cokernel_mod(_unvec(cand, r), p, 1) == ():
-            return IntertwinerResult("witness", lift_and_verify(combo))
+        rows = _unvec([sum(map(mul, combo, col)) % m for col in cols], r)
+        if cokernel_mod(rows, p, 1) == ():
+            D = PadicMatrix(p, M.precision, rows)
+            if B @ D != D @ M:
+                raise ArithmeticError("kernel lift failed to intertwine")
+            return IntertwinerResult("witness", D)
     return IntertwinerResult("none" if exhaustive else "undetermined")
 
 
@@ -453,21 +438,16 @@ def orbit_block_construct(
         seeds = [1 + p * k for k in range(1, p * s) if k % p][:s]
     if len(seeds) != s:
         raise ValueError("need one eigenvalue seed per orbit")
-    blocks_m = []
-    blocks_d = []
+    lams = []  # eigenvalue i·d + j is eta_i^(zeta^j)
     for seed in seeds:
         eta = PadicInt(p, precision, int(seed))
         if eta.residue % p != 1 or eta.residue == 1:
             raise ValueError("eigenvalue seeds must be principal units ≠ 1")
-        lams = [pow_one_unit(eta, zeta**j) for j in range(d)]
-        blocks_m.append(
-            PadicMatrix(p, precision, [[lams[i].residue if i == j else 0 for j in range(d)] for i in range(d)])
-        )
-        blocks_d.append(
-            PadicMatrix(p, precision, [[1 if j == (i + 1) % d else 0 for j in range(d)] for i in range(d)])
-        )
-    M = PadicMatrix.block_diag(blocks_m)
-    D = PadicMatrix.block_diag(blocks_d)
+        lams += [pow_one_unit(eta, zeta**j).residue for j in range(d)]
+    n = d * s
+    M = PadicMatrix(p, precision, [[lam if i == j else 0 for j in range(n)] for i, lam in enumerate(lams)])
+    # row i has its 1 at the next index of its own orbit, cyclically
+    D = PadicMatrix(p, precision, [[int(j == i - i % d + (i + 1) % d) for j in range(n)] for i in range(n)])
     if mat_pow_zeta(M, zeta) @ D != D @ M:
         raise ArithmeticError("orbit construction failed to intertwine")
     return M, D
@@ -520,13 +500,7 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
         )
     modulus = p**precision
     while True:
-        rows = [
-            [
-                (1 if i == j else 0) + p * rng.randrange(p ** (precision - 1))
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-        shift = [[rows[i][j] - (1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+        shift = [[p * rng.randrange(p ** (precision - 1)) for _ in range(dim)] for _ in range(dim)]
         if prod(cokernel_mod(shift, p, precision)) < modulus:
+            rows = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(shift)]
             return PadicMatrix(p, precision, rows)

@@ -7,9 +7,10 @@ exactly a submodule of (Z/p^N)^k, and every determinant test, since a
 square matrix without zero pivots has a cokernel of order p^(v_p det).
 Entries stay reduced mod p^N and never grow; nothing is computed over Z.
 All arithmetic is exact (Python integers).  The one other elimination,
-``linalg._rref_basis``, runs over the field F_p, where dividing by any
-nonzero entry is sound, and only makes the visible-kernel basis of the
-intertwiner equation canonical.
+``linalg._rref_basis``, reads its pivots and coefficients over the field
+F_p, where dividing by any nonzero entry is sound, and only makes the
+visible-kernel basis of the intertwiner equation canonical mod p; it
+keeps each vector once, mod p^N.
 
 Each pivot is an entry of least valuation in the active block, found
 from C-level gcds with p^N rather than from one valuation per entry.

@@ -75,7 +75,9 @@ def omega_layer_exponent(p: int, g, n: int):
     """v_p(Res(g, omega_n)) from the whole omega_n at once; None when the
     quotient Λ/(g, omega_n) is infinite.
 
-    It is infinite exactly when some Phi_{p^k}(1 + T), k <= n, divides g.
+    It is infinite exactly when some Phi_{p^k}(1 + T), k <= n, divides g;
+    only the factors of degree phi(p^k) <= deg g are built, since a monic
+    factor of larger degree cannot divide g.
     Otherwise (1 + T)^(p^n) is raised by squaring in (Z/p^K)[T]/(g),
     K = deg g·(n + 1) to start, 1 is subtracted, and the pivot valuations
     of the local-ring SNF of multiplication by the result are summed,
@@ -84,7 +86,11 @@ def omega_layer_exponent(p: int, g, n: int):
     from anticyclo.snf import smith_normal_form_mod_prime_power
 
     deg = len(g) - 1
-    if any(not any(poly_rem(g, cyclotomic_at_one_plus_t(p, k))) for k in range(n + 1)):
+    if any(
+        not any(poly_rem(g, cyclotomic_at_one_plus_t(p, k)))
+        for k in range(n + 1)
+        if k == 0 or (p - 1) * p ** (k - 1) <= deg
+    ):
         return None
     K = deg * (n + 1)
     while True:
@@ -561,10 +567,10 @@ def enumerate_intertwiner(M, zeta):
     p, r, m = M.p, M.dim, M.modulus
     basis = _kernel_space(M, mat_pow_zeta(M, zeta))
     for combo in product(range(p), repeat=len(basis)):
-        vec = [sum(c * bvec[i] for c, (bvec, _) in zip(combo, basis)) % p for i in range(r * r)]
+        vec = [sum(c * b[i] for c, b in zip(combo, basis)) % p for i in range(r * r)]
         # vectors are column-major: entry (i, j) sits at j*r + i
         if charpoly_by_expansion([[vec[j * r + i] for j in range(r)] for i in range(r)], p)[0]:
-            full = [sum(c * bfull[i] for c, (_, bfull) in zip(combo, basis)) % m for i in range(r * r)]
+            full = [sum(c * b[i] for c, b in zip(combo, basis)) % m for i in range(r * r)]
             return PadicMatrix(p, M.precision, [[full[j * r + i] for j in range(r)] for i in range(r)])
     return None
 

@@ -382,9 +382,10 @@ def test_intertwiner_agrees_with_enumeration_oracle(oracle_cases):
 
 
 @pytest.mark.parametrize("trials", [0, 1])
-def test_intertwiner_projective_scan_without_samples(trials, oracle_cases):
+def test_intertwiner_projective_scan_without_samples(trials, oracle_cases, monkeypatch):
+    monkeypatch.setattr(linalg, "SAMPLE_TRIALS", trials)
     for M, zeta, expected in oracle_cases:
-        result = intertwiner_solve(M, zeta, sample_trials=trials, seed=3)
+        result = intertwiner_solve(M, zeta, seed=3)
         assert result.status == ("none" if expected is None else "witness")
         if expected is None:
             continue
@@ -441,6 +442,27 @@ def test_no_visible_solution_is_sound(monkeypatch):
     assert statuses.count("witness") >= 10 and "none" in statuses
 
 
+def test_kernel_space_basis_contract():
+    # each basis vector is an intertwiner at precision, and the reductions
+    # mod p are the reduced echelon basis: increasing pivots, pivot entry
+    # 1, and zero in the other vectors' pivot columns
+    vectors = 0
+    for M, zeta in _path_cases(random.Random(19)):
+        p, r = M.p, M.dim
+        B = mat_pow_zeta(M, zeta)
+        basis = _kernel_space(M, B)
+        for vec in basis:
+            D = PadicMatrix(p, M.precision, [[vec[j * r + i] for j in range(r)] for i in range(r)])
+            assert B @ D == D @ M
+        reduced = [[x % p for x in vec] for vec in basis]
+        pivots = [next((i for i, x in enumerate(vec) if x), None) for vec in reduced]
+        assert None not in pivots and pivots == sorted(set(pivots))
+        for k, piv in enumerate(pivots):
+            assert [vec[piv] for vec in reduced] == [int(j == k) for j in range(len(basis))]
+        vectors += len(basis)
+    assert vectors >= 200
+
+
 def test_dense_fallback_cases(monkeypatch):
     rng = random.Random(23)
     shift = [[3 * 3 * rng.randrange(9) for _ in range(3)] for _ in range(3)]
@@ -474,7 +496,7 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     assert calls == []
 
 
-def test_intertwiner_samples_run_first_on_large_projective_counts():
+def test_intertwiner_samples_run_first_on_large_projective_counts(monkeypatch):
     # p=7, k=6: 19608 projective points exceed the 512 samples, so a
     # sampled witness is returned instead of the lexicographic one.
     zeta = teichmuller(3, 7, 8)
@@ -483,13 +505,15 @@ def test_intertwiner_samples_run_first_on_large_projective_counts():
     result = intertwiner_solve(M, zeta)
     assert result.status == "witness" and is_invertible(result.witness)
     assert mat_pow_zeta(M, zeta) @ result.witness == result.witness @ M
-    assert result.witness != intertwiner_solve(M, zeta, sample_trials=0).witness
+    monkeypatch.setattr(linalg, "SAMPLE_TRIALS", 0)
+    assert result.witness != intertwiner_solve(M, zeta).witness
 
 
-def test_intertwiner_above_gate_without_samples_is_undetermined():
+def test_intertwiner_above_gate_without_samples_is_undetermined(monkeypatch):
     M = PadicMatrix.identity(3, 3, 3)
     assert _kernel_dim(M, 1) == 9 > EXHAUSTIVE_KERNEL_DIM
-    assert intertwiner_solve(M, 1, sample_trials=0).status == "undetermined"
+    monkeypatch.setattr(linalg, "SAMPLE_TRIALS", 0)
+    assert intertwiner_solve(M, 1).status == "undetermined"
 
 
 def test_random_unipotent_matrix_needs_headroom():

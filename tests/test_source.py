@@ -104,3 +104,29 @@ def test_no_private_name_crosses_a_module():
             if alias.name.startswith("_") and not alias.name.endswith("__")
         ]
     assert found == []
+
+
+def test_every_parameter_is_read():
+    # A parameter the body never reads is a knob that does nothing, often
+    # left behind when the code that used it was deleted; ``self`` and
+    # ``cls`` are exempt.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [
+                f"{path.name}:{node.lineno} {arg.arg}"
+                for arg in params
+                if arg.arg not in read | {"self", "cls"}
+            ]
+    assert found == []
