@@ -14,14 +14,18 @@ The headline decision procedure is ``intertwiner_solve``: whether an
 and the 1-eigenspace of M vanishes at precision, the dimension of M is a
 multiple of the order of zeta (``rank_divisibility_check``).  Writing
 M = I + p·S and M^zeta = I + p·S', the solutions are the X with
-S'·X ≡ X·S mod p^(N-1).  Every column of a solution lies in the kernel
-of chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves
-no solution but 0 mod p (as when chi_S and chi_S' are coprime mod p,
-Sylvester, C. R. Acad. Sci. Paris 99, 1884).  Only when that kernel is
-visible mod p, or N = 1, is the dense r²×r² system of the equation
-solved.  Its solutions are kept once, mod p^N, as a basis whose
-reduction mod p is the canonical echelon basis; each combination of them
-is one candidate, tested for invertibility mod p and returned as it is.
+S'·X ≡ X·S mod p^(N-1), and S' ≡ zeta·S mod p.  Three stages decide it,
+each only when the one before is silent.  First, before M^zeta is
+computed: when S mod p and zeta·S mod p have disjoint spectra (their
+characteristic polynomials are coprime over F_p), no solution is
+nonzero mod p (Sylvester, C. R. Acad. Sci. Paris 99, 1884).  Second,
+every column of a solution lies in the kernel of chi_S(S') mod
+p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves no solution but
+0 mod p.  Third, when that kernel is visible mod p, or N = 1, the dense
+r²×r² system of the equation is solved.  Its solutions are kept once,
+mod p^N, as a basis whose reduction mod p is the canonical echelon
+basis; each combination of them is one candidate, tested for
+invertibility mod p and returned as it is.
 """
 
 from __future__ import annotations
@@ -230,13 +234,19 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
     Horner's rule over plain integer rows (``_poly_at``), and one
     PadicMatrix is built at the end.
     """
+    _require_zeta_power(M, zeta)
+    shift = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+    coeffs = [binom(zeta, k, p=M.p, precision=M.precision).residue for k in range(M.precision)]
+    return PadicMatrix(M.p, M.precision, _poly_at(coeffs, shift, M.modulus))
+
+
+def _require_zeta_power(M: PadicMatrix, zeta: PadicExponent) -> None:
+    """Raise ValueError unless M^zeta is defined: M ≡ I mod p, and a
+    p-adic zeta at M's (p, N)."""
     if not M.is_one_mod_p():
         raise ValueError("not a pro-p automorphism: matrix must be ≡ I mod p")
     if isinstance(zeta, PadicInt) and (zeta.p, zeta.precision) != (M.p, M.precision):
         raise ValueError("exponent and matrix have mixed p-adic parameters")
-    shift = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
-    coeffs = [binom(zeta, k, p=M.p, precision=M.precision).residue for k in range(M.precision)]
-    return PadicMatrix(M.p, M.precision, _poly_at(coeffs, shift, M.modulus))
 
 
 def _poly_at(coeffs, A, m):
@@ -327,6 +337,45 @@ def _kernel_space(M: PadicMatrix, B: PadicMatrix):
     return _rref_basis(unit_gens, M.p, M.modulus)
 
 
+def _coprime_mod_p(f, g, p: int) -> bool:
+    """Whether the polynomials f and g (ascending coefficients, not both
+    ≡ 0) have no common factor over F_p: Euclid's remainder sequence
+    ends in a nonzero constant."""
+
+    def trim(a):
+        a = [x % p for x in a]
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    f, g = trim(f), trim(g)
+    while g:
+        u = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c, k = f[-1] * u, len(f) - len(g)
+            f = trim([x - c * g[i - k] if i >= k else x for i, x in enumerate(f)])
+        f, g = g, f
+    return len(f) == 1
+
+
+def _spectra_disjoint_mod_p(M: PadicMatrix, zeta: PadicExponent) -> bool:
+    """True when S̄ and zeta·S̄ share no eigenvalue over the algebraic
+    closure of F_p, S̄ = (M - I)/p mod p.  Never true for N = 1, where
+    M = I and S̄ = 0.
+
+    For N >= 2, (M^zeta - I)/p = sum_(k>=1) C(zeta,k)·p^(k-1)·S^k ≡ zeta·S̄
+    mod p, so every solution X of M^zeta·X ≡ X·M mod p^N reduces to an X̄
+    with zeta·S̄·X̄ = X̄·S̄.  With f = chi_S̄, g_i = f_i·zeta^(r-i) is the
+    characteristic polynomial of zeta·S̄; gcd(f, g) = 1 means disjoint
+    spectra, hence X̄ = 0 (Sylvester), and conversely.
+    """
+    p = M.p
+    S = [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+    f = charpoly(PadicMatrix(p, 1, S)).coeffs
+    z = zeta.residue if isinstance(zeta, PadicInt) else zeta
+    return _coprime_mod_p(f, [c * pow(z, M.dim - i, p) for i, c in enumerate(f)], p)
+
+
 def _no_visible_solution(M: PadicMatrix, B: PadicMatrix) -> bool:
     """True when every solution of B·X ≡ X·M mod p^N is ≡ 0 mod p, read
     from one r×r system; False when its kernel is visible mod p, or N = 1.
@@ -353,11 +402,13 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     """Find an invertible D with M^zeta · D ≡ D · M mod p^N, if any.
 
     An invertible solution exists iff the reduction mod p of the solution
-    module, of dimension k, contains an invertible matrix.  That reduction
-    is 0 when the r×r kernel of chi_S(S') mod p^(N-1), S = (M-I)/p, is
-    ≡ 0 mod p (``_no_visible_solution``); otherwise it is read from the
-    dense r²×r² kernel of D -> M^zeta·D - D·M (``_kernel_space``), as
-    vectors mod p^N reducing to the canonical RREF basis mod p.  Each
+    module, of dimension k, contains an invertible matrix.  Three stages
+    read that reduction, in order.  It is 0 when S mod p and zeta·S mod p,
+    S = (M-I)/p, have disjoint spectra (``_spectra_disjoint_mod_p``, before
+    M^zeta is computed); it is 0 when the r×r kernel of chi_S(S') mod
+    p^(N-1) is ≡ 0 mod p (``_no_visible_solution``); otherwise it is read
+    from the dense r²×r² kernel of D -> M^zeta·D - D·M (``_kernel_space``),
+    as vectors mod p^N reducing to the canonical RREF basis mod p.  Each
     combo of them is one candidate, tested for invertibility mod p and
     returned as it is.  Scaling by a unit keeps invertibility, so only the
     (p^k - 1)/(p - 1) combos whose first nonzero coordinate is 1 need a
@@ -373,6 +424,9 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     returned only after a complete projective scan, and a sample-only
     search that finds nothing returns "undetermined".
     """
+    _require_zeta_power(M, zeta)
+    if _spectra_disjoint_mod_p(M, zeta):
+        return IntertwinerResult("none")
     B = mat_pow_zeta(M, zeta)
     r = M.dim
     p = M.p

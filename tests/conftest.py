@@ -575,6 +575,22 @@ def enumerate_intertwiner(M, zeta):
     return None
 
 
+def sylvester_solutions_mod_p(S, z: int, p: int):
+    """Every X over F_p with z·S·X = X·S, by trying all p^(r²) matrices;
+    keep p^(r²) small."""
+    r = len(S)
+
+    def mul(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(r)) % p for j in range(r)] for i in range(r)]
+
+    solutions = []
+    for entries in product(range(p), repeat=r * r):
+        X = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
+        if [[z * x % p for x in row] for row in mul(S, X)] == mul(X, S):
+            solutions.append(X)
+    return solutions
+
+
 # -- T-multiplicity by scanning every coordinate subset -------------------
 
 def _acyclic_support(shift_rows, indices) -> bool:

@@ -10,6 +10,7 @@ from anticyclo.linalg import (
     PadicMatrix,
     _kernel_space,
     _no_visible_solution,
+    _spectra_disjoint_mod_p,
     charpoly,
     intertwiner_solve,
     mat_pow_zeta,
@@ -30,6 +31,7 @@ from conftest import (
     mat_pow_zeta_by_series,
     matrix_power,
     padic_det,
+    sylvester_solutions_mod_p,
 )
 
 
@@ -437,9 +439,59 @@ def test_no_visible_solution_is_sound(monkeypatch):
             certified += 1
             assert _kernel_space(M, B) == []
     monkeypatch.setattr(linalg, "_no_visible_solution", lambda M, B: False)
+    monkeypatch.setattr(linalg, "_spectra_disjoint_mod_p", lambda M, zeta: False)
     assert statuses == [intertwiner_solve(M, zeta, seed=1).status for M, zeta in cases]
     assert (certified, len(cases)) == (30, 111)
     assert statuses.count("witness") >= 10 and "none" in statuses
+
+
+def test_spectra_test_is_sound():
+    # whenever S̄ and zeta·S̄ have disjoint spectra, the r×r certificate
+    # holds and the dense system sees no solution mod p
+    fired = 0
+    cases = list(_path_cases(random.Random(17)))
+    for M, zeta in cases:
+        if _spectra_disjoint_mod_p(M, zeta):
+            fired += 1
+            assert zeta != 1
+            B = mat_pow_zeta(M, zeta)
+            assert _no_visible_solution(M, B) and _kernel_space(M, B) == []
+    assert (fired, len(cases)) == (23, 111)
+    for p, generator in ((3, 2), (5, 2), (7, 3)):
+        for zeta in (-1, teichmuller(generator, p, 1)):
+            assert not _spectra_disjoint_mod_p(PadicMatrix.identity(p, 1, 2), zeta)
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_spectra_test_matches_the_mod_p_oracle(z):
+    # every S̄ in M_r(F_3), r <= 2: the test fires exactly when X̄ = 0 is
+    # the only solution of z·S̄·X̄ = X̄·S̄
+    p = 3
+    fired = 0
+    for r in (1, 2):
+        for entries in product(range(p), repeat=r * r):
+            S = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
+            M = PadicMatrix.identity(p, 3, r) + PadicMatrix(p, 3, S).scale(p)
+            only_zero = len(sylvester_solutions_mod_p(S, z, p)) == 1
+            assert _spectra_disjoint_mod_p(M, z) == only_zero
+            fired += only_zero
+    assert fired == (0 if z == 1 else 32)
+
+
+def test_intertwiner_guards_run_before_the_spectra_test():
+    # S̄ = [[1, 1], [0, 1]] mod 5 passes the mod-p test at zeta ≡ -1, yet
+    # a matrix ≢ I mod p and a zeta at another precision are refused
+    p, N = 5, 4
+    S = PadicMatrix(p, N, [[1, 1], [0, 1]]).scale(p)
+    M = PadicMatrix.identity(p, N, 2) + S
+    not_pro_p = M + PadicMatrix(p, N, [[0, 1], [0, 0]])
+    assert _spectra_disjoint_mod_p(not_pro_p, -1)
+    with pytest.raises(ValueError, match="pro-p"):
+        intertwiner_solve(not_pro_p, -1)
+    zeta = teichmuller(4, p, N - 1)
+    assert _spectra_disjoint_mod_p(M, zeta)
+    with pytest.raises(ValueError, match="mixed p-adic parameters"):
+        intertwiner_solve(M, zeta)
 
 
 def test_kernel_space_basis_contract():
@@ -484,16 +536,20 @@ def test_dense_fallback_cases(monkeypatch):
 def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     # S = [[1, 1], [0, 1]] mod 5 has eigenvalue 1 and zeta·S eigenvalue -1,
     # so chi_S(zeta·S) is invertible mod p and no nonzero X solves the
-    # equation (Sylvester); the r×r certificate decides "none".
+    # equation (Sylvester); the mod-p spectra test decides "none" before
+    # M^zeta is computed.
     p, N = 5, 4
     S = [[1, 1], [0, 1]]
     M = PadicMatrix.identity(p, N, 2) + PadicMatrix(p, N, S).scale(p)
     minus_S = PadicMatrix(p, 1, S).scale(-1)
     assert cokernel_mod(evaluate_charpoly(charpoly(PadicMatrix(p, 1, S)), minus_S).rows, p, 1) == ()
-    calls = _count_dense_calls(monkeypatch)
+    assert _spectra_disjoint_mod_p(M, -1)
     assert _no_visible_solution(M, mat_pow_zeta(M, -1))
+    calls = _count_dense_calls(monkeypatch)
+    powers = []
+    monkeypatch.setattr(linalg, "mat_pow_zeta", lambda M, zeta: powers.append(M) or mat_pow_zeta(M, zeta))
     assert intertwiner_solve(M, -1).status == "none"
-    assert calls == []
+    assert calls == [] and powers == []
 
 
 def test_intertwiner_samples_run_first_on_large_projective_counts(monkeypatch):
