@@ -8,18 +8,25 @@ Tate groups, and minus-parts of involutions are then submodules and
 subquotients of (Z/p^E)^k, and everything reduces to the local-ring
 Smith normal form mod p^E on k columns.  No number-field data appears
 anywhere: class groups enter as plain invariant-factor lists.
+
+The norm 1 + T + ... + T^(m-1) is built on packed rows (Kronecker
+substitution): each row of T is one integer with w-bit digits,
+w = bit_length(m·k·q_1²), so a row of power·T is one C-level sum and
+the norm sum stays packed until the end.  Each step reduces the power
+mod the q_i, which keeps the digits below k·q_1² and the cost linear
+in m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
-from operator import mul
+from operator import add, lshift, mul
 from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
 from .padic import is_odd_prime, valuation
-from .snf import cokernel_mod, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
+from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
 
 
 def _p_power_exponent(q: int, p: int) -> int:
@@ -106,12 +113,8 @@ class FinitePModule:
         return acc
 
     def _is_identity(self, rows):
-        k = len(self.invariant_factors)
-        return all(
-            (rows[i][j] - (1 if i == j else 0)) % self.invariant_factors[i] == 0
-            for i in range(k)
-            for j in range(k)
-        )
+        # every factor is at least p > 1, so the identity is already reduced
+        return self._reduce(rows) == identity_matrix(len(self.invariant_factors))
 
     @property
     def exponent(self) -> int:
@@ -213,9 +216,15 @@ def _shift_matrix(module: FinitePModule, name: str):
 def _norm_matrix(module: FinitePModule, name: str, m: int | None):
     """1 + T + ... + T^(m-1); the loop ends on T^m, which must be 1.
 
-    m defaults to the order the module declares for T.  m - 1 products
-    power·T, each row reduced mod its q_i inside the product, with T's
-    columns read once; the sum is reduced once at the end.  The T^m = 1
+    m defaults to the order the module declares for T.  Each row of T is
+    packed into one integer, entry j in the w-bit digit j (Kronecker
+    substitution), so row i of power·T is one C-level sum of the packed
+    rows of T scaled by the entries of row i of power.  Entries lie in
+    [0, q_i), so a digit of a product row is below k·q_1² and a digit of
+    the norm sum, kept packed over the m - 1 steps and unpacked once, is
+    below m·k·q_1² < 2^w: no digit carries into the next.  Each step
+    unpacks the product row and reduces it mod q_i, so the scalars of the
+    next step stay below q_1 and the cost stays linear in m.  The T^m = 1
     check runs on every call, whatever order the module declares.
     """
     if m is None:
@@ -225,17 +234,20 @@ def _norm_matrix(module: FinitePModule, name: str, m: int | None):
     if m < 1:
         raise ValueError(f"order of {name!r} must be positive, got {m}")
     T = module.action(name)
-    k = len(T)
     factors = module.invariant_factors
-    cols = list(zip(*T))
-    acc = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    power = T
+    w = (m * len(T) * factors[0] ** 2).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, w * len(T), w)
+    packed = [sum(map(lshift, row, shifts)) for row in T]
+    acc = [1 << s for s in shifts]
+    rows, power = packed, T
     for _ in range(m - 1):
-        acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)]
-        power = [[sum(map(mul, row, col)) % q for col in cols] for row, q in zip(power, factors)]
+        acc = list(map(add, acc, rows))
+        rows = [sum(map(mul, row, packed)) for row in power]
+        power = [[(x >> s & mask) % q for s in shifts] for x, q in zip(rows, factors)]
     if not module._is_identity(power):
         raise ValueError(f"action {name!r} does not satisfy {name}^{m} = identity")
-    return module._reduce(acc)
+    return [[(x >> s & mask) % q for s in shifts] for x, q in zip(acc, factors)]
 
 
 def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:

@@ -21,11 +21,13 @@ characteristic polynomials are coprime over F_p), no solution is
 nonzero mod p (Sylvester, C. R. Acad. Sci. Paris 99, 1884).  Second,
 every column of a solution lies in the kernel of chi_S(S') mod
 p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves no solution but
-0 mod p.  Third, when that kernel is visible mod p, or N = 1, the dense
-r²×r² system of the equation is solved.  Its solutions are kept once,
-mod p^N, as a basis whose reduction mod p is the canonical echelon
-basis; each combination of them is one candidate, tested for
-invertibility mod p and returned as it is.
+0 mod p.  Both read one chi_S mod p^(N-1), the first through its
+reduction mod p, so each solve runs Berkowitz once.  Third, when that
+kernel is visible mod p, or N = 1, the dense r²×r² system of the
+equation is solved.  Its solutions are kept once, mod p^N, as a basis
+whose reduction mod p is the canonical echelon basis; each combination
+of them is one candidate, tested for invertibility mod p and returned
+as it is.
 """
 
 from __future__ import annotations
@@ -358,10 +360,21 @@ def _coprime_mod_p(f, g, p: int) -> bool:
     return len(f) == 1
 
 
-def _spectra_disjoint_mod_p(M: PadicMatrix, zeta: PadicExponent) -> bool:
+def _shift_over_p(A: PadicMatrix):
+    """(A - I)/p as integer rows, for A ≡ I mod p."""
+    return [[(x - (i == j)) // A.p for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
+
+
+def _shift_charpoly(M: PadicMatrix):
+    """Coefficients of chi_S mod p^(N-1), S = (M - I)/p, for N >= 2: the
+    one Berkowitz run that both tests of ``intertwiner_solve`` read."""
+    return charpoly(PadicMatrix(M.p, M.precision - 1, _shift_over_p(M))).coeffs
+
+
+def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
     """True when S̄ and zeta·S̄ share no eigenvalue over the algebraic
-    closure of F_p, S̄ = (M - I)/p mod p.  Never true for N = 1, where
-    M = I and S̄ = 0.
+    closure of F_p, S̄ = (M - I)/p mod p, given chi = chi_S mod p^(N-1)
+    for N >= 2 (``_shift_charpoly``); its reduction mod p is chi_S̄.
 
     For N >= 2, (M^zeta - I)/p = sum_(k>=1) C(zeta,k)·p^(k-1)·S^k ≡ zeta·S̄
     mod p, so every solution X of M^zeta·X ≡ X·M mod p^N reduces to an X̄
@@ -369,16 +382,15 @@ def _spectra_disjoint_mod_p(M: PadicMatrix, zeta: PadicExponent) -> bool:
     characteristic polynomial of zeta·S̄; gcd(f, g) = 1 means disjoint
     spectra, hence X̄ = 0 (Sylvester), and conversely.
     """
-    p = M.p
-    S = [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
-    f = charpoly(PadicMatrix(p, 1, S)).coeffs
     z = zeta.residue if isinstance(zeta, PadicInt) else zeta
-    return _coprime_mod_p(f, [c * pow(z, M.dim - i, p) for i, c in enumerate(f)], p)
+    r = len(chi) - 1
+    return _coprime_mod_p(chi, [c * pow(z, r - i, p) for i, c in enumerate(chi)], p)
 
 
-def _no_visible_solution(M: PadicMatrix, B: PadicMatrix) -> bool:
-    """True when every solution of B·X ≡ X·M mod p^N is ≡ 0 mod p, read
-    from one r×r system; False when its kernel is visible mod p, or N = 1.
+def _no_visible_solution(chi, B: PadicMatrix) -> bool:
+    """True when every solution of B·X ≡ X·M mod p^N, N >= 2, is ≡ 0 mod
+    p, read from one r×r system, given chi = chi_S mod p^(N-1)
+    (``_shift_charpoly``); False when its kernel is visible mod p.
 
     With M = I + p·S and B = I + p·S', B·X ≡ X·M mod p^N iff
     S'·X ≡ X·S mod p^(N-1).  Then chi_S(S')·X = X·chi_S(S) = 0, so every
@@ -386,16 +398,9 @@ def _no_visible_solution(M: PadicMatrix, B: PadicMatrix) -> bool:
     That kernel is ≡ 0 mod p exactly when the local SNF of chi_S(S') has
     no zero pivot, i.e. no cokernel factor p^(N-1).
     """
-    p, N = M.p, M.precision
-    if N == 1:
-        return False
+    p, N = B.p, B.precision
     m1 = p ** (N - 1)
-    S, S2 = (
-        [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
-        for A in (M, B)
-    )
-    chi = charpoly(PadicMatrix(p, N - 1, S)).coeffs
-    return m1 not in cokernel_mod(_poly_at(chi, S2, m1), p, N - 1)
+    return m1 not in cokernel_mod(_poly_at(chi, _shift_over_p(B), m1), p, N - 1)
 
 
 def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> IntertwinerResult:
@@ -403,10 +408,12 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
 
     An invertible solution exists iff the reduction mod p of the solution
     module, of dimension k, contains an invertible matrix.  Three stages
-    read that reduction, in order.  It is 0 when S mod p and zeta·S mod p,
-    S = (M-I)/p, have disjoint spectra (``_spectra_disjoint_mod_p``, before
-    M^zeta is computed); it is 0 when the r×r kernel of chi_S(S') mod
-    p^(N-1) is ≡ 0 mod p (``_no_visible_solution``); otherwise it is read
+    read that reduction, in order, and for N >= 2 the first two share one
+    chi_S mod p^(N-1) (``_shift_charpoly``).  It is 0 when S mod p and
+    zeta·S mod p, S = (M-I)/p, have disjoint spectra
+    (``_spectra_disjoint_mod_p``, before M^zeta is computed); it is 0 when
+    the r×r kernel of chi_S(S') mod p^(N-1) is ≡ 0 mod p
+    (``_no_visible_solution``); otherwise, and always for N = 1, it is read
     from the dense r²×r² kernel of D -> M^zeta·D - D·M (``_kernel_space``),
     as vectors mod p^N reducing to the canonical RREF basis mod p.  Each
     combo of them is one candidate, tested for invertibility mod p and
@@ -425,12 +432,14 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     search that finds nothing returns "undetermined".
     """
     _require_zeta_power(M, zeta)
-    if _spectra_disjoint_mod_p(M, zeta):
-        return IntertwinerResult("none")
-    B = mat_pow_zeta(M, zeta)
     r = M.dim
     p = M.p
-    basis = [] if _no_visible_solution(M, B) else _kernel_space(M, B)
+    # N = 1: M = I, neither test can fire, and the dense system decides
+    chi = _shift_charpoly(M) if M.precision > 1 else None
+    if chi and _spectra_disjoint_mod_p(chi, zeta, p):
+        return IntertwinerResult("none")
+    B = mat_pow_zeta(M, zeta)
+    basis = [] if chi and _no_visible_solution(chi, B) else _kernel_space(M, B)
     dim = len(basis)
     if dim == 0:
         return IntertwinerResult("none")

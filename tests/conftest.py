@@ -260,6 +260,27 @@ def evaluate_charpoly(chi, M):
     return acc
 
 
+# -- Tate norm by repeated products ------------------------------------
+
+def norm_matrix_by_repeated_products(module, name, m):
+    """1 + T + ... + T^(m-1) by m - 1 dense products power·T, each row
+    reduced mod its q_i after every product; raises unless T^m = 1."""
+    T = module.action(name)
+    factors = module.invariant_factors
+    k = len(T)
+    acc = [[int(i == j) for j in range(k)] for i in range(k)]
+    power = T
+    for _ in range(m - 1):
+        acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)]
+        power = [
+            [sum(power[i][l] * T[l][j] for l in range(k)) % factors[i] for j in range(k)]
+            for i in range(k)
+        ]
+    if any((power[i][j] - (i == j)) % factors[i] for i in range(k) for j in range(k)):
+        raise ValueError(f"{name}^{m} is not the identity")
+    return [[x % q for x in row] for row, q in zip(acc, factors)]
+
+
 # -- Tate groups through the relation lattice ---------------------------
 
 def relation_columns(factors):

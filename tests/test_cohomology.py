@@ -6,6 +6,7 @@ import pytest
 from anticyclo.cohomology import (
     FinitePModule,
     _image_gens,
+    _norm_matrix,
     _subquotient,
     fixed_points,
     herbrand_check,
@@ -22,6 +23,7 @@ from conftest import (
     add_elements,
     all_elements,
     apply_rows,
+    norm_matrix_by_repeated_products,
     quotient_structure,
     subgroup_closure,
     subquotient_by_full_elimination,
@@ -459,6 +461,53 @@ def test_tate_groups_match_relation_lattice_oracle():
         assert herbrand_check(module, "tau") == expected["herbrand_check"] is True
         nontrivial_h0 += expected["tate_h0"] != ()
     assert nontrivial_h0 >= 8
+
+
+def _assert_norm_matches_repeated_products(module, m):
+    expected = norm_matrix_by_repeated_products(module, "tau", m)
+    assert _norm_matrix(module, "tau", m) == expected
+
+
+def _assert_norm_rejects(module, m):
+    with pytest.raises(ValueError):
+        norm_matrix_by_repeated_products(module, "tau", m)
+    with pytest.raises(ValueError, match="does not satisfy"):
+        _norm_matrix(module, "tau", m)
+
+
+def test_norm_matrix_matches_repeated_products():
+    # the packed norm against m - 1 reduced dense products: random actions
+    # of order up to 199, conjugated modules with k up to 16 at m = 1, p,
+    # p^2, p^3, and T = -I, whose entries q_i - 1 are the largest, at even m
+    rng = random.Random(29)
+    orders = set()
+    for case in range(60):
+        p = (3, 5, 7)[case % 3]
+        module, order = _random_module_with_cyclic_action(rng, p, 6, distinct=case % 2 == 1)
+        orders.add(order)
+        for m in (order, 2 * order):
+            _assert_norm_matches_repeated_products(module, m)
+        if order > 1:
+            _assert_norm_rejects(module, order + 1)
+    assert max(orders) >= 50
+    sizes = set()
+    for case in range(6):
+        p = (3, 5)[case % 2]
+        module = _block_module(rng, p)
+        sizes.add(len(module.invariant_factors))
+        _assert_norm_rejects(module, 1)
+        for m in (p, p**2, p**3):
+            _assert_norm_matches_repeated_products(module, m)
+    assert max(sizes) >= 14
+    for p, factors in ((3, (3**9,)), (5, (5**7,) * 3), (7, (7**5, 7**5, 7**3)), (3, (3**6,) * 16)):
+        k = len(factors)
+        minus = FinitePModule(p, factors, actions={"tau": [[-int(i == j) for j in range(k)] for i in range(k)]})
+        identity = FinitePModule(p, factors, actions={"tau": [[int(i == j) for j in range(k)] for i in range(k)]})
+        for m in (2, 2 * p, 2 * p**3, 2 * p**4):
+            _assert_norm_matches_repeated_products(minus, m)
+            assert _norm_matrix(minus, "tau", m) == [[0] * k] * k
+        _assert_norm_rejects(minus, 2 * p + 1)
+        _assert_norm_matches_repeated_products(identity, 1)
 
 
 def test_minus_part_sizes_multiply():

@@ -10,6 +10,7 @@ from anticyclo.linalg import (
     PadicMatrix,
     _kernel_space,
     _no_visible_solution,
+    _shift_charpoly,
     _spectra_disjoint_mod_p,
     charpoly,
     intertwiner_solve,
@@ -435,14 +436,29 @@ def test_no_visible_solution_is_sound(monkeypatch):
     for M, zeta in cases:
         B = mat_pow_zeta(M, zeta)
         statuses.append(intertwiner_solve(M, zeta, seed=1).status)
-        if _no_visible_solution(M, B):
+        if _no_visible_solution(_shift_charpoly(M), B):
             certified += 1
             assert _kernel_space(M, B) == []
-    monkeypatch.setattr(linalg, "_no_visible_solution", lambda M, B: False)
-    monkeypatch.setattr(linalg, "_spectra_disjoint_mod_p", lambda M, zeta: False)
+    monkeypatch.setattr(linalg, "_no_visible_solution", lambda chi, B: False)
+    monkeypatch.setattr(linalg, "_spectra_disjoint_mod_p", lambda chi, zeta, p: False)
     assert statuses == [intertwiner_solve(M, zeta, seed=1).status for M, zeta in cases]
     assert (certified, len(cases)) == (30, 111)
     assert statuses.count("witness") >= 10 and "none" in statuses
+
+
+def test_intertwiner_runs_berkowitz_once(monkeypatch):
+    # both tests read one chi_S mod p^(N-1); N = 1 computes none and goes
+    # straight to the dense system
+    runs = []
+    monkeypatch.setattr(linalg, "charpoly", lambda M: runs.append(M.precision) or charpoly(M))
+    for M, zeta in _path_cases(random.Random(17)):
+        runs.clear()
+        intertwiner_solve(M, zeta, seed=1)
+        assert runs == [M.precision - 1]
+    calls = _count_dense_calls(monkeypatch)
+    runs.clear()
+    assert intertwiner_solve(PadicMatrix.identity(5, 1, 2), -1).status == "witness"
+    assert runs == [] and len(calls) == 1
 
 
 def test_spectra_test_is_sound():
@@ -451,15 +467,18 @@ def test_spectra_test_is_sound():
     fired = 0
     cases = list(_path_cases(random.Random(17)))
     for M, zeta in cases:
-        if _spectra_disjoint_mod_p(M, zeta):
+        chi = _shift_charpoly(M)
+        if _spectra_disjoint_mod_p(chi, zeta, M.p):
             fired += 1
             assert zeta != 1
             B = mat_pow_zeta(M, zeta)
-            assert _no_visible_solution(M, B) and _kernel_space(M, B) == []
+            assert _no_visible_solution(chi, B) and _kernel_space(M, B) == []
     assert (fired, len(cases)) == (23, 111)
+    # at N = 1, M = I: S̄ = 0, chi_S̄ = T^2 and the test cannot fire
     for p, generator in ((3, 2), (5, 2), (7, 3)):
+        chi = charpoly(PadicMatrix(p, 1, [[0, 0], [0, 0]])).coeffs
         for zeta in (-1, teichmuller(generator, p, 1)):
-            assert not _spectra_disjoint_mod_p(PadicMatrix.identity(p, 1, 2), zeta)
+            assert not _spectra_disjoint_mod_p(chi, zeta, p)
 
 
 @pytest.mark.parametrize("z", [-1, 1])
@@ -473,7 +492,7 @@ def test_spectra_test_matches_the_mod_p_oracle(z):
             S = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
             M = PadicMatrix.identity(p, 3, r) + PadicMatrix(p, 3, S).scale(p)
             only_zero = len(sylvester_solutions_mod_p(S, z, p)) == 1
-            assert _spectra_disjoint_mod_p(M, z) == only_zero
+            assert _spectra_disjoint_mod_p(_shift_charpoly(M), z, p) == only_zero
             fired += only_zero
     assert fired == (0 if z == 1 else 32)
 
@@ -485,11 +504,11 @@ def test_intertwiner_guards_run_before_the_spectra_test():
     S = PadicMatrix(p, N, [[1, 1], [0, 1]]).scale(p)
     M = PadicMatrix.identity(p, N, 2) + S
     not_pro_p = M + PadicMatrix(p, N, [[0, 1], [0, 0]])
-    assert _spectra_disjoint_mod_p(not_pro_p, -1)
+    assert _spectra_disjoint_mod_p(_shift_charpoly(not_pro_p), -1, p)
     with pytest.raises(ValueError, match="pro-p"):
         intertwiner_solve(not_pro_p, -1)
     zeta = teichmuller(4, p, N - 1)
-    assert _spectra_disjoint_mod_p(M, zeta)
+    assert _spectra_disjoint_mod_p(_shift_charpoly(M), zeta, p)
     with pytest.raises(ValueError, match="mixed p-adic parameters"):
         intertwiner_solve(M, zeta)
 
@@ -543,8 +562,8 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     M = PadicMatrix.identity(p, N, 2) + PadicMatrix(p, N, S).scale(p)
     minus_S = PadicMatrix(p, 1, S).scale(-1)
     assert cokernel_mod(evaluate_charpoly(charpoly(PadicMatrix(p, 1, S)), minus_S).rows, p, 1) == ()
-    assert _spectra_disjoint_mod_p(M, -1)
-    assert _no_visible_solution(M, mat_pow_zeta(M, -1))
+    assert _spectra_disjoint_mod_p(_shift_charpoly(M), -1, p)
+    assert _no_visible_solution(_shift_charpoly(M), mat_pow_zeta(M, -1))
     calls = _count_dense_calls(monkeypatch)
     powers = []
     monkeypatch.setattr(linalg, "mat_pow_zeta", lambda M, zeta: powers.append(M) or mat_pow_zeta(M, zeta))
