@@ -5,7 +5,7 @@ ever silently coerced, so a run either proves a congruence or fails
 loudly.
 """
 
-from anticyclo import PadicInt, binom, inv, pow_one_unit, teichmuller, val
+from anticyclo import PadicInt, PadicMatrix, binom, inv, mat_pow_zeta, pow_one_unit, teichmuller, val
 
 p, N = 3, 3
 print(f"working in Z/{p}^{N} = Z/{p**N}")
@@ -23,12 +23,13 @@ for a in range(1, 5):
     z = teichmuller(a, 5, 2)
     print(f"teichmuller({a}) mod 25 = {z.residue:2d},  check {z.residue}^4 mod 25 = {pow(z.residue, 4, 25)}")
 
-# principal units support p-adic exponents through the binomial series
+# principal units take p-adic exponents: mod p^N, u^zeta depends only on
+# zeta mod p^(N-1), so pow_one_unit is one modular power, and the binomial
+# series of mat_pow_zeta on the 1x1 matrix [u] gives the same value
 zeta = teichmuller(2, 5, 2)
 base = PadicInt(5, 2, 6)
-series = pow_one_unit(base, zeta)
-direct = pow(6, zeta.residue, 25)
-print(f"\n6^zeta mod 25 via the series: {series.residue}; via integer power at the representative: {direct}")
+series = mat_pow_zeta(PadicMatrix(5, 2, [[6]]), zeta).rows[0][0]
+print(f"\n6^zeta mod 25 by pow_one_unit: {pow_one_unit(base, zeta).residue}; via the binomial series: {series}")
 
 # the congruence that drives the automorphism obstruction:
 # (1 + p^u)^r = 1 + r p^u mod p^(u+1)

@@ -25,22 +25,18 @@ from operator import add, lshift, mul
 from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
-from .padic import is_odd_prime, valuation
+from .padic import is_odd_prime, p_power_exponents
 from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
-
-
-def _p_power_exponent(q: int, p: int) -> int:
-    e = valuation(q, p)
-    if q != p**e:
-        raise ValueError(f"invariant factor is not a power of {p}")
-    return e
 
 
 @dataclass(frozen=True)
 class FinitePModule:
     """Finite abelian p-group ⊕ Z/q_i with named endomorphism actions.
 
-    invariant_factors: p-powers in descending order (empty = trivial group).
+    invariant_factors: p-powers in descending order (empty = trivial group),
+    checked by ``padic.p_power_exponents``; ``exponent`` is E with p^E
+    the largest factor (0 for the trivial group), and D = diag(p^E/q_i)
+    embeds the module in (Z/p^E)^k.
     actions: name -> k×k integer matrix; column j lists the coordinates of
     the image of generator j.  Every action matrix must be compatible with
     the factors, and any declared order is verified at construction;
@@ -51,18 +47,14 @@ class FinitePModule:
     invariant_factors: tuple[int, ...]
     actions: dict = field(default_factory=dict)
     orders: dict = field(default_factory=dict)
+    exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         factors = tuple(int(q) for q in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
-        for q in factors:
-            if q < self.p:
-                raise ValueError(f"invariant factor {q} is not a nontrivial power of {self.p}")
-            _p_power_exponent(q, self.p)
-        if any(factors[i] < factors[i + 1] for i in range(len(factors) - 1)):
-            raise ValueError("invariant factors must be in descending order")
+        object.__setattr__(self, "exponent", max(p_power_exponents(factors, self.p), default=0))
         k = len(factors)
         normalized = {}
         for name, matrix in self.actions.items():
@@ -115,16 +107,6 @@ class FinitePModule:
     def _is_identity(self, rows):
         # every factor is at least p > 1, so the identity is already reduced
         return self._reduce(rows) == identity_matrix(len(self.invariant_factors))
-
-    @property
-    def exponent(self) -> int:
-        """E with p^E the largest invariant factor (0 for the trivial group).
-
-        D = diag(p^E/q_i) embeds the module in (Z/p^E)^k.
-        """
-        if not self.invariant_factors:
-            return 0
-        return _p_power_exponent(self.invariant_factors[0], self.p)
 
     def action(self, name: str):
         if name not in self.actions:
@@ -337,8 +319,7 @@ def theorem2_cyclic_obstruction(module: FinitePModule, action: str = "tau") -> O
     """
     if len(module.invariant_factors) != 1:
         raise ValueError("hypothesis requires cyclic A1 (exactly one invariant factor)")
-    q = module.invariant_factors[0]
-    e = _p_power_exponent(q, module.p)
+    q, e = module.invariant_factors[0], module.exponent
     if e < 2:
         raise ValueError("cyclic A1 must have order at least p^2 to carry a nontrivial action")
     t = module.action(action)[0][0]

@@ -34,7 +34,7 @@ from .linalg import (
     orbit_block_construct,
     zeta_order,
 )
-from .padic import PadicExponent, is_odd_prime, teichmuller, valuation
+from .padic import PadicExponent, PadicInt, is_odd_prime, teichmuller, valuation
 from .snf import cokernel_mod, smith_normal_form_mod_prime_power
 
 
@@ -256,8 +256,9 @@ def validate_gamma_model(model: GammaModel) -> None:
 
 
 def default_zeta(p: int, precision: int, d: int) -> PadicExponent:
-    """A canonical exponent of exact order d: -1 for d = 2, else a
-    Teichmuller lift of the smallest residue of order d."""
+    """A canonical exponent of exact order d: -1 for d = 2, else the
+    Teichmuller lift of the least residue of order d.  Orders are read
+    mod p, and only the chosen residue is lifted to precision N."""
     if d == 1:
         return 1
     if d == 2:
@@ -265,9 +266,8 @@ def default_zeta(p: int, precision: int, d: int) -> PadicExponent:
     if (p - 1) % d != 0:
         raise ValueError(f"no exponent of order {d} exists for p = {p}")
     for a in range(2, p):
-        zeta = teichmuller(a, p, precision)
-        if zeta_order(zeta, p) == d:
-            return zeta
+        if zeta_order(PadicInt(p, 1, a), p) == d:
+            return teichmuller(a, p, precision)
     raise ValueError(f"no residue of order {d} mod {p}")  # unreachable for d | p-1
 
 

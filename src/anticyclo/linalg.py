@@ -39,7 +39,7 @@ from random import Random
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
-from .padic import PadicExponent, PadicInt, binom, pow_one_unit
+from .padic import PadicExponent, PadicInt, binom, pow_one_unit, require_parameters
 from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
@@ -62,6 +62,7 @@ class PadicMatrix:
         r = len(rows)
         if r == 0 or any(len(row) != r for row in rows):
             raise ValueError("matrix must be square and non-empty")
+        require_parameters(p, precision)
         self.p = p
         self.precision = precision
         self.modulus = p**precision
@@ -69,8 +70,6 @@ class PadicMatrix:
         self.rows = tuple(
             tuple(int(x) % self.modulus for x in row) for row in rows
         )
-        # Constructing one entry validates (p, precision) once.
-        PadicInt(p, precision, self.rows[0][0])
 
     @classmethod
     def identity(cls, p: int, precision: int, dim: int) -> "PadicMatrix":
@@ -554,8 +553,10 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
     Rejection-samples the p·(uniform) shift until the determinant of the
     shift survives mod p^N; deterministic given the Random instance.
     Every entry of M - I has valuation >= 1, so det(M - I) has valuation
-    >= dim and the requirement is only satisfiable when N > dim.
+    >= dim and the requirement is only satisfiable when N > dim.  (p, N)
+    is checked first, so no p < 3 reaches the sampling loop.
     """
+    require_parameters(p, precision)
     if precision <= dim:
         raise PrecisionError(
             f"raise precision: det(M - I) always vanishes mod p^{precision} "

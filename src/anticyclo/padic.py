@@ -46,6 +46,16 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def require_parameters(p: int, precision: int) -> None:
+    """Raise ValueError unless p is an odd prime and precision a positive
+    integer; every constructor of Z/p^N data calls this before any
+    arithmetic, so a bad p or N never reaches a modulus of 0 or 1."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if precision < 1:
+        raise ValueError(f"precision must be a positive integer, got {precision}")
+
+
 @dataclass(frozen=True)
 class PadicInt:
     """An element of Z_p known modulo p**precision."""
@@ -55,10 +65,7 @@ class PadicInt:
     residue: int
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.precision < 1:
-            raise ValueError(f"precision must be a positive integer, got {self.precision}")
+        require_parameters(self.p, self.precision)
         object.__setattr__(self, "residue", self.residue % self.p**self.precision)
 
     @property
@@ -146,6 +153,7 @@ def teichmuller(a: int, p: int, precision: int) -> PadicInt:
     Computed as a^(p^(N-1)) mod p^N: iterating x -> x^p contracts the
     unit group onto its torsion, and N-1 steps land exactly at precision N.
     """
+    require_parameters(p, precision)
     if a % p == 0:
         raise ValueError("no Teichmuller representative for residues divisible by p")
     modulus = p**precision
@@ -182,20 +190,30 @@ def binom(e: PadicExponent, k: int, *, p: int | None = None, precision: int | No
 def pow_one_unit(u: PadicInt, e: PadicExponent) -> PadicInt:
     """Raise a principal unit (u ≡ 1 mod p) to an integer or p-adic power.
 
-    Evaluates the binomial series sum_k C(e,k) (u-1)^k truncated at k = N
-    terms, which is exact mod p^N because val((u-1)^k) >= k.  For integer
-    exponents this agrees with repeated multiplication.
+    The principal units mod p^N form a group of order p^(N-1), so u^e
+    depends only on e mod p^(N-1) and one modular power of the residue of
+    e is exact; a negative integer e takes the inverse, u being a unit.
     """
     if u.residue % u.p != 1:
         raise ValueError("base must be a principal unit (≡ 1 mod p)")
     if isinstance(e, PadicInt):
         u._require_compatible(e)
-    modulus = u.modulus
-    x = (u.residue - 1) % modulus
-    acc = 0
-    xk = 1
-    for k in range(u.precision):
-        c = binom(e, k, p=u.p, precision=u.precision)
-        acc = (acc + c.residue * xk) % modulus
-        xk = (xk * x) % modulus
-    return PadicInt(u.p, u.precision, acc)
+    return PadicInt(u.p, u.precision, pow(u.residue, int(e), u.modulus))
+
+
+def p_power_exponents(factors, p: int) -> list[int]:
+    """The exponents e_i of a descending list of invariant factors p^(e_i).
+
+    Raises ValueError unless every factor is a power p^e with e >= 1 (so
+    0, 1 and negatives are refused) and the list is descending; p must
+    be an odd prime.
+    """
+    exponents = []
+    for q in factors:
+        e = valuation(q, p) if q >= p else 0
+        if e == 0 or q != p**e:
+            raise ValueError(f"invariant {q} is not a power of {p}")
+        exponents.append(e)
+    if exponents != sorted(exponents, reverse=True):
+        raise ValueError("invariants must be descending")
+    return exponents

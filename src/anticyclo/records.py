@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .iwasawa import fit_invariants
-from .padic import is_odd_prime, valuation
+from .padic import is_odd_prime, p_power_exponents
 
 FLAG_NAMES = (
     "p_nonsplit",
@@ -52,7 +52,7 @@ class ClassGroupRecord:
         return len(self.invariants) <= 1
 
     def size_exponent(self) -> int:
-        return sum(valuation(q, self.p) for q in self.invariants)
+        return sum(p_power_exponents(self.invariants, self.p))
 
 
 def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
@@ -76,18 +76,13 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
         if type(value) is not int:  # JSON integers only: no float, string or bool
             raise RecordParseError(f"line {line_number}: key {key!r} must hold JSON integers, got {json.dumps(value)}")
     try:
-        prime = is_odd_prime(p)
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if n < 0:
+            raise ValueError("layer index must be non-negative")
+        p_power_exponents(inv, p)
     except ValueError as exc:
         raise RecordParseError(f"line {line_number}: {exc}") from exc
-    if not prime:
-        raise RecordParseError(f"line {line_number}: p must be an odd prime, got {p}")
-    if n < 0:
-        raise RecordParseError(f"line {line_number}: layer index must be non-negative")
-    for q in inv:
-        if q < p or q != p ** valuation(q, p):
-            raise RecordParseError(f"line {line_number}: invariant {q} is not a power of {p}")
-    if any(inv[i] < inv[i + 1] for i in range(len(inv) - 1)):
-        raise RecordParseError(f"line {line_number}: invariants must be descending")
     flags_raw = raw.get("flags", {})
     if not isinstance(flags_raw, dict):
         raise RecordParseError(f"line {line_number}: flags must be an object")
@@ -166,7 +161,7 @@ def check_records(records) -> tuple[list[dict], bool]:
             checks.append(base | {"verdict": "contradiction", "reason": "conflicting sizes for one layer"})
             continue
         max_n = max(layers)
-        if set(layers) != set(range(max_n + 1)) or max_n < 3:
+        if len(layers) != max_n + 1 or min(layers) < 0 or max_n < 3:  # distinct integers: exactly 0..max_n
             checks.append(
                 base | {"verdict": "skipped", "reason": "need layers 0..n with n >= 3 to fit growth"}
             )

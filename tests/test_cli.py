@@ -3,12 +3,15 @@ import hashlib
 import io
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from anticyclo import cli
 from anticyclo.cli import main, parse_module_spec
 from anticyclo.padic import MILLER_RABIN_BOUND
 
@@ -128,6 +131,38 @@ def test_campaign_orbit_control_at_precision_floor():
     assert control["rank_check"] == "consistent"
 
 
+class BoundedRandom(random.Random):
+    """A Random that raises after a few draws, so a sampling loop that can
+    never accept fails the test instead of hanging it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        if self.draws > 100:
+            raise RuntimeError("sampling loop did not terminate")
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["lemma2-campaign", "--p", "1", "--zeta", "-1", "--r", "2", "--trials", "1"], "p must be an odd prime, got 1"),
+        (["lemma2-campaign", "--p", "0", "--zeta", "t2"], "p must be an odd prime, got 0"),
+        (["lemma2-campaign", "--p", "0", "--zeta", "-1"], "p must be an odd prime, got 0"),
+        (["--precision", "0", "lemma2-campaign", "--zeta", "t2"], "precision must be a positive integer, got 0"),
+        (["--precision", "-2", "lemma2-campaign", "--zeta", "t2"], "precision must be a positive integer, got -2"),
+    ],
+)
+def test_campaign_rejects_a_bad_p_or_precision(argv, named, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "Random", BoundedRandom)
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert named in capsys.readouterr().err
+
+
 def test_audit_parity_on_bundled_models():
     for name in ("model_d2.json", "model_d4.json"):
         code, out = run(["--no-timestamps", "audit-parity", str(DATA / name)])
@@ -176,6 +211,23 @@ def test_audit_parity_rejects_non_integer_model_fields(tmp_path, capsys, key, va
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert f"model file key '{key}'" in err, err
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"precision": 0, "zeta": {"teichmuller": 2}}, "precision must be a positive integer, got 0"),
+        ({"p": 0, "zeta": {"teichmuller": 2}}, "p must be an odd prime, got 0"),
+        ({"p": 0, "zeta": -1}, "p must be an odd prime, got 0"),
+    ],
+)
+def test_audit_parity_rejects_a_bad_p_or_precision(tmp_path, capsys, fields, named):
+    raw = json.loads((DATA / "model_d2.json").read_text()) | fields
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run(["audit-parity", str(bad)])
+    assert code == 2 and out == ""
+    assert named in capsys.readouterr().err
 
 
 def test_check_records_exit_codes(tmp_path):
@@ -315,6 +367,21 @@ def test_check_records_refuses_a_prime_beyond_the_primality_bound(tmp_path):
     result = run_process(["check-records", str(records)])
     assert result.returncode == 2
     assert "line 1" in result.stderr and str(MILLER_RABIN_BOUND) in result.stderr
+
+
+def test_check_records_memory_does_not_grow_with_the_layer_index(tmp_path):
+    records = tmp_path / "deep.jsonl"
+    records.write_text(json.dumps({"p": 3, "n": 10**12, "inv": [9, 3], "label": "x"}) + "\n")
+    limit = 1 << 30  # a layer set built in memory fails here instead of exhausting the host
+    result = subprocess.run(
+        [sys.executable, "-m", "anticyclo.cli", "--no-timestamps", "--format", "machine",
+         "check-records", str(records)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert result.returncode == 0, result.stderr
+    growth = [json.loads(line) for line in result.stdout.splitlines() if '"growth"' in line]
+    assert [(g["label"], g["verdict"]) for g in growth] == [("x", "skipped")]
 
 
 def test_verify_lemma1_skips_a_large_prime_promptly():

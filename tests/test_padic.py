@@ -1,22 +1,28 @@
+import json
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from anticyclo.cohomology import FinitePModule
 from anticyclo.errors import NotInvertibleError
+from anticyclo.linalg import PadicMatrix, mat_pow_zeta
 from anticyclo.padic import (
     MILLER_RABIN_BOUND,
     PadicInt,
     binom,
     inv,
     is_odd_prime,
+    p_power_exponents,
     pow_one_unit,
     teichmuller,
     val,
     valuation,
 )
+from anticyclo.records import RecordParseError, parse_record
 
 from conftest import int_valuation
 
@@ -144,6 +150,19 @@ def test_one_unit_power_matches_repeated_multiplication():
         assert pow_one_unit(u, e).residue == pow(u.residue, e, modulus)
 
 
+def test_one_unit_power_is_the_one_by_one_binomial_series():
+    # mat_pow_zeta is the one binomial series left; pow_one_unit must agree
+    # with it on every principal unit for integer and Teichmuller exponents.
+    for p in (3, 5, 7):
+        for precision in (1, 2, 3, 4):
+            zetas = [1, -1] + [teichmuller(a, p, precision) for a in range(2, p)]
+            for residue in range(1, p**precision, p):
+                u = PadicInt(p, precision, residue)
+                for zeta in zetas:
+                    series = mat_pow_zeta(PadicMatrix(p, precision, [[residue]]), zeta)
+                    assert pow_one_unit(u, zeta).residue == series.rows[0][0]
+
+
 def test_principal_unit_congruence_sweep():
     # (1+p^u)^r = 1 + r·p^u mod p^(u+1) for r in 0..p^2, u in {1,2}, p in {3,5}
     for p in (3, 5):
@@ -175,6 +194,61 @@ def test_integer_power_dunder_matches_builtin():
     assert (x**-1).residue == pow(5, -1, 27)
     with pytest.raises(NotInvertibleError):
         PadicInt(3, 3, 6) ** -1
+
+
+def _invariant_factor_verdict(factors, p):
+    """The exponents of a descending list of p^e with e >= 1, else the
+    error text for the first factor that is no such power, else the
+    descending error; by trial powers, not valuations."""
+    exponents = []
+    for q in factors:
+        e = next((e for e in range(1, max(q, 1).bit_length() + 1) if p**e == q), None)
+        if e is None:
+            return f"invariant {q} is not a power of {p}"
+        exponents.append(e)
+    return exponents if exponents == sorted(exponents, reverse=True) else "invariants must be descending"
+
+
+def _invariant_factor_lists():
+    def factor(p):
+        power = st.integers(0, 6).map(lambda e: p**e)
+        return st.one_of(power, power.map(lambda q: -q), st.integers(-100, 1000))
+
+    return small_odd_primes.flatmap(lambda p: st.tuples(st.just(p), st.lists(factor(p), max_size=5)))
+
+
+@given(_invariant_factor_lists())
+@example((3, [0]))
+@example((3, [1]))
+@example((3, [-3]))
+@example((3, [10]))
+@example((3, [9, 27]))
+@example((5, [125, 25, 25, 5]))
+@example((3, []))
+def test_p_power_exponents_accepts_exactly_descending_p_powers(case):
+    p, factors = case
+    verdict = _invariant_factor_verdict(factors, p)
+    line = json.dumps({"p": p, "n": 1, "inv": factors})
+    if isinstance(verdict, list):
+        assert p_power_exponents(factors, p) == verdict
+        assert parse_record(line, 2).size_exponent() == sum(verdict)
+        assert FinitePModule(p, factors).exponent == max(verdict, default=0)
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(verdict)}$"):
+        p_power_exponents(factors, p)
+    with pytest.raises(RecordParseError, match=f"^line 2: {re.escape(verdict)}$"):
+        parse_record(line, 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(verdict)}$"):
+        FinitePModule(p, factors)
+
+
+def test_teichmuller_checks_p_and_precision_first():
+    for p in (-3, 0, 1, 2, 9):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+            teichmuller(2, p, 3)
+    for precision in (0, -2):
+        with pytest.raises(ValueError, match=f"precision must be a positive integer, got {precision}"):
+            teichmuller(2, 5, precision)
 
 
 def _odd_prime_by_trial_division(n):

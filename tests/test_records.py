@@ -4,6 +4,7 @@ import pytest
 
 from anticyclo.records import (
     FLAG_NAMES,
+    ClassGroupRecord,
     RecordParseError,
     check_records,
     parse_record,
@@ -136,6 +137,14 @@ def test_growth_parity_not_applied_without_nonsplit():
     growth = [c for c in checks if c["kind"] == "growth"][0]
     assert growth["verdict"] == "skipped" or growth["verdict"] == "ok"
     assert not contradiction
+
+
+def test_growth_needs_exactly_the_layers_from_zero():
+    # hand-built records skip parse_record, so a negative layer can reach
+    # the growth check; four layers up to 3 are not 0..3 when one is -1
+    records = [ClassGroupRecord(3, n, (9, 3), dict(ALL_FLAGS), "t") for n in (-1, 0, 1, 3)]
+    growth = check_records(records)[0][-1]
+    assert (growth["kind"], growth["verdict"]) == ("growth", "skipped")
 
 
 def test_conflicting_layer_sizes_detected():
