@@ -39,6 +39,7 @@ from .iwasawa import (
     invariants_of,
     layer_exponents,
     parity_audit,
+    stable_level,
 )
 from .linalg import (
     PadicMatrix,
@@ -272,7 +273,16 @@ def cmd_growth(args, report: Report) -> int:
     exponents = layer_exponents(module, args.n_max)
     for n, e in enumerate(exponents):
         report.add(verdict="info", n=n, exponent=e)
-    fit = fit_invariants(exponents, args.p)
+    try:
+        fit = fit_invariants(exponents, args.p)
+    except ValueError as exc:
+        need = stable_level(module) + 2
+        if args.n_max >= need:
+            raise
+        raise ValueError(
+            f"{exc}; the layer exponents follow the Iwasawa formula only from layer {need - 2}: "
+            f"pass --n-max {need} or more"
+        ) from exc
     match = (fit.lam, fit.mu) == (lam, mu)
     report.add(
         verdict="ok" if match else "violation",

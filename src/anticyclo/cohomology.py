@@ -25,8 +25,8 @@ from operator import add, lshift, mul
 from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
-from .padic import is_odd_prime, p_power_exponents
-from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul, smith_normal_form_mod_prime_power
+from .padic import p_power_exponents, require_odd_prime
+from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul, minus_identity, smith_normal_form_mod_prime_power
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ class FinitePModule:
     exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        require_odd_prime(self.p)
         factors = tuple(int(q) for q in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "exponent", max(p_power_exponents(factors, self.p), default=0))
@@ -189,12 +188,6 @@ def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
     return _subquotient(module, _preimage_gens(module, F), _image_gens(module, G))
 
 
-def _shift_matrix(module: FinitePModule, name: str):
-    T = module.action(name)
-    k = len(T)
-    return [[T[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
-
-
 def _norm_matrix(module: FinitePModule, name: str, m: int | None):
     """1 + T + ... + T^(m-1); the loop ends on T^m, which must be 1.
 
@@ -236,7 +229,7 @@ def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
     """Kernel of (action - 1), as a bare structure (no actions carried)."""
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
-    return FinitePModule(module.p, _span(module, _preimage_gens(module, _shift_matrix(module, action))))
+    return FinitePModule(module.p, _span(module, _preimage_gens(module, minus_identity(module.action(action)))))
 
 
 def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
@@ -252,7 +245,7 @@ def tate_h0(module: FinitePModule, action: str = "tau", m: int | None = None) ->
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
     norm = _norm_matrix(module, action, m)
-    return FinitePModule(module.p, _ker_mod_im(module, _shift_matrix(module, action), norm))
+    return FinitePModule(module.p, _ker_mod_im(module, minus_identity(module.action(action)), norm))
 
 
 def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
@@ -260,7 +253,7 @@ def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -
     if not module.invariant_factors:
         return FinitePModule(module.p, ())
     norm = _norm_matrix(module, action, m)
-    return FinitePModule(module.p, _ker_mod_im(module, norm, _shift_matrix(module, action)))
+    return FinitePModule(module.p, _ker_mod_im(module, norm, minus_identity(module.action(action))))
 
 
 def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
@@ -277,14 +270,9 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
     J = module.action(action)
     if module.orders.get(action) not in (1, 2) and not module._is_identity(module._matrix_power(J, 2)):
         raise ValueError(f"action {action!r} is not an involution")
-    k = len(module.invariant_factors)
+    # (1 - J)/2 = -(J - 1)·2^-1
     inv2 = pow(2, -1, module.invariant_factors[0])
-    idempotent = module._reduce(
-        [
-            [((1 if i == j else 0) - J[i][j]) * inv2 for j in range(k)]
-            for i in range(k)
-        ]
-    )
+    idempotent = module._reduce([[-x * inv2 for x in row] for row in minus_identity(J)])
     invs = _span(module, _image_gens(module, idempotent))
     kk = len(invs)
     minus_action = {"J": [[-1 if i == j else 0 for j in range(kk)] for i in range(kk)]} if kk else {}
@@ -301,7 +289,7 @@ def herbrand_check(module: FinitePModule, action: str = "tau", m: int | None = N
     if not module.invariant_factors:
         return True
     norm = _norm_matrix(module, action, m)
-    shift = _shift_matrix(module, action)
+    shift = minus_identity(module.action(action))
     return prod(_ker_mod_im(module, shift, norm)) == prod(_ker_mod_im(module, norm, shift))
 
 

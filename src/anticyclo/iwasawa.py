@@ -34,8 +34,8 @@ from .linalg import (
     orbit_block_construct,
     zeta_order,
 )
-from .padic import PadicExponent, PadicInt, is_odd_prime, teichmuller, valuation
-from .snf import cokernel_mod, smith_normal_form_mod_prime_power
+from .padic import PadicExponent, PadicInt, require_odd_prime, teichmuller, valuation
+from .snf import cokernel_mod, det_nonzero_mod, minus_identity, smith_normal_form_mod_prime_power
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +79,7 @@ class ElementaryLambdaModule:
     poly_parts: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        require_odd_prime(self.p)
         object.__setattr__(self, "mu_parts", tuple(int(m) for m in self.mu_parts))
         object.__setattr__(
             self, "poly_parts", tuple(tuple(int(c) for c in g) for g in self.poly_parts)
@@ -174,6 +173,19 @@ def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:
     return layer_exponents(module, n)[n]
 
 
+def stable_level(module: ElementaryLambdaModule) -> int:
+    """K with e_n = lambda·n + mu·p^n + nu for every n >= K: 0, or the
+    last level k with phi(p^k) <= max deg g, the last one ``_level_terms``
+    computes; every later level adds deg g for each g.  So
+    ``fit_invariants`` succeeds on layers 0..n_max once n_max >= K + 2
+    (and n_max >= 3, its minimum)."""
+    deg = max((len(g) - 1 for g in module.poly_parts), default=0)
+    k = 0
+    while (module.p - 1) * module.p**k <= deg:
+        k += 1
+    return k
+
+
 @dataclass(frozen=True)
 class IwasawaInvariants:
     lam: int
@@ -242,14 +254,14 @@ def validate_gamma_model(model: GammaModel) -> None:
     M = model.M
     if zeta_order(model.zeta, M.p) != model.d:
         raise ModelInvariantError(f"model invariant violated: exponent does not have order {model.d}")
-    if not M.is_one_mod_p():
+    if any(x % M.p for row in minus_identity(M.rows) for x in row):
         raise ModelInvariantError("model invariant violated: generator matrix is not ≡ I mod p")
     if model.t_block is not None and not 0 <= model.t_block <= M.dim:
         raise ModelInvariantError("model invariant violated: certified block size out of range")
     if model.D is not None:
         if (model.D.p, model.D.precision, model.D.dim) != (M.p, M.precision, M.dim):
             raise ModelInvariantError("model invariant violated: D incompatible with M")
-        if cokernel_mod(model.D.rows, M.p, 1) != ():
+        if not det_nonzero_mod(model.D.rows, M.p, 1):
             raise ModelInvariantError("model invariant violated: D is not invertible")
         if mat_pow_zeta(M, model.zeta) @ model.D != model.D @ M:
             raise ModelInvariantError("model invariant violated: D does not intertwine M^zeta with M")
@@ -338,9 +350,8 @@ def t_multiplicity(M: PadicMatrix, certified_t_block: Optional[int] = None) -> i
     nonzero mod p^N by the choice of s_obs, so the complement needs no
     separate determinant test.
     """
-    ident = PadicMatrix.identity(M.p, M.precision, M.dim)
-    shift = M - ident
-    cp = charpoly(shift)
+    shift = minus_identity(M.rows)
+    cp = charpoly(PadicMatrix(M.p, M.precision, shift))
     s_obs = cp.trailing_zero_count()
     if certified_t_block is not None:
         if s_obs < certified_t_block:
@@ -354,7 +365,7 @@ def t_multiplicity(M: PadicMatrix, certified_t_block: Optional[int] = None) -> i
                 f"{s_obs} trailing coefficients vanish but only {certified_t_block} are certified"
             )
         return s_obs
-    if s_obs == 0 or s_obs in (_peel(shift.rows), _peel(tuple(zip(*shift.rows)))):
+    if s_obs == 0 or s_obs in (_peel(shift), _peel(tuple(zip(*shift)))):
         return s_obs
     raise PrecisionError(
         f"indistinguishable from zero at precision N={M.precision} - raise N: "
@@ -388,9 +399,8 @@ def _coinvariant_factors(p: int, precision: int, rows, relations):
     """Invariant factors of the cokernel of [rows - I | diag(relations)]
     mod p^precision; a factor p^precision comes from a zero pivot."""
     stacked = [
-        [x - (1 if i == j else 0) for j, x in enumerate(row)]
-        + [q if i == j else 0 for j, q in enumerate(relations)]
-        for i, row in enumerate(rows)
+        row + [q if i == j else 0 for j, q in enumerate(relations)]
+        for i, row in enumerate(minus_identity(rows))
     ]
     return cokernel_mod(stacked, p, precision)
 

@@ -4,10 +4,10 @@ M^zeta · D = D · M.
 
 Z/p^N has zero divisors, so the characteristic polynomial is computed
 division-free (Berkowitz) and inverses go through Cayley-Hamilton with a
-unit constant term.  Kernels and the determinant tests (det(M - I) ≢ 0
-mod p^N, a candidate intertwiner invertible mod p) read the local-ring
-Smith normal form, which pivots on an entry of least valuation and so
-never divides by a non-unit.
+unit constant term.  Kernels and the determinant tests of
+``det_nonzero_mod`` (det(M - I) ≢ 0 mod p^N, a candidate intertwiner
+invertible mod p) read the local-ring Smith normal form, which pivots on
+an entry of least valuation and so never divides by a non-unit.
 
 The headline decision procedure is ``intertwiner_solve``: whether an
 *invertible* D intertwines M with its zeta-th power.  When one exists
@@ -33,14 +33,13 @@ as it is.
 from __future__ import annotations
 
 import itertools
-from math import prod
 from operator import mul
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, binom, pow_one_unit, require_parameters
-from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul
+from .snf import cokernel_mod, det_nonzero_mod, identity_matrix, kernel_mod, mat_mul, minus_identity
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
 #: invertible element, one combo per projective point (unit multiples
@@ -127,13 +126,6 @@ class PadicMatrix:
 
     def scale(self, c: int) -> "PadicMatrix":
         return PadicMatrix(self.p, self.precision, [[c * x for x in row] for row in self.rows])
-
-    def is_one_mod_p(self) -> bool:
-        return all(
-            (x - (1 if i == j else 0)) % self.p == 0
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-        )
 
     def inverse(self) -> "PadicMatrix":
         """Inverse via Cayley-Hamilton; needs a unit determinant.
@@ -236,15 +228,14 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
     PadicMatrix is built at the end.
     """
     _require_zeta_power(M, zeta)
-    shift = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
     coeffs = [binom(zeta, k, p=M.p, precision=M.precision).residue for k in range(M.precision)]
-    return PadicMatrix(M.p, M.precision, _poly_at(coeffs, shift, M.modulus))
+    return PadicMatrix(M.p, M.precision, _poly_at(coeffs, minus_identity(M.rows), M.modulus))
 
 
 def _require_zeta_power(M: PadicMatrix, zeta: PadicExponent) -> None:
     """Raise ValueError unless M^zeta is defined: M ≡ I mod p, and a
     p-adic zeta at M's (p, N)."""
-    if not M.is_one_mod_p():
+    if any(x % M.p for row in minus_identity(M.rows) for x in row):
         raise ValueError("not a pro-p automorphism: matrix must be ≡ I mod p")
     if isinstance(zeta, PadicInt) and (zeta.p, zeta.precision) != (M.p, M.precision):
         raise ValueError("exponent and matrix have mixed p-adic parameters")
@@ -263,14 +254,14 @@ def _poly_at(coeffs, A, m):
     return acc
 
 
-def zeta_order(zeta: PadicExponent, p: int | None = None) -> int:
+def zeta_order(zeta: PadicExponent, p: int) -> int:
     """Order of zeta inside the (p-1)-torsion of the units.
 
     Plain integers are only honest roots of unity when they are ±1;
     anything else must come in as a Teichmuller-lifted PadicInt.
     """
     if isinstance(zeta, PadicInt):
-        if p is not None and zeta.p != p:
+        if zeta.p != p:
             raise ValueError(f"exponent lives at p = {zeta.p}, not p = {p}")
         if pow(zeta.residue, zeta.p - 1, zeta.modulus) != 1:
             raise ValueError("exponent is not a (p-1)-st root of unity at this precision")
@@ -359,15 +350,11 @@ def _coprime_mod_p(f, g, p: int) -> bool:
     return len(f) == 1
 
 
-def _shift_over_p(A: PadicMatrix):
-    """(A - I)/p as integer rows, for A ≡ I mod p."""
-    return [[(x - (i == j)) // A.p for j, x in enumerate(row)] for i, row in enumerate(A.rows)]
-
-
 def _shift_charpoly(M: PadicMatrix):
     """Coefficients of chi_S mod p^(N-1), S = (M - I)/p, for N >= 2: the
     one Berkowitz run that both tests of ``intertwiner_solve`` read."""
-    return charpoly(PadicMatrix(M.p, M.precision - 1, _shift_over_p(M))).coeffs
+    S = [[x // M.p for x in row] for row in minus_identity(M.rows)]
+    return charpoly(PadicMatrix(M.p, M.precision - 1, S)).coeffs
 
 
 def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
@@ -399,7 +386,8 @@ def _no_visible_solution(chi, B: PadicMatrix) -> bool:
     """
     p, N = B.p, B.precision
     m1 = p ** (N - 1)
-    return m1 not in cokernel_mod(_poly_at(chi, _shift_over_p(B), m1), p, N - 1)
+    S = [[x // p for x in row] for row in minus_identity(B.rows)]
+    return m1 not in cokernel_mod(_poly_at(chi, S, m1), p, N - 1)
 
 
 def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> IntertwinerResult:
@@ -466,7 +454,7 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
         if not any(combo):
             continue
         rows = _unvec([sum(map(mul, combo, col)) % m for col in cols], r)
-        if cokernel_mod(rows, p, 1) == ():
+        if det_nonzero_mod(rows, p, 1):
             D = PadicMatrix(p, M.precision, rows)
             if B @ D != D @ M:
                 raise ArithmeticError("kernel lift failed to intertwine")
@@ -533,8 +521,7 @@ def rank_divisibility_check(
     """
     if zeta_order(zeta, M.p) != d:
         raise ValueError(f"exponent does not have order {d}")
-    shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
-    if prod(cokernel_mod(shift.rows, M.p, M.precision)) >= M.modulus:
+    if not det_nonzero_mod(minus_identity(M.rows), M.p, M.precision):
         raise PrecisionError(
             "raise precision: det(M - I) ≡ 0 mod p^N, the trivial-fixed-part "
             "hypothesis cannot be certified"
@@ -562,9 +549,8 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
             f"raise precision: det(M - I) always vanishes mod p^{precision} "
             f"for {dim}x{dim} matrices ≡ I mod p"
         )
-    modulus = p**precision
     while True:
         shift = [[p * rng.randrange(p ** (precision - 1)) for _ in range(dim)] for _ in range(dim)]
-        if prod(cokernel_mod(shift, p, precision)) < modulus:
+        if det_nonzero_mod(shift, p, precision):
             rows = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(shift)]
             return PadicMatrix(p, precision, rows)

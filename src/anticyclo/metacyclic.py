@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import SearchSpaceError
-from .padic import is_odd_prime
+from .padic import require_odd_prime
 
 #: Grid points with |G|^2 above this many candidate generator-image pairs
 #: are refused with ``SearchSpaceError`` and reported as skipped.  The
@@ -48,8 +48,7 @@ class MetacyclicGroup:
     """G = ⟨x, tau | x^(p^(u+1)) = tau^p = 1, tau·x·tau^-1 = x^(1+p^u)⟩."""
 
     def __init__(self, p: int, u: int):
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        require_odd_prime(p)
         if u < 1:
             raise ValueError(f"u must be a positive integer, got {u}")
         self.p = p

@@ -46,12 +46,18 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime: the standing hypothesis
+    of every object of the package."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def require_parameters(p: int, precision: int) -> None:
     """Raise ValueError unless p is an odd prime and precision a positive
     integer; every constructor of Z/p^N data calls this before any
     arithmetic, so a bad p or N never reaches a modulus of 0 or 1."""
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     if precision < 1:
         raise ValueError(f"precision must be a positive integer, got {precision}")
 

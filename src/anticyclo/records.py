@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .iwasawa import fit_invariants
-from .padic import is_odd_prime, p_power_exponents
+from .padic import p_power_exponents, require_odd_prime
 
 FLAG_NAMES = (
     "p_nonsplit",
@@ -43,6 +44,13 @@ class ClassGroupRecord:
     label: str
     line_number: int = 0
     warnings: list = field(default_factory=list)
+    #: sum of the invariant-factor exponents, passed by ``parse_record``
+    #: and computed here for a record built without it
+    exponent_sum: Optional[int] = None
+
+    def __post_init__(self):
+        if self.exponent_sum is None:
+            self.exponent_sum = sum(p_power_exponents(self.invariants, self.p))
 
     def hypotheses_asserted(self) -> bool:
         return all(self.flags.get(name) is True for name in FLAG_NAMES)
@@ -52,7 +60,7 @@ class ClassGroupRecord:
         return len(self.invariants) <= 1
 
     def size_exponent(self) -> int:
-        return sum(p_power_exponents(self.invariants, self.p))
+        return self.exponent_sum
 
 
 def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
@@ -76,11 +84,10 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
         if type(value) is not int:  # JSON integers only: no float, string or bool
             raise RecordParseError(f"line {line_number}: key {key!r} must hold JSON integers, got {json.dumps(value)}")
     try:
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        require_odd_prime(p)
         if n < 0:
             raise ValueError("layer index must be non-negative")
-        p_power_exponents(inv, p)
+        exponent_sum = sum(p_power_exponents(inv, p))
     except ValueError as exc:
         raise RecordParseError(f"line {line_number}: {exc}") from exc
     flags_raw = raw.get("flags", {})
@@ -95,7 +102,7 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
             raise RecordParseError(f"line {line_number}: flag {key!r} must be a boolean")
         flags[key] = value
     label = str(raw.get("label", "unlabeled"))
-    return ClassGroupRecord(p, n, tuple(inv), flags, label, line_number, warnings)
+    return ClassGroupRecord(p, n, tuple(inv), flags, label, line_number, warnings, exponent_sum)
 
 
 def parse_records_file(path) -> list[ClassGroupRecord]:

@@ -23,12 +23,17 @@ skip V entirely.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def minus_identity(A) -> list[list[int]]:
+    """A - I for a square matrix A of integer rows, unreduced."""
+    return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(A)]
 
 
 def mat_mul(A, B):
@@ -135,12 +140,17 @@ def cokernel_mod(A, p: int, precision: int) -> tuple[int, ...]:
     1s dropped.  A zero pivot is a full factor p^N.
 
     For square A the cokernel has order p^(v_p det A) when no pivot is
-    zero, so det A ≢ 0 mod p^N exactly when the product of the factors is
-    below p^N, and A is invertible mod p exactly when the factors at
-    N = 1 are ``()``.
+    zero, which ``det_nonzero_mod`` reads.
     """
     m = p**precision
     rows = len(A)
     diag, _ = smith_normal_form_mod_prime_power(A, p, precision, False)
     pivots = (diag + [0] * rows)[:rows]
     return tuple(sorted((d or m for d in pivots if d != 1), reverse=True))
+
+
+def det_nonzero_mod(A, p: int, precision: int) -> bool:
+    """det A ≢ 0 mod p^N for a square A; at N = 1, A is invertible mod p.
+    A zero pivot is a cokernel factor p^N, so this holds exactly when the
+    factors multiply to less than p^N."""
+    return prod(cokernel_mod(A, p, precision)) < p**precision

@@ -60,6 +60,20 @@ def test_growth_rejects_too_few_layers(n_max, capsys):
     assert "--n-max" in err and "minimum 3" in err
 
 
+@pytest.mark.parametrize("p, module", [("3", "T^6+3"), ("5", "T^20+5")])
+def test_growth_names_the_n_max_the_fit_needs(p, module, capsys):
+    # phi(p^2) = deg g, so the level terms run to level 2 and the layer
+    # exponents follow the Iwasawa formula only from layer 2 on
+    code, out = run(["growth", "--p", p, "--module", module, "--n-max", "3"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "second differences do not match any mu" in err
+    assert "only from layer 2" in err and "pass --n-max 4 or more" in err
+    code, out = run(["--no-timestamps", "--format", "machine", "growth", "--p", p, "--module", module, "--n-max", "4"])
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1]) == {"record": "summary", "layers": 5, "match": 1}
+
+
 def test_growth_reaches_deep_layers():
     argv = ["--no-timestamps", "--format", "machine", "growth", "--p", "3", "--module", "T^3+3T+6", "--n-max", "40"]
     code, out = run(argv)

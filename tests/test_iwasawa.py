@@ -17,6 +17,7 @@ from anticyclo.iwasawa import (
     layer_size_exponent,
     omega_n,
     parity_audit,
+    stable_level,
     t_multiplicity,
     validate_gamma_model,
 )
@@ -246,6 +247,36 @@ def test_fit_recovers_structure_on_random_modules():
         fit = fit_invariants(seq, p)
         assert (fit.lam, fit.mu) == invariants_of(module)
         done += 1
+
+
+def test_layer_exponents_follow_the_formula_from_the_stable_level():
+    # from K = stable_level on, e_n = lambda·n + mu·p^n + nu, so the fit on
+    # layers 0..K+2 recovers the structure; T^6 + 3 at p = 3 shows that
+    # layers 0..K+1 can be too few
+    assert [stable_level(ElementaryLambdaModule(3, poly_parts=((3,) + (0,) * (d - 1) + (1,),)))
+            for d in (1, 2, 5, 6, 17, 18)] == [0, 1, 1, 2, 2, 3]
+    assert stable_level(ElementaryLambdaModule(5, mu_parts=(2,))) == 0
+    rng = random.Random(71)
+    done = 0
+    while done < 40:
+        p = rng.choice([3, 5])
+        polys = [
+            tuple(p * rng.randint(-3, 3) for _ in range(rng.randint(1, 9))) + (1,)
+            for _ in range(rng.randint(1, 2))
+        ]
+        module = ElementaryLambdaModule(p, tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 1))), tuple(polys))
+        K = stable_level(module)
+        try:
+            seq = layer_exponents(module, K + 4)
+        except ValueError:
+            continue  # a factor collided with omega_n; resample
+        fit = fit_invariants(seq[: max(K + 3, 4)], p)  # the fit needs 4 layers
+        assert (fit.lam, fit.mu) == invariants_of(module)
+        assert fit.stable_from <= K
+        assert all(seq[n] == fit.lam * n + fit.mu * p**n + fit.nu for n in range(K, K + 5))
+        done += 1
+    with pytest.raises(ValueError, match="second differences"):
+        fit_invariants(layer_exponents(ElementaryLambdaModule(3, poly_parts=((3, 0, 0, 0, 0, 0, 1),)), 3), 3)
 
 
 def test_fit_is_stable_under_extension():

@@ -300,8 +300,8 @@ def test_random_unipotent_matrix_contract():
     rng = random.Random(0)
     for _ in range(50):
         M = random_unipotent_matrix(3, 4, 3, rng)
-        assert M.is_one_mod_p()
         shift = M - PadicMatrix.identity(3, 4, 3)
+        assert all(x % 3 == 0 for row in shift.rows for x in row)
         assert not padic_det(shift).is_zero()
 
 

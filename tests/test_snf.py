@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anticyclo.linalg import PadicMatrix
 from anticyclo.snf import (
     cokernel_mod,
+    det_nonzero_mod,
     kernel_mod,
     mat_mul,
     smith_normal_form_mod_prime_power,
@@ -18,6 +20,7 @@ from conftest import (
     column_span_structure,
     int_valuation,
     kernel_by_full_elimination,
+    padic_det,
     snf_by_full_elimination,
 )
 
@@ -78,6 +81,35 @@ def test_cokernel_order_decides_determinant_tests():
     assert {(n, big) for n, big, _, _ in seen} == {(n, big) for n in range(5) for big in (False, True)}
     assert any(zero for _, _, zero, _ in seen)
     assert any(big and not zero and not nonzero for _, big, zero, nonzero in seen)
+
+
+def test_det_nonzero_mod_matches_the_berkowitz_determinant():
+    # against det A mod p^N from the Berkowitz characteristic polynomial,
+    # on random square matrices at N = 1 and N > 1, with rows of multiples
+    # of p (singular mod p) and repeated rows (a zero pivot) mixed in
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(800):
+        n = rng.randint(1, 5)
+        p, N = rng.choice([(3, 1), (5, 1), (7, 1), (3, 3), (5, 2), (3, 5), (7, 3)])
+        m = p**N
+        A = [[rng.choice([0, rng.randrange(m), p * rng.randrange(m)]) for _ in range(n)] for _ in range(n)]
+        shape = rng.randrange(3)
+        if shape == 1:
+            A[0] = [p * x for x in A[-1]]
+        elif shape == 2 and n > 1:
+            A[0] = list(A[-1])
+        nonzero = not padic_det(PadicMatrix(p, N, A)).is_zero()
+        assert det_nonzero_mod(A, p, N) == nonzero
+        assert det_nonzero_mod(A, p, 1) == padic_det(PadicMatrix(p, N, A)).is_unit()
+        seen.add((N > 1, nonzero, m in cokernel_mod(A, p, N), det_nonzero_mod(A, p, 1)))
+    # both precisions, invertible matrices, zero pivots, and at N > 1 both a
+    # determinant that vanishes with every pivot nonzero and a nonzero one
+    # divisible by p
+    assert {big for big, *_ in seen} == {False, True}
+    assert (False, True, False, True) in seen and (True, True, False, True) in seen
+    assert (False, False, True, False) in seen and (True, False, True, False) in seen
+    assert (True, False, False, False) in seen and (True, True, False, False) in seen
 
 
 def test_zero_pivot_iff_kernel_visible_mod_p():

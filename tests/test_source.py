@@ -130,3 +130,20 @@ def test_every_parameter_is_read():
                 if arg.arg not in read | {"self", "cls"}
             ]
     assert found == []
+
+
+def test_the_odd_prime_check_lives_in_padic():
+    # "p is an odd prime" is checked by ``padic.require_odd_prime``; every
+    # other module calls that, never ``is_odd_prime`` itself.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "padic.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "is_odd_prime"
+        ]
+    assert found == []
