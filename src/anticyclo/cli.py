@@ -23,6 +23,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from random import Random
 
 from . import __version__
@@ -50,8 +51,8 @@ from .linalg import (
     zeta_order,
 )
 from .metacyclic import MetacyclicGroup
-from .padic import teichmuller
-from .records import RecordParseError, check_records, parse_records_file
+from .padic import require_odd_prime, teichmuller
+from .records import check_records, parse_records_file
 
 #: Grid points with |G|^2 at most this many candidate pairs also get an
 #: automorphism count in the report.
@@ -111,8 +112,14 @@ def _parse_zeta(text: str, p: int, precision: int):
     raise ValueError(f"cannot parse exponent {text!r}: use 1, -1, or t<a>")
 
 
-_MU_RE = re.compile(r"^p(?:\^(\d+))?$")
-_TERM_RE = re.compile(r"^([+-]?\d*)(?:\*?T(?:\^(\d+))?)?$")
+_MU_RE = re.compile(r"p(?:\^(\d+))?")
+#: One monomial with its sign: c*T^k or cT^k (c and ^k optional), or a
+#: constant c.  Groups: sign, c of a T-term, k, constant.
+_TERM = r"([+-]?)(?:(?:(\d+)\*?)?T(?:\^(\d+))?|(\d+))"
+_TERM_RE = re.compile(_TERM)
+#: A whole polynomial factor: a first term whose sign is optional, then
+#: terms that each start with one sign.
+_POLY_RE = re.compile(rf"{_TERM}(?:(?=[+-]){_TERM})*")
 
 
 def parse_module_spec(spec: str, p: int) -> ElementaryLambdaModule:
@@ -124,19 +131,17 @@ def parse_module_spec(spec: str, p: int) -> ElementaryLambdaModule:
         factor = factor.replace(" ", "")
         if not factor:
             raise ValueError("empty factor in module spec")
-        m = _MU_RE.match(factor)
+        m = _MU_RE.fullmatch(factor)
         if m:
             mu_parts.append(int(m.group(1) or 1))
             continue
+        if not _POLY_RE.fullmatch(factor):
+            raise ValueError(f"cannot parse factor {factor!r}: write terms c*T^k, cT^k, T^k or c, "
+                             "each after the first led by one sign")
         coeffs: dict[int, int] = {}
-        for sign, term in re.findall(r"([+-]?)([^+-]+)", factor):
-            tm = _TERM_RE.match(sign + term)
-            if not tm or (tm.group(1) in {"", "+", "-"} and "T" not in term):
-                raise ValueError(f"cannot parse term {sign + term!r} in factor {factor!r}")
-            raw_coeff = tm.group(1)
-            coeff = int(raw_coeff + "1") if raw_coeff in {"", "+", "-"} else int(raw_coeff)
-            degree = int(tm.group(2)) if tm.group(2) else (1 if "T" in term else 0)
-            coeffs[degree] = coeffs.get(degree, 0) + coeff
+        for sign, coeff, degree, constant in _TERM_RE.findall(factor):
+            k = 0 if constant else int(degree or 1)
+            coeffs[k] = coeffs.get(k, 0) + int(sign + (constant or coeff or "1"))
         top = max(coeffs)
         poly_parts.append(tuple(coeffs.get(i, 0) for i in range(top + 1)))
     return ElementaryLambdaModule(p, tuple(mu_parts), tuple(poly_parts))
@@ -147,36 +152,30 @@ def parse_module_spec(spec: str, p: int) -> ElementaryLambdaModule:
 # ----------------------------------------------------------------------
 
 def cmd_verify_lemma1(args, report: Report) -> int:
-    grid = [(p, u) for p in args.p for u in range(1, args.u_max + 1)]
-    inverting_found = 0
-    ran = 0
-    for p, u in grid:
+    for p in args.p:
+        require_odd_prime(p)
+    if args.u_max < 1:
+        raise ValueError(f"--u-max {args.u_max} is below the minimum 1: pass --u-max 1 or more")
+    for p, u in product(args.p, range(1, args.u_max + 1)):
         group = MetacyclicGroup(p, u)
         try:
             witness = group.find_inverting_automorphism()
         except SearchSpaceError:
             report.add(p=p, u=u, verdict="skipped", reason="search space too large for the guard")
             continue
-        ran += 1
-        count = None
-        if group.order**2 <= ENUMERATION_BUDGET:
-            count = len(group.enumerate_automorphisms())
-        if witness is None:
-            report.add(
-                p=p,
-                u=u,
-                verdict="ok",
-                automorphisms=count if count is not None else "not enumerated",
-                inverting=0,
-                reason="no automorphism maps tau into A1·tau^-1",
-            )
-        else:
-            inverting_found += 1
+        if witness is not None:
             report.add(p=p, u=u, verdict="violation", witness=str(witness), reason="inverting automorphism found")
-    report.counters = {"grid_points": len(grid), "searched": ran, "inverting_found": inverting_found}
-    if not grid:
-        report.add(verdict="ok", reason="empty grid, vacuous")
-    return 1 if inverting_found else 0
+            continue
+        count = len(group.enumerate_automorphisms()) if group.order**2 <= ENUMERATION_BUDGET else "not enumerated"
+        report.add(p=p, u=u, verdict="ok", automorphisms=count, inverting=0,
+                   reason="no automorphism maps tau into A1·tau^-1")
+    verdicts = Counter(check["verdict"] for check in report.checks)
+    report.counters = {
+        "grid_points": len(report.checks),
+        "searched": len(report.checks) - verdicts["skipped"],
+        "inverting_found": verdicts["violation"],
+    }
+    return 1 if verdicts["violation"] else 0
 
 
 def cmd_lemma2_campaign(args, report: Report) -> int:
@@ -379,30 +378,22 @@ def cmd_check_records(args, report: Report) -> int:
 # parser and dispatch
 # ----------------------------------------------------------------------
 
-def _global_options(parser, suppress: bool):
-    # The same options are attached to the main parser (with real defaults)
-    # and to every subparser (defaulting to SUPPRESS so an unset flag after
-    # the subcommand does not clobber one given before it).
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--precision", type=int,
-                        help="working precision N (default 4)",
-                        **({"default": d} if suppress else {"default": 4}))
-    parser.add_argument("--seed", type=int,
-                        help="seed for randomized campaigns (default 0)",
-                        **({"default": d} if suppress else {"default": 0}))
-    parser.add_argument("--format", choices=("text", "machine"),
-                        help="report format: human text or one JSON object per line",
-                        **({"default": d} if suppress else {"default": "text"}))
-    parser.add_argument("--no-timestamps", action="store_true",
-                        help="suppress wall-clock output",
-                        **({"default": d} if suppress else {}))
+#: Defaults of the global options, applied once after parsing.
+GLOBAL_DEFAULTS = {"precision": 4, "seed": 0, "format": "text", "no_timestamps": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="anticyclo", description=__doc__.split("\n")[0])
-    _global_options(parser, suppress=False)
-    shared = argparse.ArgumentParser(add_help=False)
-    _global_options(shared, suppress=True)
+    # The global options are declared once, on a parent shared by the main
+    # parser and every subcommand.  Their default is SUPPRESS, so a flag
+    # left unset after the subcommand does not clobber one given before
+    # it, and one given on both sides takes the value after.
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--precision", type=int, help=f"working precision N (default {GLOBAL_DEFAULTS['precision']})")
+    shared.add_argument("--seed", type=int, help=f"seed for randomized campaigns (default {GLOBAL_DEFAULTS['seed']})")
+    shared.add_argument("--format", choices=("text", "machine"),
+                        help="report format: human text or one JSON object per line")
+    shared.add_argument("--no-timestamps", action="store_true", help="suppress wall-clock output")
+    parser = argparse.ArgumentParser(prog="anticyclo", description=__doc__.split("\n")[0], parents=[shared])
     sub = parser.add_subparsers(dest="command", required=True)
 
     v1 = sub.add_parser("verify-lemma1", parents=[shared],
@@ -434,18 +425,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line and fill in the global options it leaves unset."""
+    args = _PARSER.parse_args(argv)
+    for key, value in GLOBAL_DEFAULTS.items():
+        vars(args).setdefault(key, value)
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = Report(command=args.command, seed=args.seed, precision=args.precision)
     start = time.perf_counter()
     try:
         code = args.func(args, report)
-    except (RecordParseError, ModelInvariantError, PrecisionError, SearchSpaceError,
-            UndeterminedError, ValueError, OSError) as exc:
+    except (PrecisionError, UndeterminedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_clock = time.perf_counter() - start

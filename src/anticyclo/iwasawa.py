@@ -220,8 +220,7 @@ def fit_invariants(exponents: Sequence[int], p: int) -> IwasawaInvariants:
     def formula(n):
         return lam * n + mu * p**n + nu
 
-    if any(formula(n) != e[n] for n in (L - 3, L - 2, L - 1)):
-        raise ValueError("not eventually of Iwasawa shape: tail does not fit")
+    # nu, lam and mu make layers L-1, L-2 and L-3 hold by construction
     stable = L - 3
     while stable > 0 and formula(stable - 1) == e[stable - 1]:
         stable -= 1

@@ -114,36 +114,51 @@ def parse_records_file(path) -> list[ClassGroupRecord]:
     return records
 
 
+def _record_check(rec: ClassGroupRecord) -> dict:
+    """The non-cyclicity verdict on one record."""
+    base = {"kind": "record", "label": rec.label, "p": rec.p, "n": rec.n, "inv": list(rec.invariants)}
+    if rec.n == 0:
+        return base | {"verdict": "ok", "reason": "layer 0 carries no non-cyclicity claim"}
+    if not rec.hypotheses_asserted():
+        return base | {"verdict": "skipped", "reason": "hypotheses not asserted"}
+    if rec.is_cyclic():
+        return base | {
+            "verdict": "contradiction",
+            "reason": f"cyclic structure {list(rec.invariants)} at layer {rec.n} with all hypotheses asserted",
+        }
+    return base | {"verdict": "ok", "reason": "not cyclic, as predicted"}
+
+
+def _growth_check(label: str, group: list[ClassGroupRecord]) -> dict:
+    """The growth fit and lambda-parity verdict on the records of one label,
+    all at one prime."""
+    base = {"kind": "growth", "label": label}
+    layers = {}
+    for rec in group:
+        e = rec.size_exponent()
+        if layers.setdefault(rec.n, e) != e:
+            return base | {"verdict": "contradiction", "reason": "conflicting sizes for one layer"}
+    max_n = max(layers)
+    if len(layers) != max_n + 1 or min(layers) < 0 or max_n < 3:  # distinct integers: exactly 0..max_n
+        return base | {"verdict": "skipped", "reason": "need layers 0..n with n >= 3 to fit growth"}
+    try:
+        fit = fit_invariants([layers[n] for n in range(max_n + 1)], group[0].p)
+    except ValueError as exc:
+        return base | {"verdict": "skipped", "reason": f"growth fit failed: {exc}"}
+    info = base | {"lambda": fit.lam, "mu": fit.mu, "nu": fit.nu, "stable_from": fit.stable_from}
+    if not all(rec.flags.get("p_nonsplit") is True for rec in group):
+        return info | {"verdict": "ok", "reason": "growth fitted; parity not applicable"}
+    if fit.lam % 2:
+        return info | {
+            "verdict": "contradiction",
+            "reason": f"fitted lambda = {fit.lam} is odd although p is non-split (lambda must be even)",
+        }
+    return info | {"verdict": "ok", "reason": f"lambda = {fit.lam} is even, parity holds"}
+
+
 def check_records(records) -> tuple[list[dict], bool]:
     """Per-record and per-label verdicts; second value is True when any
     verdict is a contradiction."""
-    checks = []
-    contradiction = False
-    for rec in sorted(records, key=lambda r: (r.label, r.n, r.line_number)):
-        base = {
-            "kind": "record",
-            "label": rec.label,
-            "p": rec.p,
-            "n": rec.n,
-            "inv": list(rec.invariants),
-        }
-        if rec.n == 0:
-            checks.append(base | {"verdict": "ok", "reason": "layer 0 carries no non-cyclicity claim"})
-        elif not rec.hypotheses_asserted():
-            checks.append(base | {"verdict": "skipped", "reason": "hypotheses not asserted"})
-        elif rec.is_cyclic():
-            contradiction = True
-            checks.append(
-                base
-                | {
-                    "verdict": "contradiction",
-                    "reason": f"cyclic structure {list(rec.invariants)} at layer {rec.n} "
-                    "with all hypotheses asserted",
-                }
-            )
-        else:
-            checks.append(base | {"verdict": "ok", "reason": "not cyclic, as predicted"})
-
     by_label: dict[str, list[ClassGroupRecord]] = {}
     for rec in records:
         group = by_label.setdefault(rec.label, [])
@@ -153,51 +168,6 @@ def check_records(records) -> tuple[list[dict], bool]:
                 f"and p = {rec.p} (line {rec.line_number}); one tower has one prime"
             )
         group.append(rec)
-    for label in sorted(by_label):
-        group = by_label[label]
-        base = {"kind": "growth", "label": label}
-        layers = {}
-        clash = False
-        for rec in group:
-            e = rec.size_exponent()
-            if rec.n in layers and layers[rec.n] != e:
-                clash = True
-            layers[rec.n] = e
-        if clash:
-            contradiction = True
-            checks.append(base | {"verdict": "contradiction", "reason": "conflicting sizes for one layer"})
-            continue
-        max_n = max(layers)
-        if len(layers) != max_n + 1 or min(layers) < 0 or max_n < 3:  # distinct integers: exactly 0..max_n
-            checks.append(
-                base | {"verdict": "skipped", "reason": "need layers 0..n with n >= 3 to fit growth"}
-            )
-            continue
-        exponents = [layers[n] for n in range(max_n + 1)]
-        try:
-            fit = fit_invariants(exponents, group[0].p)
-        except ValueError as exc:
-            checks.append(base | {"verdict": "skipped", "reason": f"growth fit failed: {exc}"})
-            continue
-        info = base | {
-            "lambda": fit.lam,
-            "mu": fit.mu,
-            "nu": fit.nu,
-            "stable_from": fit.stable_from,
-        }
-        nonsplit = all(rec.flags.get("p_nonsplit") is True for rec in group)
-        if nonsplit and fit.lam % 2 == 1:
-            contradiction = True
-            checks.append(
-                info
-                | {
-                    "verdict": "contradiction",
-                    "reason": f"fitted lambda = {fit.lam} is odd although p is non-split "
-                    "(lambda must be even)",
-                }
-            )
-        elif nonsplit:
-            checks.append(info | {"verdict": "ok", "reason": f"lambda = {fit.lam} is even, parity holds"})
-        else:
-            checks.append(info | {"verdict": "ok", "reason": "growth fitted; parity not applicable"})
-    return checks, contradiction
+    checks = [_record_check(rec) for rec in sorted(records, key=lambda r: (r.label, r.n, r.line_number))]
+    checks += [_growth_check(label, by_label[label]) for label in sorted(by_label)]
+    return checks, any(c["verdict"] == "contradiction" for c in checks)

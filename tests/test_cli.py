@@ -37,8 +37,34 @@ def test_module_spec_parser():
     assert parse_module_spec("p", 3).mu_parts == (1,)
     with pytest.raises(ValueError):
         parse_module_spec("T^2+junk", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty factor in module spec"):
         parse_module_spec("", 3)
+
+
+@pytest.mark.parametrize("spec", ["T^2++3", "T^2+-3", "++T-3", "T^2+3T+9+"])
+def test_malformed_module_spec_exits_2(spec, capsys):
+    # each term after the first is led by exactly one sign, and none dangles
+    code, out = run(["growth", "--p", "3", "--module", spec])
+    assert code == 2 and out == ""
+    assert f"cannot parse factor {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, mu_parts, poly_parts",
+    [
+        ("T-3", (), ((-3, 1),)),
+        ("+T-3", (), ((-3, 1),)),
+        ("3*T+T^2+6", (), ((6, 3, 1),)),
+        ("T^2 + 3T+ 3", (), ((3, 3, 1),)),
+        ("T^2+0T+3", (), ((3, 0, 1),)),
+        ("p", (1,), ()),
+        ("p^2", (2,), ()),
+        ("T-3,p^1", (1,), ((-3, 1),)),
+    ],
+)
+def test_well_formed_module_specs_parse(spec, mu_parts, poly_parts):
+    module = parse_module_spec(spec, 3)
+    assert (module.mu_parts, module.poly_parts) == (mu_parts, poly_parts)
 
 
 def test_growth_command_examples():
@@ -87,6 +113,23 @@ def test_inverting_search_command():
     assert code == 0
     assert "automorphisms=54" in out
     assert "inverting=0" in out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--p", "4", "--u-max", "0"], "p must be an odd prime, got 4"),
+        (["--p", "1", "--u-max", "0"], "p must be an odd prime, got 1"),
+        (["--p", "3", "9", "--u-max", "1"], "p must be an odd prime, got 9"),
+        (["--u-max", "0"], "--u-max 0 is below the minimum 1"),
+        (["--u-max", "-1"], "--u-max -1 is below the minimum 1"),
+    ],
+)
+def test_inverting_search_rejects_a_malformed_grid(argv, named, capsys):
+    # an empty or non-prime grid is a usage error, not a vacuous "ok"
+    code, out = run(["verify-lemma1", *argv])
+    assert code == 2 and out == ""
+    assert named in capsys.readouterr().err
 
 
 def test_inverting_search_reports_guard_skips():
@@ -350,6 +393,42 @@ def test_machine_output_matches_recorded_digests(tmp_path):
         code, out = run(["--format", "machine", "--no-timestamps", *argv])
         digests[label] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert digests == GOLDEN_DIGESTS
+
+
+#: The arguments each subcommand requires, and the namespace they parse
+#: to besides the global options.
+SUBCOMMANDS = {
+    "verify-lemma1": ([], {"p": [3, 5, 7], "u_max": 2, "func": cli.cmd_verify_lemma1}),
+    "lemma2-campaign": (
+        [], {"p": 3, "r": [1, 2, 3], "zeta": "-1", "trials": 200, "func": cli.cmd_lemma2_campaign},
+    ),
+    "growth": (["--p", "3", "--module", "T-3"], {"p": 3, "module": "T-3", "n_max": 5, "func": cli.cmd_growth}),
+    "audit-parity": (["model.json"], {"model": "model.json", "func": cli.cmd_audit_parity}),
+    "check-records": (["records.jsonl"], {"records": "records.jsonl", "func": cli.cmd_check_records}),
+}
+#: (dest, argv before the subcommand, argv after it, value of each)
+GLOBAL_OPTIONS = [
+    ("precision", ["--precision", "6"], ["--precision", "9"], 6, 9),
+    ("seed", ["--seed", "1"], ["--seed", "2"], 1, 2),
+    ("format", ["--format", "machine"], ["--format", "text"], "machine", "text"),
+    ("no_timestamps", ["--no-timestamps"], ["--no-timestamps"], True, True),
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("dest, before, after, value_before, value_after", GLOBAL_OPTIONS)
+def test_global_options_parse_on_either_side_of_the_subcommand(
+    command, dest, before, after, value_before, value_after
+):
+    # unset, a global option takes its default; given on both sides of
+    # the subcommand, the value after it wins
+    required, rest = SUBCOMMANDS[command]
+    argv = [command, *required]
+    plain = vars(cli.parse_args(argv))
+    assert plain == {"precision": 4, "seed": 0, "format": "text", "no_timestamps": False, "command": command} | rest
+    assert vars(cli.parse_args(before + argv)) == plain | {dest: value_before}
+    assert vars(cli.parse_args(argv + after)) == plain | {dest: value_after}
+    assert vars(cli.parse_args(before + argv + after)) == plain | {dest: value_after}
 
 
 def test_usage_errors_exit_2():

@@ -227,6 +227,16 @@ def test_subquotient_matches_full_elimination_on_random_lattices():
     assert min(seen.values()) >= 10
 
 
+@pytest.mark.parametrize(
+    "operation", [fixed_points, norm_image, tate_h0, tate_hm1, minus_part, herbrand_check]
+)
+def test_trivial_module_short_circuits(operation):
+    # the zero module has no action matrices to look up, so each operation
+    # answers before asking for one
+    expected = True if operation is herbrand_check else FinitePModule(3, ())
+    assert operation(FinitePModule(3, ())) == expected
+
+
 def test_empty_kernels_give_trivial_groups():
     # T = -1 of order 2: T - 1 = -2 is invertible, so nothing is fixed,
     # N = 1 + T = 0, and every element is a shift

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anticyclo.cohomology import FinitePModule
 from anticyclo.errors import ModelInvariantError, PrecisionError
@@ -220,6 +222,30 @@ def test_fit_error_paths():
         fit_invariants([1, 2, 4, 8], 3)
     with pytest.raises(ValueError, match="Iwasawa shape"):
         fit_invariants([100, 50, 25, 12], 3)
+
+
+@st.composite
+def _sequences_with_a_fittable_tail(draw):
+    # Any integers, then a last layer that makes the last second difference
+    # a multiple of p^(L-3)·(p-1)^2, which every accepted sequence has.
+    p = draw(st.sampled_from([3, 5, 7]))
+    e = draw(st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=7))
+    k = draw(st.integers(-3, 10))
+    e.append(2 * e[-1] - e[-2] + k * p ** (len(e) - 2) * (p - 1) ** 2)
+    return p, e
+
+
+@given(_sequences_with_a_fittable_tail())
+@settings(max_examples=300)
+def test_every_accepted_sequence_is_reproduced_on_its_last_three_layers(case):
+    p, e = case
+    try:
+        fit = fit_invariants(e, p)
+    except ValueError:
+        return
+    L = len(e)
+    assert [fit.lam * n + fit.mu * p**n + fit.nu for n in range(L - 3, L)] == e[-3:]
+    assert 0 <= fit.stable_from <= L - 3
 
 
 def _random_elementary_module(rng, p):

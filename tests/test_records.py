@@ -147,6 +147,15 @@ def test_growth_needs_exactly_the_layers_from_zero():
     assert (growth["kind"], growth["verdict"]) == ("growth", "skipped")
 
 
+def test_growth_fit_failure_is_skipped():
+    # e = 0, 1, 3, 4 at p = 3: the last second difference, -1, is no
+    # multiple of p·(p-1)^2 = 12, so no Iwasawa formula fits
+    records = [parse_record(_line(n=n, inv=inv), n + 1) for n, inv in enumerate(([], [3], [9, 3], [9, 9]))]
+    growth = check_records(records)[0][-1]
+    assert (growth["kind"], growth["verdict"]) == ("growth", "skipped")
+    assert growth["reason"].startswith("growth fit failed: not eventually of Iwasawa shape")
+
+
 def test_conflicting_layer_sizes_detected():
     a = parse_record(_line(n=1, inv=[9, 3]), 1)
     b = parse_record(_line(n=1, inv=[27, 3]), 2)

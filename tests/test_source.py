@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
+import importlib
 import sys
 from pathlib import Path
 
@@ -146,4 +148,28 @@ def test_the_odd_prime_check_lives_in_padic():
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "is_odd_prime"
         ]
+    assert found == []
+
+
+def test_no_except_tuple_names_a_class_beside_its_base():
+    # ``except (A, B)`` with B a base of A catches exactly what ``except B``
+    # does; naming A as well reads as a case that B does not cover.
+    found = []
+    tuples = 0
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("anticyclo" if path.stem == "__init__" else f"anticyclo.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple)):
+                continue
+            tuples += 1
+            names = [ast.unparse(elt) for elt in node.type.elts]
+            classes = [eval(name, vars(builtins) | vars(module)) for name in names]
+            found += [
+                f"{path.name}:{node.lineno} {name} beside {base_name}"
+                for name, cls in zip(names, classes)
+                for base_name, base in zip(names, classes)
+                if base is not cls and issubclass(cls, base)
+            ]
+    assert tuples, "no except tuple found in the package source"
     assert found == []
