@@ -39,10 +39,8 @@ from .iwasawa import (
     omega_n,
     parity_audit,
     t_multiplicity,
-    validate_gamma_model,
 )
 from .linalg import (
-    CharPoly,
     IntertwinerResult,
     PadicMatrix,
     charpoly,
@@ -68,13 +66,13 @@ from .records import ClassGroupRecord, RecordParseError, check_records, parse_re
 __all__ = [
     "PadicInt", "PadicExponent", "val", "inv", "teichmuller", "pow_one_unit", "binom",
     "MetacyclicGroup", "GeneratorImages", "HomCheck",
-    "PadicMatrix", "CharPoly", "charpoly", "mat_pow_zeta", "intertwiner_solve",
+    "PadicMatrix", "charpoly", "mat_pow_zeta", "intertwiner_solve",
     "IntertwinerResult", "orbit_block_construct", "rank_divisibility_check",
     "random_unipotent_matrix", "zeta_order",
     "ElementaryLambdaModule", "IwasawaInvariants", "GammaModel", "omega_n",
     "layer_exponents", "layer_size_exponent", "invariants_of", "fit_invariants",
     "coinvariants",
-    "t_multiplicity", "parity_audit", "build_gamma_model", "validate_gamma_model",
+    "t_multiplicity", "parity_audit", "build_gamma_model",
     "FinitePModule", "fixed_points", "norm_image", "tate_h0", "tate_hm1",
     "minus_part", "herbrand_check", "theorem2_cyclic_obstruction", "ObstructionResult",
     "ClassGroupRecord", "RecordParseError", "check_records", "parse_record",

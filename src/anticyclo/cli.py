@@ -152,11 +152,12 @@ def parse_module_spec(spec: str, p: int) -> ElementaryLambdaModule:
 # ----------------------------------------------------------------------
 
 def cmd_verify_lemma1(args, report: Report) -> int:
-    for p in args.p:
+    primes = list(dict.fromkeys(args.p))  # each prime once, in the order given
+    for p in primes:
         require_odd_prime(p)
     if args.u_max < 1:
         raise ValueError(f"--u-max {args.u_max} is below the minimum 1: pass --u-max 1 or more")
-    for p, u in product(args.p, range(1, args.u_max + 1)):
+    for p, u in product(primes, range(1, args.u_max + 1)):
         group = MetacyclicGroup(p, u)
         try:
             witness = group.find_inverting_automorphism()
@@ -198,7 +199,7 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
             M = random_unipotent_matrix(p, precision, r, rng)
             result = intertwiner_solve(M, zeta, seed=args.seed * 1_000_003 + counter)
             tally[result.status] += 1
-            if result.status == "witness" and rank_divisibility_check(M, zeta, d, result) == "violation":
+            if result.status == "witness" and rank_divisibility_check(M, zeta, result) == "violation":
                 tally["violation"] += 1
                 report.add(
                     verdict="violation",
@@ -221,9 +222,9 @@ def cmd_lemma2_campaign(args, report: Report) -> int:
             control_precision = max(precision, r + 2)
             zc = _parse_zeta(args.zeta, p, control_precision)
             # the construct raises unless M^zeta·D == D·M holds exactly
-            M, _ = orbit_block_construct(p, control_precision, d, s, zc)
+            M, _ = orbit_block_construct(p, control_precision, s, zc)
             refound = intertwiner_solve(M, zc, seed=args.seed)
-            verdict = rank_divisibility_check(M, zc, d, refound)
+            verdict = rank_divisibility_check(M, zc, refound)
             ok = refound.status == "witness" and verdict == "consistent"
             if not ok:
                 totals["violation"] += 1
@@ -272,17 +273,23 @@ def cmd_growth(args, report: Report) -> int:
     exponents = layer_exponents(module, args.n_max)
     for n, e in enumerate(exponents):
         report.add(verdict="info", n=n, exponent=e)
+    # below layer K + 2 the fit may fail or disagree with the structure
+    # without any fault: the tail is not yet of Iwasawa shape
+    need = stable_level(module) + 2
+    too_short = (f"the layer exponents follow the Iwasawa formula only from layer {need - 2}: "
+                 f"pass --n-max {need} or more")
     try:
         fit = fit_invariants(exponents, args.p)
     except ValueError as exc:
-        need = stable_level(module) + 2
         if args.n_max >= need:
             raise
-        raise ValueError(
-            f"{exc}; the layer exponents follow the Iwasawa formula only from layer {need - 2}: "
-            f"pass --n-max {need} or more"
-        ) from exc
+        raise ValueError(f"{exc}; {too_short}") from exc
     match = (fit.lam, fit.mu) == (lam, mu)
+    if not match and args.n_max < need:
+        raise ValueError(
+            f"fitted (lambda, mu) = ({fit.lam}, {fit.mu}) disagrees with the structural "
+            f"({lam}, {mu}); {too_short}"
+        )
     report.add(
         verdict="ok" if match else "violation",
         fitted_lambda=fit.lam,
@@ -314,7 +321,8 @@ def _model_matrix(key, rows):
 
 def _load_model_file(path) -> GammaModel:
     """Read a model file; every number must be a JSON integer, and any
-    other value raises ModelInvariantError naming the key."""
+    other value raises ModelInvariantError naming the key, as does a "d"
+    other than the order of zeta."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -334,7 +342,9 @@ def _load_model_file(path) -> GammaModel:
     M = PadicMatrix(p, precision, _model_matrix("M", raw["M"]))
     D_rows = raw.get("D")
     D = PadicMatrix(p, precision, _model_matrix("D", D_rows)) if D_rows is not None else None
-    return GammaModel(M, D, zeta, d, t_block=_model_int("t_block", t_block) if t_block is not None else None)
+    if zeta_order(zeta, p) != d:
+        raise ModelInvariantError(f"model invariant violated: exponent does not have order {d}")
+    return GammaModel(M, D, zeta, t_block=_model_int("t_block", t_block) if t_block is not None else None)
 
 
 def cmd_audit_parity(args, report: Report) -> int:

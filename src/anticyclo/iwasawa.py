@@ -37,6 +37,14 @@ from .linalg import (
 from .padic import PadicExponent, PadicInt, require_odd_prime, teichmuller, valuation
 from .snf import cokernel_mod, det_nonzero_mod, minus_identity, smith_normal_form_mod_prime_power
 
+#: Largest degree of a polynomial factor whose layer exponents are
+#: computed.  Each level k with phi(p^k) <= deg g needs a local-ring SNF of
+#: a deg g × deg g matrix, and p = 3 has the most such levels: to layer 8,
+#: T^200 + 3 takes 2.7 s and T^400 + 3 10.3 s (26 MB) on one core of an
+#: Intel Xeon, T^500 + 3 206 s (level 6 joins at phi(3^6) = 486), and
+#: T^10000 + 3 runs out of memory.
+MAX_POLY_DEGREE = 400
+
 
 # ----------------------------------------------------------------------
 # integer polynomials (ascending coefficient lists)
@@ -151,9 +159,16 @@ def layer_exponents(module: ElementaryLambdaModule, n_max: int) -> list[int]:
     """[e_0, ..., e_(n_max)] with |E/omega_n·E| = p^(e_n), additive over
     the factors.  Each level term is computed once: e_n = e_(n-1) + Σ_g c_n(g)
     in the polynomial part, c_n(g) = deg g past the levels ``_level_terms``
-    yields.  The first layer with an infinite quotient raises, naming it."""
+    yields.  The first layer with an infinite quotient raises, naming it,
+    and so does a factor of degree above MAX_POLY_DEGREE, before any level."""
     if n_max < 0:
         raise ValueError("layer index must be non-negative")
+    for i, g in enumerate(module.poly_parts, 1):
+        if len(g) - 1 > MAX_POLY_DEGREE:
+            raise ValueError(
+                f"polynomial factor {i} has degree {len(g) - 1}, above the bound "
+                f"MAX_POLY_DEGREE = {MAX_POLY_DEGREE} on the layer computation"
+            )
     p, mu = module.p, sum(module.mu_parts)
     parts = [(g, _level_terms(g, p)) for g in module.poly_parts]
     exponents = []
@@ -231,39 +246,41 @@ def fit_invariants(exponents: Sequence[int], p: int) -> IwasawaInvariants:
 # matrix models of the tower action
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GammaModel:
-    """Action data on a free rank-r quotient at precision.
+    """Action data on a free rank-r quotient at precision, checked when
+    built: a model that violates an invariant raises ModelInvariantError.
 
-    M is the matrix of the topological generator; D, when present,
-    intertwines M^zeta with M and is invertible; t_block is the certified
-    size of the identity block built into M (its generalized eigenvalue-1
-    part), None when nothing was certified at construction.
+    M is the matrix of the topological generator, ≡ I mod p; D, when
+    present, is invertible and intertwines M^zeta with M; t_block is the
+    certified size of the identity block built into M (its generalized
+    eigenvalue-1 part), None when nothing was certified at construction.
     """
 
     M: PadicMatrix
     D: Optional[PadicMatrix]
     zeta: PadicExponent
-    d: int
     t_block: Optional[int] = None
 
+    def __post_init__(self):
+        M, D = self.M, self.D
+        zeta_order(self.zeta, M.p)  # raises unless zeta is a root of unity at p
+        if any(x % M.p for row in minus_identity(M.rows) for x in row):
+            raise ModelInvariantError("model invariant violated: generator matrix is not ≡ I mod p")
+        if self.t_block is not None and not 0 <= self.t_block <= M.dim:
+            raise ModelInvariantError("model invariant violated: certified block size out of range")
+        if D is not None:
+            if (D.p, D.precision, D.dim) != (M.p, M.precision, M.dim):
+                raise ModelInvariantError("model invariant violated: D incompatible with M")
+            if not det_nonzero_mod(D.rows, M.p, 1):
+                raise ModelInvariantError("model invariant violated: D is not invertible")
+            if mat_pow_zeta(M, self.zeta) @ D != D @ M:
+                raise ModelInvariantError("model invariant violated: D does not intertwine M^zeta with M")
 
-def validate_gamma_model(model: GammaModel) -> None:
-    """Check the declared invariants; raises ModelInvariantError."""
-    M = model.M
-    if zeta_order(model.zeta, M.p) != model.d:
-        raise ModelInvariantError(f"model invariant violated: exponent does not have order {model.d}")
-    if any(x % M.p for row in minus_identity(M.rows) for x in row):
-        raise ModelInvariantError("model invariant violated: generator matrix is not ≡ I mod p")
-    if model.t_block is not None and not 0 <= model.t_block <= M.dim:
-        raise ModelInvariantError("model invariant violated: certified block size out of range")
-    if model.D is not None:
-        if (model.D.p, model.D.precision, model.D.dim) != (M.p, M.precision, M.dim):
-            raise ModelInvariantError("model invariant violated: D incompatible with M")
-        if not det_nonzero_mod(model.D.rows, M.p, 1):
-            raise ModelInvariantError("model invariant violated: D is not invertible")
-        if mat_pow_zeta(M, model.zeta) @ model.D != model.D @ M:
-            raise ModelInvariantError("model invariant violated: D does not intertwine M^zeta with M")
+    @property
+    def d(self) -> int:
+        """The order of zeta."""
+        return zeta_order(self.zeta, self.M.p)
 
 
 def default_zeta(p: int, precision: int, d: int) -> PadicExponent:
@@ -292,15 +309,18 @@ def build_gamma_model(
     seeds: Sequence[int] | None = None,
 ) -> GammaModel:
     """Assemble a model with orbit_count full eigenvalue orbits plus an
-    identity block of size t_block; dimension is d·orbit_count + t_block."""
+    identity block of size t_block; dimension is d·orbit_count + t_block.
+    d must be the order of zeta when zeta is given."""
     if orbit_count < 0 or t_block < 0 or orbit_count + t_block == 0:
         raise ValueError("need a non-empty model")
     if zeta is None:
         zeta = default_zeta(p, precision, d)
+    elif zeta_order(zeta, p) != d:
+        raise ValueError(f"incompatible d: exponent does not have order {d}")
     blocks_m = []
     blocks_d = []
     if orbit_count:
-        M_orb, D_orb = orbit_block_construct(p, precision, d, orbit_count, zeta, seeds)
+        M_orb, D_orb = orbit_block_construct(p, precision, orbit_count, zeta, seeds)
         blocks_m.append(M_orb)
         blocks_d.append(D_orb)
     if t_block:
@@ -309,9 +329,7 @@ def build_gamma_model(
         blocks_d.append(ident)
     M = PadicMatrix.block_diag(blocks_m)
     D = PadicMatrix.block_diag(blocks_d)
-    model = GammaModel(M, D, zeta, d, t_block=t_block)
-    validate_gamma_model(model)
-    return model
+    return GammaModel(M, D, zeta, t_block=t_block)
 
 
 def _peel(rows) -> int:
@@ -350,8 +368,7 @@ def t_multiplicity(M: PadicMatrix, certified_t_block: Optional[int] = None) -> i
     separate determinant test.
     """
     shift = minus_identity(M.rows)
-    cp = charpoly(PadicMatrix(M.p, M.precision, shift))
-    s_obs = cp.trailing_zero_count()
+    s_obs = next(i for i, c in enumerate(charpoly(shift, M.modulus)) if c)
     if certified_t_block is not None:
         if s_obs < certified_t_block:
             raise ModelInvariantError(
@@ -373,9 +390,9 @@ def t_multiplicity(M: PadicMatrix, certified_t_block: Optional[int] = None) -> i
 
 
 def parity_audit(model: GammaModel) -> str:
-    """Check r ≡ s mod d on a validated model; the expected verdict is
-    always "consistent", and a "violation" reports a bug, never math."""
-    validate_gamma_model(model)
+    """Check r ≡ s mod d on a model, which checked its invariants when it
+    was built; the expected verdict is always "consistent", and a
+    "violation" reports a bug, never math."""
     M = model.M
     if model.D is None:
         found = intertwiner_solve(M, model.zeta)

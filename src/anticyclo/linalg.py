@@ -133,7 +133,7 @@ class PadicMatrix:
         sum_k c_k·M^k = 0 gives M^-1 = -c_0^-1 · sum_(k>=1) c_k·M^(k-1),
         one Horner evaluation (``_poly_at``) with the scaled coefficients.
         """
-        c = charpoly(self).coeffs
+        c = charpoly(self.rows, self.modulus)
         if c[0] % self.p == 0:
             raise NotInvertibleError("matrix is not invertible at this precision")
         neg_c0_inv = -pow(c[0], -1, self.modulus)
@@ -144,58 +144,15 @@ class PadicMatrix:
         return f"PadicMatrix({self.dim}x{self.dim} mod {self.p}^{self.precision}: {list(map(list, self.rows))})"
 
 
-class CharPoly:
-    """Monic characteristic polynomial with coefficients in Z/p^N.
+def charpoly(A, m: int) -> tuple[int, ...]:
+    """Ascending coefficients of the monic characteristic polynomial of the
+    square matrix A of integer rows, mod m: entry i multiplies T^i and the
+    last entry is 1.
 
-    Coefficients are stored ascending: coeffs[i] multiplies T^i and
-    coeffs[degree] == 1.
+    Berkowitz recursion: division-free, hence sound over Z/p^N.  Cost
+    O(r^4), irrelevant at the dimensions used here.
     """
-
-    def __init__(self, p: int, precision: int, coeffs: Sequence[int]):
-        self.p = p
-        self.precision = precision
-        self.modulus = p**precision
-        self.coeffs = tuple(int(c) % self.modulus for c in coeffs)
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CharPoly)
-            and (self.p, self.precision, self.coeffs) == (other.p, other.precision, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.precision, self.coeffs))
-
-    def trailing_zero_count(self) -> int:
-        """Number of leading T-powers dividing the polynomial at precision."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-
-    def __repr__(self) -> str:
-        terms = [
-            f"{c}*T^{i}"
-            for i in range(self.degree, -1, -1)
-            if (c := self.coeffs[i]) != 0
-        ]
-        return f"CharPoly({' + '.join(terms) or '0'} mod {self.p}^{self.precision})"
-
-
-def charpoly(M: PadicMatrix) -> CharPoly:
-    """Characteristic polynomial of M via the Berkowitz recursion.
-
-    Division-free, hence sound over Z/p^N.  Cost O(r^4), irrelevant at
-    the dimensions used here.
-    """
-    m = M.modulus
-    A = M.rows
-    n = M.dim
+    n = len(A)
     coeffs = [1]  # leading-first, for the empty principal minor
     for k in range(1, n + 1):
         a = A[k - 1][k - 1]
@@ -216,7 +173,7 @@ def charpoly(M: PadicMatrix) -> CharPoly:
                     acc += q[i - j] * cj
             new.append(acc % m)
         coeffs = new
-    return CharPoly(M.p, M.precision, coeffs[::-1])
+    return tuple(coeffs[::-1])
 
 
 def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
@@ -354,7 +311,7 @@ def _shift_charpoly(M: PadicMatrix):
     """Coefficients of chi_S mod p^(N-1), S = (M - I)/p, for N >= 2: the
     one Berkowitz run that both tests of ``intertwiner_solve`` read."""
     S = [[x // M.p for x in row] for row in minus_identity(M.rows)]
-    return charpoly(PadicMatrix(M.p, M.precision - 1, S)).coeffs
+    return charpoly(S, M.modulus // M.p)
 
 
 def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
@@ -465,21 +422,18 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
 def orbit_block_construct(
     p: int,
     precision: int,
-    d: int,
     s: int,
     zeta: PadicExponent,
     seeds: Sequence[int] | None = None,
 ) -> tuple[PadicMatrix, PadicMatrix]:
     """Build (M, D) realizing s full zeta-orbits of principal-unit eigenvalues.
 
-    M is diagonal of size d·s with eigenvalues eta_i^(zeta^j); D is the
-    block cyclic shift pairing each eigenvalue with its zeta-th power, so
-    M^zeta · D = D · M holds exactly at precision and D is invertible.
+    M is diagonal of size d·s, d the order of zeta, with eigenvalues
+    eta_i^(zeta^j); D is the block cyclic shift pairing each eigenvalue
+    with its zeta-th power, so M^zeta · D = D · M holds exactly at
+    precision and D is invertible.
     """
-    if d < 1 or (p - 1) % d != 0:
-        raise ValueError(f"incompatible d: {d} does not divide p - 1 = {p - 1}")
-    if zeta_order(zeta, p) != d:
-        raise ValueError(f"incompatible d: exponent does not have order {d}")
+    d = zeta_order(zeta, p)
     if s < 1:
         raise ValueError("need at least one orbit")
     if seeds is None:
@@ -506,11 +460,10 @@ def orbit_block_construct(
 def rank_divisibility_check(
     M: PadicMatrix,
     zeta: PadicExponent,
-    d: int,
     solved: IntertwinerResult | None = None,
 ) -> str:
     """Given an intertwiner exists and the 1-eigenspace dies at precision,
-    assert dim(M) ≡ 0 mod d.
+    assert dim(M) ≡ 0 mod d, d the order of zeta.
 
     Returns "consistent" or "violation" ("violation" would mean a bug or
     a precision artifact, never a true mathematical state).  The
@@ -519,8 +472,7 @@ def rank_divisibility_check(
     ``intertwiner_solve(M, zeta)`` the caller already holds; without it
     the intertwiner is solved here with seed 0.
     """
-    if zeta_order(zeta, M.p) != d:
-        raise ValueError(f"exponent does not have order {d}")
+    d = zeta_order(zeta, M.p)
     if not det_nonzero_mod(minus_identity(M.rows), M.p, M.precision):
         raise PrecisionError(
             "raise precision: det(M - I) ≡ 0 mod p^N, the trivial-fixed-part "

@@ -223,7 +223,7 @@ def padic_det(M):
     from anticyclo.linalg import charpoly
     from anticyclo.padic import PadicInt
 
-    c0 = charpoly(M).coeffs[0]
+    c0 = charpoly(M.rows, M.modulus)[0]
     return PadicInt(M.p, M.precision, -c0 if M.dim % 2 else c0)
 
 
@@ -248,14 +248,15 @@ def matrix_power(M, e: int):
 
 
 def evaluate_charpoly(chi, M):
-    """chi(M) by Horner's rule in PadicMatrix arithmetic."""
+    """chi(M) by Horner's rule in PadicMatrix arithmetic, for chi the
+    ascending coefficients of a characteristic polynomial of M's size."""
     from anticyclo.linalg import PadicMatrix
 
-    if (M.p, M.precision, M.dim) != (chi.p, chi.precision, chi.degree):
+    if len(chi) - 1 != M.dim:
         raise ValueError("matrix does not match this characteristic polynomial")
     identity = PadicMatrix.identity(M.p, M.precision, M.dim)
     acc = identity.scale(0)
-    for c in reversed(chi.coeffs):
+    for c in reversed(chi):
         acc = acc @ M + identity.scale(c)
     return acc
 
@@ -653,7 +654,7 @@ def t_multiplicity_by_subset_scan(M):
     from anticyclo.snf import cokernel_mod
 
     shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
-    s_obs = charpoly(shift).trailing_zero_count()
+    s_obs = next(i for i, c in enumerate(charpoly(shift.rows, shift.modulus)) if c)
     if s_obs == 0:
         return 0
     rows = shift.rows

@@ -105,7 +105,7 @@ def test_acceptance_3_intertwiner_necessity_and_controls():
         p = 3 if d == 2 else 5
         precision = d * s + 2
         zeta = -1 if d == 2 else teichmuller(2, p, precision)
-        M, D = orbit_block_construct(p, precision, d, s, zeta)
+        M, D = orbit_block_construct(p, precision, s, zeta)
         ok &= mat_pow_zeta(M, zeta) @ D == D @ M
         ok &= is_invertible(D)
         controls.append((M, zeta))
@@ -123,9 +123,9 @@ def test_acceptance_4_characteristic_polynomial_identity():
             p = 3 if d == 2 else 5
             precision = d * s + 2
             zeta = -1 if d == 2 else teichmuller(2, p, precision)
-            M, _ = orbit_block_construct(p, precision, d, s, zeta)
+            M, _ = orbit_block_construct(p, precision, s, zeta)
             controls.append((M, zeta))
-    ok = all(charpoly(mat_pow_zeta(M, zeta)) == charpoly(M) for M, zeta in controls)
+    ok = all(charpoly(mat_pow_zeta(M, zeta).rows, M.modulus) == charpoly(M.rows, M.modulus) for M, zeta in controls)
     _report(4, "zeta-power preserves the characteristic polynomial on controls", ok)
 
 

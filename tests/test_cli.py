@@ -13,6 +13,7 @@ import pytest
 
 from anticyclo import cli
 from anticyclo.cli import main, parse_module_spec
+from anticyclo.iwasawa import MAX_POLY_DEGREE
 from anticyclo.padic import MILLER_RABIN_BOUND
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +101,18 @@ def test_growth_names_the_n_max_the_fit_needs(p, module, capsys):
     assert json.loads(out.strip().splitlines()[-1]) == {"record": "summary", "layers": 5, "match": 1}
 
 
+def test_growth_refuses_a_fit_below_the_stable_layer(capsys):
+    # phi(3^3) = 18 <= 25 < phi(3^4): the level terms run to level 3, so
+    # the fit on layers 0..3 misreads the tail without any fault
+    code, out = run(["growth", "--p", "3", "--module", "T^25+3", "--n-max", "3"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "(lambda, mu) = (0, 1) disagrees with the structural (25, 0)" in err
+    assert "only from layer 3" in err and "pass --n-max 5 or more" in err
+    code, out = run(["--no-timestamps", "growth", "--p", "3", "--module", "T^25+3", "--n-max", "5"])
+    assert code == 0 and "[ok] fitted_lambda=25, fitted_mu=0" in out
+
+
 def test_growth_reaches_deep_layers():
     argv = ["--no-timestamps", "--format", "machine", "growth", "--p", "3", "--module", "T^3+3T+6", "--n-max", "40"]
     code, out = run(argv)
@@ -130,6 +143,13 @@ def test_inverting_search_rejects_a_malformed_grid(argv, named, capsys):
     code, out = run(["verify-lemma1", *argv])
     assert code == 2 and out == ""
     assert named in capsys.readouterr().err
+
+
+def test_inverting_search_visits_each_prime_once():
+    once = run(["--no-timestamps", "verify-lemma1", "--p", "5", "3", "--u-max", "1"])
+    assert run(["--no-timestamps", "verify-lemma1", "--p", "5", "3", "5", "3", "--u-max", "1"]) == once
+    assert once[0] == 0 and "grid_points=2" in once[1]
+    assert once[1].index("p=5") < once[1].index("p=3")
 
 
 def test_inverting_search_reports_guard_skips():
@@ -234,6 +254,15 @@ def test_audit_parity_rejects_corrupted_model(tmp_path):
     bad.write_text(json.dumps(raw))
     code, _ = run(["audit-parity", str(bad)])
     assert code == 2
+
+
+def test_audit_parity_rejects_a_d_other_than_the_order_of_zeta(tmp_path, capsys):
+    raw = json.loads((DATA / "model_d2.json").read_text()) | {"d": 4}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run(["audit-parity", str(bad)])
+    assert code == 2 and out == ""
+    assert "model invariant violated: exponent does not have order 4" in capsys.readouterr().err
 
 
 def test_audit_parity_rejects_malformed_file(tmp_path):
@@ -462,16 +491,21 @@ def test_check_records_refuses_a_prime_beyond_the_primality_bound(tmp_path):
     assert "line 1" in result.stderr and str(MILLER_RABIN_BOUND) in result.stderr
 
 
-def test_check_records_memory_does_not_grow_with_the_layer_index(tmp_path):
-    records = tmp_path / "deep.jsonl"
-    records.write_text(json.dumps({"p": 3, "n": 10**12, "inv": [9, 3], "label": "x"}) + "\n")
-    limit = 1 << 30  # a layer set built in memory fails here instead of exhausting the host
-    result = subprocess.run(
-        [sys.executable, "-m", "anticyclo.cli", "--no-timestamps", "--format", "machine",
-         "check-records", str(records)],
+def run_process_in_1_gib(argv):
+    # A run that builds something huge fails here with MemoryError instead
+    # of exhausting the host.
+    limit = 1 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "anticyclo.cli", "--no-timestamps", *argv],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=20,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def test_check_records_memory_does_not_grow_with_the_layer_index(tmp_path):
+    records = tmp_path / "deep.jsonl"
+    records.write_text(json.dumps({"p": 3, "n": 10**12, "inv": [9, 3], "label": "x"}) + "\n")
+    result = run_process_in_1_gib(["--format", "machine", "check-records", str(records)])
     assert result.returncode == 0, result.stderr
     growth = [json.loads(line) for line in result.stdout.splitlines() if '"growth"' in line]
     assert [(g["label"], g["verdict"]) for g in growth] == [("x", "skipped")]
@@ -494,6 +528,14 @@ def test_growth_reaches_layer_400_promptly():
     result = run_process(["growth", "--p", "3", "--module", "T^5+3", "--n-max", "400"])
     assert result.returncode == 0, result.stderr
     assert "fitted_lambda=5, fitted_mu=0, fitted_nu=-2" in result.stdout
+
+
+@pytest.mark.parametrize("degree", [MAX_POLY_DEGREE + 1, 10000])
+def test_growth_refuses_a_factor_above_the_degree_bound(degree):
+    result = run_process_in_1_gib(["growth", "--p", "3", "--module", f"p^1,T^{degree}+3", "--n-max", "3"])
+    assert result.returncode == 2 and result.stdout == ""
+    assert f"polynomial factor 1 has degree {degree}" in result.stderr
+    assert f"MAX_POLY_DEGREE = {MAX_POLY_DEGREE}" in result.stderr
 
 
 def test_growth_table_runs_each_level_elimination_once(monkeypatch):

@@ -21,7 +21,6 @@ from anticyclo.iwasawa import (
     parity_audit,
     stable_level,
     t_multiplicity,
-    validate_gamma_model,
 )
 from anticyclo.linalg import PadicMatrix, zeta_order
 from anticyclo.padic import teichmuller
@@ -334,18 +333,60 @@ def test_gamma_model_construction_and_audit():
     assert parity_audit(model) == "consistent"
 
 
-def test_gamma_model_validation_rejects_corruption():
-    model = build_gamma_model(3, 4, 2, 1)
-    rows = [list(r) for r in model.D.rows]
-    rows[0][0] = (rows[0][0] + 1) % model.D.modulus
-    bad = GammaModel(model.M, PadicMatrix(3, 4, rows), model.zeta, model.d, model.t_block)
-    with pytest.raises(ModelInvariantError, match="intertwine"):
-        validate_gamma_model(bad)
-    with pytest.raises(ModelInvariantError):
-        parity_audit(bad)
-    shrunk = GammaModel(model.M, model.D.scale(3), model.zeta, model.d, model.t_block)
-    with pytest.raises(ModelInvariantError, match="invertible"):
-        validate_gamma_model(shrunk)
+def _corrupted(model, invariant):
+    """(M, D, t_block) of ``model`` with one invariant broken."""
+    M, D = model.M, model.D
+    if invariant == "not ≡ I mod p":
+        return M + PadicMatrix.identity(M.p, M.precision, M.dim), D, model.t_block
+    if invariant == "block size out of range":
+        return M, D, M.dim + 1
+    if invariant == "D incompatible with M":
+        return M, PadicMatrix(M.p, M.precision + 1, D.rows), model.t_block
+    if invariant == "not invertible":
+        return M, D.scale(M.p), model.t_block
+    rows = [list(r) for r in D.rows]
+    rows[0][0] = (rows[0][0] + 1) % D.modulus  # pairs an eigenvalue with itself
+    return M, PadicMatrix(M.p, M.precision, rows), model.t_block
+
+
+@pytest.mark.parametrize(
+    "invariant",
+    ["not ≡ I mod p", "block size out of range", "D incompatible with M", "not invertible", "does not intertwine"],
+)
+def test_gamma_model_checks_itself_when_built(invariant):
+    model = build_gamma_model(3, 5, 2, 1, t_block=1)
+    M, D, t_block = _corrupted(model, invariant)
+    with pytest.raises(ModelInvariantError, match=invariant):
+        GammaModel(M, D, model.zeta, t_block)
+
+
+def test_gamma_model_is_frozen_and_reads_d_from_zeta():
+    model = build_gamma_model(5, 6, 4, 1, zeta=teichmuller(2, 5, 6))
+    assert model.d == 4
+    with pytest.raises(AttributeError):
+        model.t_block = 0
+    with pytest.raises(AttributeError):
+        model.d = 2
+    with pytest.raises(ValueError, match="not roots of unity"):
+        GammaModel(model.M, None, 2)
+
+
+def test_build_gamma_model_checks_d_against_a_given_zeta():
+    for orbit_count, t_block in ((1, 0), (0, 1)):
+        with pytest.raises(ValueError, match="incompatible d: exponent does not have order 2"):
+            build_gamma_model(5, 6, 2, orbit_count, t_block, zeta=teichmuller(2, 5, 6))
+
+
+def test_parity_audit_does_not_recheck_a_model_with_d(monkeypatch):
+    # the model checked M^zeta·D = D·M when it was built
+    from anticyclo import iwasawa, linalg
+
+    model = build_gamma_model(5, 6, 4, 1, t_block=1)
+    calls = []
+    for module in (iwasawa, linalg):
+        monkeypatch.setattr(module, "mat_pow_zeta", lambda *args: calls.append(args))
+    assert parity_audit(model) == "consistent"
+    assert calls == []
 
 
 def test_t_multiplicity_examples():
@@ -451,7 +492,7 @@ def test_coinvariants_of_models_match_enumeration_oracle():
             for i in range(r)
         ]
         M = PadicMatrix(p, precision, rows)
-        model = GammaModel(M, None, 1, 1)
+        model = GammaModel(M, None, 1)
         factors = tuple([modulus] * r)
         elements = list(product(range(modulus), repeat=r))
         shift_image = {
@@ -473,7 +514,7 @@ def test_coinvariants_of_models_match_enumeration_oracle():
 
 
 def test_coinvariants_of_identity_model_needs_precision():
-    model = GammaModel(PadicMatrix.identity(3, 2, 2), None, 1, 1)
+    model = GammaModel(PadicMatrix.identity(3, 2, 2), None, 1)
     with pytest.raises(PrecisionError):
         coinvariants(model)
 

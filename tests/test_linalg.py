@@ -37,11 +37,11 @@ from conftest import (
 
 
 def test_charpoly_examples():
-    cp = charpoly(PadicMatrix(3, 3, [[4, 0], [0, 1]]))
-    assert cp.coeffs == (4, (-5) % 27, 1)  # T^2 - 5T + 4
+    assert charpoly([[4, 0], [0, 1]], 27) == (4, (-5) % 27, 1)  # T^2 - 5T + 4
     a, b = 5, 7
-    companion = PadicMatrix(3, 3, [[0, -b], [1, -a]])
-    assert charpoly(companion).coeffs == (b, a, 1)
+    companion = [[0, -b], [1, -a]]
+    assert charpoly(companion, 27) == (b, a, 1)
+    assert charpoly([[7]], 3) == (2, 1)  # T - 7 ≡ T + 2 mod 3
 
 
 def test_charpoly_matches_cofactor_expansion_oracle():
@@ -49,10 +49,9 @@ def test_charpoly_matches_cofactor_expansion_oracle():
     for _ in range(40):
         n = rng.randint(1, 4)
         rows = [[rng.randrange(27) for _ in range(n)] for _ in range(n)]
-        M = PadicMatrix(3, 3, rows)
         expected = charpoly_by_expansion(rows, 27)
         expected += [0] * (n + 1 - len(expected))
-        assert list(charpoly(M).coeffs) == [c % 27 for c in expected]
+        assert list(charpoly(rows, 27)) == [c % 27 for c in expected]
 
 
 def test_cayley_hamilton():
@@ -63,7 +62,7 @@ def test_cayley_hamilton():
             M = PadicMatrix(
                 p, precision, [[rng.randrange(p**precision) for _ in range(n)] for _ in range(n)]
             )
-            assert is_zero_matrix(evaluate_charpoly(charpoly(M), M))
+            assert is_zero_matrix(evaluate_charpoly(charpoly(M.rows, M.modulus), M))
 
 
 def test_charpoly_conjugation_invariance():
@@ -76,7 +75,7 @@ def test_charpoly_conjugation_invariance():
             D = PadicMatrix(p, precision, [[rng.randrange(27) for _ in range(n)] for _ in range(n)])
             if is_invertible(D):
                 break
-        assert charpoly(D.inverse() @ M @ D) == charpoly(M)
+        assert charpoly((D.inverse() @ M @ D).rows, 27) == charpoly(M.rows, 27)
 
 
 def test_inverse_and_determinant():
@@ -225,14 +224,14 @@ def test_odd_dimension_never_intertwines():
 
 
 def test_orbit_construct_minimal_example():
-    M, D = orbit_block_construct(3, 3, 2, 1, -1)
+    M, D = orbit_block_construct(3, 3, 1, -1)
     assert M.rows == ((4, 0), (0, 7))
     assert D.rows == ((0, 1), (1, 0))
     assert mat_pow_zeta(M, -1) @ D == D @ M
 
 
 def test_orbit_construct_direct_sum():
-    M, D = orbit_block_construct(3, 6, 2, 2, -1)
+    M, D = orbit_block_construct(3, 6, 2, -1)
     assert M.dim == 4
     assert mat_pow_zeta(M, -1) @ D == D @ M
     # block-diagonal of two order-2 orbits
@@ -242,58 +241,60 @@ def test_orbit_construct_direct_sum():
 
 def test_orbit_construct_order_four():
     zeta = teichmuller(2, 5, 2)
-    M, D = orbit_block_construct(5, 2, 4, 1, zeta, seeds=[6])
+    M, D = orbit_block_construct(5, 2, 1, zeta, seeds=[6])
     assert M.dim == 4
     assert M.rows[0][0] == 6
     assert mat_pow_zeta(M, zeta) @ D == D @ M
     assert intertwiner_solve(M, zeta).status == "witness"
 
 
-def test_orbit_construct_rejects_incompatible_d():
-    with pytest.raises(ValueError, match="incompatible d"):
-        orbit_block_construct(3, 3, 4, 1, -1)
-    with pytest.raises(ValueError, match="incompatible d"):
-        orbit_block_construct(5, 2, 4, 1, -1)
+def test_orbit_construct_reads_d_from_zeta():
+    # s orbits of size d, the order of zeta
+    for zeta, d in ((1, 1), (-1, 2), (teichmuller(2, 5, 3), 4)):
+        M, D = orbit_block_construct(5, 3, 2, zeta)
+        assert M.dim == D.dim == 2 * d
+    with pytest.raises(ValueError, match="not roots of unity"):
+        orbit_block_construct(5, 3, 1, 2)
 
 
 def test_charpoly_identity_under_zeta_witness():
     # whenever an invertible intertwiner exists, M^zeta and M share charpoly
     cases = [
-        orbit_block_construct(3, 4, 2, 1, -1),
-        orbit_block_construct(3, 6, 2, 2, -1),
-        orbit_block_construct(5, 6, 4, 1, teichmuller(2, 5, 6)),
+        orbit_block_construct(3, 4, 1, -1),
+        orbit_block_construct(3, 6, 2, -1),
+        orbit_block_construct(5, 6, 1, teichmuller(2, 5, 6)),
     ]
     zetas = [-1, -1, teichmuller(2, 5, 6)]
     for (M, D), zeta in zip(cases, zetas):
         assert intertwiner_solve(M, zeta).status == "witness"
-        assert charpoly(mat_pow_zeta(M, zeta)) == charpoly(M)
+        assert charpoly(mat_pow_zeta(M, zeta).rows, M.modulus) == charpoly(M.rows, M.modulus)
 
 
 def test_rank_divisibility_on_constructions():
-    M, _ = orbit_block_construct(3, 4, 2, 1, -1)
-    assert rank_divisibility_check(M, -1, 2) == "consistent"
-    M, _ = orbit_block_construct(3, 6, 2, 2, -1)
-    assert rank_divisibility_check(M, -1, 2) == "consistent"
+    M, _ = orbit_block_construct(3, 4, 1, -1)
+    assert rank_divisibility_check(M, -1) == "consistent"
+    M, _ = orbit_block_construct(3, 6, 2, -1)
+    assert rank_divisibility_check(M, -1) == "consistent"
     zeta = teichmuller(2, 5, 8)
-    M, _ = orbit_block_construct(5, 8, 4, 1, zeta)
-    assert rank_divisibility_check(M, zeta, 4) == "consistent"
+    M, _ = orbit_block_construct(5, 8, 1, zeta)
+    assert rank_divisibility_check(M, zeta) == "consistent"
 
 
 def test_orbit_construct_default_seeds_with_many_orbits():
     # With s >= p orbits the default seeds skip 1 + p^2·k, so every
     # eigenvalue has v(lambda - 1) = 1 and det(M - I) has valuation d·s.
     for precision, s in ((8, 3), (9, 4)):
-        M, _ = orbit_block_construct(3, precision, 2, s, -1)
+        M, _ = orbit_block_construct(3, precision, s, -1)
         assert val(padic_det(M - PadicMatrix.identity(3, precision, M.dim))) == 2 * s
-        assert rank_divisibility_check(M, -1, 2) == "consistent"
+        assert rank_divisibility_check(M, -1) == "consistent"
 
 
 def test_rank_divisibility_vacuous_and_errors():
-    assert rank_divisibility_check(PadicMatrix(3, 3, [[4]]), -1, 2) == "consistent"
+    assert rank_divisibility_check(PadicMatrix(3, 3, [[4]]), -1) == "consistent"
     with pytest.raises(PrecisionError, match="raise precision"):
-        rank_divisibility_check(PadicMatrix.identity(3, 3, 2), -1, 2)
-    with pytest.raises(ValueError, match="order"):
-        rank_divisibility_check(PadicMatrix(3, 3, [[4]]), -1, 4)
+        rank_divisibility_check(PadicMatrix.identity(3, 3, 2), -1)
+    with pytest.raises(ValueError, match="not roots of unity"):
+        rank_divisibility_check(PadicMatrix(3, 3, [[4]]), 2)
 
 
 def test_random_unipotent_matrix_contract():
@@ -313,7 +314,7 @@ def test_randomized_rank_divisibility_campaign():
             result = intertwiner_solve(M, -1, seed=trial)
             assert result.status != "undetermined"
             if result.status == "witness":
-                assert rank_divisibility_check(M, -1, 2) == "consistent"
+                assert rank_divisibility_check(M, -1) == "consistent"
 
 
 def test_intertwiner_sampling_path_for_large_kernels():
@@ -347,7 +348,7 @@ def oracle_cases():
     orbits = [(3, 4, 2, 1, -1), (3, 6, 2, 2, -1), (5, 6, 4, 1, teichmuller(2, 5, 6)),
               (5, 6, 2, 2, -1), (7, 5, 3, 1, teichmuller(2, 7, 5)), (3, 5, 1, 4, 1)]
     for p, N, d, s, zeta in orbits:
-        M, _ = orbit_block_construct(p, N, d, s, zeta)
+        M, _ = orbit_block_construct(p, N, s, zeta)
         cases += [(M, zeta), (_conjugate(M, rng), zeta)]
         # An extra eigenvalue outside every orbit leaves a row of D zero.
         if d * s in (2, 3):
@@ -409,7 +410,7 @@ def _path_cases(rng):
                 d = zeta_order(zeta, p)
                 if r % d:
                     continue
-                M, _ = orbit_block_construct(p, N, d, r // d, zeta)
+                M, _ = orbit_block_construct(p, N, r // d, zeta)
                 yield _conjugate(M, rng), zeta
                 if r < 5:
                     extra = PadicMatrix.block_diag([M, PadicMatrix(p, N, [[1 + p * p]])])
@@ -450,11 +451,11 @@ def test_intertwiner_runs_berkowitz_once(monkeypatch):
     # both tests read one chi_S mod p^(N-1); N = 1 computes none and goes
     # straight to the dense system
     runs = []
-    monkeypatch.setattr(linalg, "charpoly", lambda M: runs.append(M.precision) or charpoly(M))
+    monkeypatch.setattr(linalg, "charpoly", lambda A, m: runs.append(m) or charpoly(A, m))
     for M, zeta in _path_cases(random.Random(17)):
         runs.clear()
         intertwiner_solve(M, zeta, seed=1)
-        assert runs == [M.precision - 1]
+        assert runs == [M.modulus // M.p]
     calls = _count_dense_calls(monkeypatch)
     runs.clear()
     assert intertwiner_solve(PadicMatrix.identity(5, 1, 2), -1).status == "witness"
@@ -476,7 +477,7 @@ def test_spectra_test_is_sound():
     assert (fired, len(cases)) == (23, 111)
     # at N = 1, M = I: S̄ = 0, chi_S̄ = T^2 and the test cannot fire
     for p, generator in ((3, 2), (5, 2), (7, 3)):
-        chi = charpoly(PadicMatrix(p, 1, [[0, 0], [0, 0]])).coeffs
+        chi = charpoly([[0, 0], [0, 0]], p)
         for zeta in (-1, teichmuller(generator, p, 1)):
             assert not _spectra_disjoint_mod_p(chi, zeta, p)
 
@@ -542,9 +543,9 @@ def test_dense_fallback_cases(monkeypatch):
         # M = I + p^2·A: S ≡ 0 mod p
         (PadicMatrix.identity(3, 4, 3) + PadicMatrix(3, 4, shift), "none"),
         # p = 3, s = 2: the orbits repeat the residues of S mod p
-        (orbit_block_construct(3, 6, 2, 2, -1)[0], "witness"),
+        (orbit_block_construct(3, 6, 2, -1)[0], "witness"),
         # a visible kernel: the dense system is its one basis producer
-        (orbit_block_construct(3, 4, 2, 1, -1)[0], "witness"),
+        (orbit_block_construct(3, 4, 1, -1)[0], "witness"),
     ]
     for M, status in fallbacks:
         calls = _count_dense_calls(monkeypatch)
@@ -561,7 +562,7 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     S = [[1, 1], [0, 1]]
     M = PadicMatrix.identity(p, N, 2) + PadicMatrix(p, N, S).scale(p)
     minus_S = PadicMatrix(p, 1, S).scale(-1)
-    assert cokernel_mod(evaluate_charpoly(charpoly(PadicMatrix(p, 1, S)), minus_S).rows, p, 1) == ()
+    assert cokernel_mod(evaluate_charpoly(charpoly(S, p), minus_S).rows, p, 1) == ()
     assert _spectra_disjoint_mod_p(_shift_charpoly(M), -1, p)
     assert _no_visible_solution(_shift_charpoly(M), mat_pow_zeta(M, -1))
     calls = _count_dense_calls(monkeypatch)
@@ -575,7 +576,7 @@ def test_intertwiner_samples_run_first_on_large_projective_counts(monkeypatch):
     # p=7, k=6: 19608 projective points exceed the 512 samples, so a
     # sampled witness is returned instead of the lexicographic one.
     zeta = teichmuller(3, 7, 8)
-    M, _ = orbit_block_construct(7, 8, 6, 1, zeta)
+    M, _ = orbit_block_construct(7, 8, 1, zeta)
     assert _kernel_dim(M, zeta) == 6
     result = intertwiner_solve(M, zeta)
     assert result.status == "witness" and is_invertible(result.witness)

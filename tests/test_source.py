@@ -173,3 +173,20 @@ def test_no_except_tuple_names_a_class_beside_its_base():
             ]
     assert tuples, "no except tuple found in the package source"
     assert found == []
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    # A name deleted from one of the two lists but left in the other is a
+    # stale export or a silent re-export.
+    import anticyclo
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported, "no re-exports found in __init__.py"
+    assert len(anticyclo.__all__) == len(set(anticyclo.__all__))
+    assert sorted(anticyclo.__all__) == sorted(imported)
