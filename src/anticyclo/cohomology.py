@@ -108,6 +108,10 @@ class FinitePModule:
         return self._reduce(rows) == identity_matrix(len(self.invariant_factors))
 
     def action(self, name: str):
+        """The matrix of the named action; on the zero module, [] for any
+        name, its only endomorphism, which has every order."""
+        if not self.invariant_factors:
+            return []
         if name not in self.actions:
             raise ValueError(f"no action named {name!r} on this module")
         return [list(r) for r in self.actions[name]]
@@ -200,8 +204,11 @@ def _norm_matrix(module: FinitePModule, name: str, m: int | None):
     below m·k·q_1² < 2^w: no digit carries into the next.  Each step
     unpacks the product row and reduces it mod q_i, so the scalars of the
     next step stay below q_1 and the cost stays linear in m.  The T^m = 1
-    check runs on every call, whatever order the module declares.
+    check runs on every call, whatever order the module declares.  The
+    zero module gets [] before any order is read or checked.
     """
+    if not module.invariant_factors:
+        return []
     if m is None:
         m = module.orders.get(name)
         if m is None:
@@ -227,31 +234,23 @@ def _norm_matrix(module: FinitePModule, name: str, m: int | None):
 
 def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
     """Kernel of (action - 1), as a bare structure (no actions carried)."""
-    if not module.invariant_factors:
-        return FinitePModule(module.p, ())
     return FinitePModule(module.p, _span(module, _preimage_gens(module, minus_identity(module.action(action)))))
 
 
 def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Image of 1 + T + ... + T^(m-1) for an action T with T^m = identity."""
-    if not module.invariant_factors:
-        return FinitePModule(module.p, ())
     norm = _norm_matrix(module, action, m)
     return FinitePModule(module.p, _span(module, _image_gens(module, norm)))
 
 
 def tate_h0(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Degree-0 Tate cohomology: fixed points modulo norms."""
-    if not module.invariant_factors:
-        return FinitePModule(module.p, ())
     norm = _norm_matrix(module, action, m)
     return FinitePModule(module.p, _ker_mod_im(module, minus_identity(module.action(action)), norm))
 
 
 def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Degree-(-1) Tate cohomology: norm kernel modulo the augmentation image."""
-    if not module.invariant_factors:
-        return FinitePModule(module.p, ())
     norm = _norm_matrix(module, action, m)
     return FinitePModule(module.p, _ker_mod_im(module, norm, minus_identity(module.action(action))))
 
@@ -265,13 +264,11 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
     carries J = -identity, so taking the minus part twice is the identity
     on structures; building it checks (-1)^2 = 1 with one product.
     """
-    if not module.invariant_factors:
-        return FinitePModule(module.p, ())
     J = module.action(action)
     if module.orders.get(action) not in (1, 2) and not module._is_identity(module._matrix_power(J, 2)):
         raise ValueError(f"action {action!r} is not an involution")
     # (1 - J)/2 = -(J - 1)·2^-1
-    inv2 = pow(2, -1, module.invariant_factors[0])
+    inv2 = pow(2, -1, module.p**module.exponent)
     idempotent = module._reduce([[-x * inv2 for x in row] for row in minus_identity(J)])
     invs = _span(module, _image_gens(module, idempotent))
     kk = len(invs)
@@ -286,8 +283,6 @@ def herbrand_check(module: FinitePModule, action: str = "tau", m: int | None = N
     the checks and errors of ``tate_h0``: H^0 = ker(T - 1)/im N and
     H^-1 = ker N/im(T - 1).
     """
-    if not module.invariant_factors:
-        return True
     norm = _norm_matrix(module, action, m)
     shift = minus_identity(module.action(action))
     return prod(_ker_mod_im(module, shift, norm)) == prod(_ker_mod_im(module, norm, shift))

@@ -173,13 +173,15 @@ def layer_exponents(module: ElementaryLambdaModule, n_max: int) -> list[int]:
     parts = [(g, _level_terms(g, p)) for g in module.poly_parts]
     exponents = []
     e = 0
+    mu_pn = mu  # mu·p^n, kept running so that no layer recomputes p^n
     for n in range(n_max + 1):
         for g, terms in parts:
             c = next(terms, len(g) - 1)
             if c is None:
                 raise _not_finite(g, n)
             e += c
-        exponents.append(mu * p**n + e)
+        exponents.append(mu_pn + e)
+        mu_pn *= p
     return exponents
 
 
@@ -232,13 +234,13 @@ def fit_invariants(exponents: Sequence[int], p: int) -> IwasawaInvariants:
     if mu < 0 or lam < 0:
         raise ValueError("not eventually of Iwasawa shape: fitted invariants are negative")
 
-    def formula(n):
-        return lam * n + mu * p**n + nu
-
-    # nu, lam and mu make layers L-1, L-2 and L-3 hold by construction
+    # nu, lam and mu make layers L-1, L-2 and L-3 hold by construction;
+    # walking down, mu_pn is mu·p^(stable-1), divided by p at each step
     stable = L - 3
-    while stable > 0 and formula(stable - 1) == e[stable - 1]:
+    mu_pn = mu * p ** (stable - 1)
+    while stable > 0 and lam * (stable - 1) + mu_pn + nu == e[stable - 1]:
         stable -= 1
+        mu_pn //= p
     return IwasawaInvariants(lam, mu, nu, stable)
 
 
@@ -287,6 +289,8 @@ def default_zeta(p: int, precision: int, d: int) -> PadicExponent:
     """A canonical exponent of exact order d: -1 for d = 2, else the
     Teichmuller lift of the least residue of order d.  Orders are read
     mod p, and only the chosen residue is lifted to precision N."""
+    if d < 1:
+        raise ValueError(f"the order d must be a positive integer, got {d}")
     if d == 1:
         return 1
     if d == 2:
@@ -439,8 +443,6 @@ def coinvariants(
                 "raise precision: coinvariants are not certifiably finite at this N"
             )
         return FinitePModule(M.p, invs)
-    if not module.invariant_factors:
-        return FinitePModule(module.p, ())
     invs = _coinvariant_factors(
         module.p, module.exponent, module.action(action), module.invariant_factors
     )

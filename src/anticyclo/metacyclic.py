@@ -2,7 +2,8 @@
 
 The group G(p, u) is generated by x of order p^(u+1) and tau of order p
 with tau·x·tau^-1 = x^(1+p^u).  Elements are normal-form pairs (a, c)
-standing for x^a·tau^c, so the product rule is closed-form.
+standing for x^a·tau^c, so the product rule and every power are
+closed-form.
 
 The automorphisms are known in closed form (Bidwell and Curran, "The
 automorphism group of a split metacyclic p-group", Arch. Math. 87, 2006):
@@ -68,23 +69,15 @@ class MetacyclicGroup:
         a2, c2 = h
         return ((a + (1 + c * self.pu) * a2) % self.mod_a, (c + c2) % self.p)
 
-    def inverse(self, g: Element) -> Element:
-        a, c = g
-        cinv = (-c) % self.p
-        return (-(1 + cinv * self.pu) * a % self.mod_a, cinv)
-
     def power(self, g: Element, n: int) -> Element:
-        if n < 0:
-            g = self.inverse(g)
-            n = -n
-        result = self.identity
-        base = g
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        """g^n for any integer n, in closed form: the i-th factor x^a moves
+        past tau^(i·c), which multiplies it by 1 + i·c·p^u, so
+        (x^a·tau^c)^n = x^(a·(n + c·p^u·n(n-1)/2))·tau^(n·c)."""
+        a, c = g
+        return (a * (n + c * self.pu * (n * (n - 1) // 2)) % self.mod_a, n * c % self.p)
+
+    def inverse(self, g: Element) -> Element:
+        return self.power(g, -1)
 
     def hom_check(self, images: GeneratorImages) -> HomCheck:
         """Do the images satisfy the defining relations of G?

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .iwasawa import fit_invariants
 from .padic import p_power_exponents, require_odd_prime
@@ -37,6 +36,10 @@ class RecordParseError(ValueError):
 
 @dataclass
 class ClassGroupRecord:
+    """One layer of one tower, checked when built: p is an odd prime, the
+    layer index n is non-negative and the invariants are descending
+    p-powers, whose exponent sum is kept as ``exponent_sum``."""
+
     p: int
     n: int
     invariants: tuple[int, ...]
@@ -44,13 +47,13 @@ class ClassGroupRecord:
     label: str
     line_number: int = 0
     warnings: list = field(default_factory=list)
-    #: sum of the invariant-factor exponents, passed by ``parse_record``
-    #: and computed here for a record built without it
-    exponent_sum: Optional[int] = None
+    exponent_sum: int = field(init=False)
 
     def __post_init__(self):
-        if self.exponent_sum is None:
-            self.exponent_sum = sum(p_power_exponents(self.invariants, self.p))
+        require_odd_prime(self.p)
+        if self.n < 0:
+            raise ValueError("layer index must be non-negative")
+        self.exponent_sum = sum(p_power_exponents(self.invariants, self.p))
 
     def hypotheses_asserted(self) -> bool:
         return all(self.flags.get(name) is True for name in FLAG_NAMES)
@@ -58,9 +61,6 @@ class ClassGroupRecord:
     def is_cyclic(self) -> bool:
         # One invariant factor, or none at all (the trivial group is cyclic).
         return len(self.invariants) <= 1
-
-    def size_exponent(self) -> int:
-        return self.exponent_sum
 
 
 def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
@@ -83,17 +83,16 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
     for key, value in [("p", p), ("n", n)] + [("inv", q) for q in inv]:
         if type(value) is not int:  # JSON integers only: no float, string or bool
             raise RecordParseError(f"line {line_number}: key {key!r} must hold JSON integers, got {json.dumps(value)}")
+    # the record checks p, n and inv when built; the flags and their
+    # warnings are read into it afterwards
+    flags = {}
     try:
-        require_odd_prime(p)
-        if n < 0:
-            raise ValueError("layer index must be non-negative")
-        exponent_sum = sum(p_power_exponents(inv, p))
+        rec = ClassGroupRecord(p, n, tuple(inv), flags, str(raw.get("label", "unlabeled")), line_number, warnings)
     except ValueError as exc:
         raise RecordParseError(f"line {line_number}: {exc}") from exc
     flags_raw = raw.get("flags", {})
     if not isinstance(flags_raw, dict):
         raise RecordParseError(f"line {line_number}: flags must be an object")
-    flags = {}
     for key, value in flags_raw.items():
         if key not in FLAG_NAMES:
             warnings.append(f"line {line_number}: unknown flag {key!r} ignored")
@@ -101,8 +100,7 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
         if not isinstance(value, bool):
             raise RecordParseError(f"line {line_number}: flag {key!r} must be a boolean")
         flags[key] = value
-    label = str(raw.get("label", "unlabeled"))
-    return ClassGroupRecord(p, n, tuple(inv), flags, label, line_number, warnings, exponent_sum)
+    return rec
 
 
 def parse_records_file(path) -> list[ClassGroupRecord]:
@@ -135,11 +133,11 @@ def _growth_check(label: str, group: list[ClassGroupRecord]) -> dict:
     base = {"kind": "growth", "label": label}
     layers = {}
     for rec in group:
-        e = rec.size_exponent()
+        e = rec.exponent_sum
         if layers.setdefault(rec.n, e) != e:
             return base | {"verdict": "contradiction", "reason": "conflicting sizes for one layer"}
     max_n = max(layers)
-    if len(layers) != max_n + 1 or min(layers) < 0 or max_n < 3:  # distinct integers: exactly 0..max_n
+    if len(layers) != max_n + 1 or max_n < 3:  # distinct integers >= 0: exactly 0..max_n
         return base | {"verdict": "skipped", "reason": "need layers 0..n with n >= 3 to fit growth"}
     try:
         fit = fit_invariants([layers[n] for n in range(max_n + 1)], group[0].p)

@@ -530,6 +530,14 @@ def test_growth_reaches_layer_400_promptly():
     assert "fitted_lambda=5, fitted_mu=0, fitted_nu=-2" in result.stdout
 
 
+def test_growth_reaches_layer_100000_promptly():
+    # no layer computes p^n afresh, so the table and the fit are linear
+    # in the layer count when there is no mu-part
+    result = run_process(["growth", "--p", "3", "--module", "T-3", "--n-max", "100000"])
+    assert result.returncode == 0, result.stderr
+    assert "layers=100001, match=1" in result.stdout
+
+
 @pytest.mark.parametrize("degree", [MAX_POLY_DEGREE + 1, 10000])
 def test_growth_refuses_a_factor_above_the_degree_bound(degree):
     result = run_process_in_1_gib(["growth", "--p", "3", "--module", f"p^1,T^{degree}+3", "--n-max", "3"])

@@ -237,6 +237,22 @@ def test_trivial_module_short_circuits(operation):
     assert operation(FinitePModule(3, ())) == expected
 
 
+def test_zero_module_flows_through_the_engine():
+    # the empty matrix is the one endomorphism of the zero module, of every
+    # order, so any name and any m reach the general code and give zero
+    zero = FinitePModule(3, ())
+    assert zero.action("any") == []
+    for m in (None, 0, 7):
+        assert _norm_matrix(zero, "any", m) == []
+        for operation in (norm_image, tate_h0, tate_hm1):
+            assert operation(zero, "any", m) == zero
+        assert herbrand_check(zero, "any", m)
+    for operation in (fixed_points, minus_part, coinvariants):
+        assert operation(zero, "any") == zero
+    with pytest.raises(ValueError, match="no action named 'any'"):
+        FinitePModule(3, (3,)).action("any")
+
+
 def test_empty_kernels_give_trivial_groups():
     # T = -1 of order 2: T - 1 = -2 is invertible, so nothing is fixed,
     # N = 1 + T = 0, and every element is a shift

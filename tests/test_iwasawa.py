@@ -214,6 +214,19 @@ def test_fit_examples():
     assert (fit.lam, fit.mu, fit.nu) == (1, 1, 1)
 
 
+def test_stable_from_is_the_first_layer_of_the_matching_tail():
+    # exact layers from `start` on, one wrong layer just before it
+    for p in (3, 5, 7):
+        for lam, mu, nu in ((0, 1, 0), (2, 1, -3), (1, 2, 4), (3, 0, 1)):
+            for L in range(4, 10):
+                for start in range(L - 2):
+                    e = [lam * n + mu * p**n + nu for n in range(L)]
+                    if start:
+                        e[start - 1] += 1
+                    fit = fit_invariants(e, p)
+                    assert (fit.lam, fit.mu, fit.nu, fit.stable_from) == (lam, mu, nu, start)
+
+
 def test_fit_error_paths():
     with pytest.raises(ValueError, match="at least 4"):
         fit_invariants([1, 2, 3], 3)
@@ -536,3 +549,12 @@ def test_default_zeta_is_the_least_residue_of_each_order(p):
             assert zeta == teichmuller(int(zeta), p, 4)
     with pytest.raises(ValueError, match="no exponent"):
         default_zeta(p, 4, p)
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_an_order_below_one_is_named(d):
+    # named before (p - 1) % d, which d = 0 would turn into ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^the order d must be a positive integer, got {d}$"):
+        default_zeta(3, 4, d)
+    with pytest.raises(ValueError, match=f"got {d}$"):
+        build_gamma_model(3, 4, d, 1)

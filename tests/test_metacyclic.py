@@ -62,6 +62,17 @@ def test_power_matches_naive_repetition():
         assert G.power(g, -1) == G.inverse(g)
 
 
+@pytest.mark.parametrize("p, u", [(3, 1), (3, 2), (5, 1)])
+def test_closed_form_power_matches_naive_repetition_for_every_integer(p, u):
+    # G has exponent p^(u+1), so g^n is the naive power g^(n mod p^(u+1))
+    G = MetacyclicGroup(p, u)
+    naive = NaiveMetacyclic(p, u)
+    q = p ** (u + 1)
+    for g in naive.elements():
+        for n in range(-2 * q, 2 * q):
+            assert G.power(g, n) == naive.power(g, n % q)
+
+
 def test_hom_check_examples():
     G = MetacyclicGroup(3, 1)
     assert G.hom_check(GeneratorImages((1, 0), (0, 1))).accepted

@@ -222,7 +222,7 @@ def test_p_power_exponents_accepts_exactly_descending_p_powers(case):
     line = json.dumps({"p": p, "n": 1, "inv": factors})
     if isinstance(verdict, list):
         assert p_power_exponents(factors, p) == verdict
-        assert parse_record(line, 2).size_exponent() == sum(verdict)
+        assert parse_record(line, 2).exponent_sum == sum(verdict)
         assert FinitePModule(p, factors).exponent == max(verdict, default=0)
         return
     with pytest.raises(ValueError, match=f"^{re.escape(verdict)}$"):

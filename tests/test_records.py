@@ -24,7 +24,7 @@ def test_parse_roundtrip():
     assert (rec.p, rec.n, rec.invariants, rec.label) == (3, 1, (9, 3), "t")
     assert rec.hypotheses_asserted()
     assert not rec.is_cyclic()
-    assert rec.size_exponent() == 3
+    assert rec.exponent_sum == 3
 
 
 def test_parse_warnings_for_unknown_keys():
@@ -139,12 +139,24 @@ def test_growth_parity_not_applied_without_nonsplit():
     assert not contradiction
 
 
-def test_growth_needs_exactly_the_layers_from_zero():
-    # hand-built records skip parse_record, so a negative layer can reach
-    # the growth check; four layers up to 3 are not 0..3 when one is -1
-    records = [ClassGroupRecord(3, n, (9, 3), dict(ALL_FLAGS), "t") for n in (-1, 0, 1, 3)]
-    growth = check_records(records)[0][-1]
-    assert (growth["kind"], growth["verdict"]) == ("growth", "skipped")
+def test_a_record_with_a_negative_layer_cannot_be_built():
+    # a hand-built record is checked like a parsed one, so no negative
+    # layer can reach the growth check
+    with pytest.raises(ValueError, match="^layer index must be non-negative$"):
+        ClassGroupRecord(3, -1, (9, 3), dict(ALL_FLAGS), "t")
+
+
+def test_a_record_checks_its_prime_when_built():
+    # at p = 4 the invariants (4,) are p-powers, but 4 is no odd prime
+    with pytest.raises(ValueError, match="odd prime"):
+        ClassGroupRecord(4, 1, (4,), dict(ALL_FLAGS), "x")
+
+
+def test_a_hand_built_record_keeps_its_exponent_sum():
+    rec = ClassGroupRecord(5, 2, (125, 5), {}, "t")
+    assert rec.exponent_sum == 4
+    with pytest.raises(TypeError):
+        ClassGroupRecord(5, 2, (125, 5), {}, "t", 0, [], 4)  # not an argument
 
 
 def test_growth_fit_failure_is_skipped():
