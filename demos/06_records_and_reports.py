@@ -26,8 +26,8 @@ for name in ("model_d2.json", "model_d4.json"):
 print("== a synthetic cyclic record at layer 1 must be flagged ==")
 flags = {k: True for k in (
     "p_nonsplit", "cm_field", "A_k_nontrivial", "A_kplus_trivial", "no_p_roots_of_unity")}
-with tempfile.NamedTemporaryFile("w", suffix=".jsonl", delete=False) as fh:
-    fh.write(json.dumps({"p": 3, "n": 1, "inv": [27], "flags": flags, "label": "impossible"}) + "\n")
-    path = fh.name
-code = main(["--no-timestamps", "check-records", path])
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "impossible.jsonl"
+    path.write_text(json.dumps({"p": 3, "n": 1, "inv": [27], "flags": flags, "label": "impossible"}) + "\n")
+    code = main(["--no-timestamps", "check-records", str(path)])
 print(f"exit code: {code}  (1 = contradiction found, as it must be)")

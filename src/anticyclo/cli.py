@@ -72,7 +72,16 @@ class Report:
         self.checks.append(check)
 
 
+#: One encoder for every machine line: ``json.dumps`` builds a new one per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(report: Report, fmt: str, no_timestamps: bool, stream) -> None:
+    """Write the report: one JSON object per line in machine format.
+
+    Lines go out one by one; a report joined into one string first would
+    hold a second copy of the whole output in memory.
+    """
     if fmt == "machine":
         header = {
             "record": "header",
@@ -81,13 +90,13 @@ def _emit(report: Report, fmt: str, no_timestamps: bool, stream) -> None:
             "precision": report.precision,
             "version": __version__,
         }
-        print(json.dumps(header, sort_keys=True), file=stream)
+        stream.write(_encode(header) + "\n")
         for check in report.checks:
-            print(json.dumps({"record": "check"} | check, sort_keys=True), file=stream)
+            stream.write(_encode({"record": "check"} | check) + "\n")
         summary = {"record": "summary"} | report.counters
         if not no_timestamps and report.wall_clock is not None:
             summary["wall_clock_s"] = round(report.wall_clock, 3)
-        print(json.dumps(summary, sort_keys=True), file=stream)
+        stream.write(_encode(summary) + "\n")
         return
     print(f"# anticyclo {report.command} (seed={report.seed}, precision={report.precision})", file=stream)
     for check in report.checks:
@@ -374,8 +383,7 @@ def cmd_check_records(args, report: Report) -> int:
         for warning in rec.warnings:
             report.add(verdict="warning", reason=warning)
     checks, contradiction = check_records(records)
-    for check in checks:
-        report.add(**check)
+    report.checks += checks
     report.counters = {
         "records": len(records),
         "contradictions": sum(1 for c in checks if c["verdict"] == "contradiction"),

@@ -213,10 +213,17 @@ def p_power_exponents(factors, p: int) -> list[int]:
     Raises ValueError unless every factor is a power p^e with e >= 1 (so
     0, 1 and negatives are refused) and the list is descending; p must
     be an odd prime.
+
+    No division loop: the rounded float log(q)/log(p) only proposes e,
+    and the exact test q == p^e decides.  For q = p^e that quotient is e
+    to a relative error of a few units in the last place (below 10^-15),
+    so it rounds to e while e stays below about 10^14; a q that is no
+    power of p fails the exact test whatever e is proposed.
     """
+    log_p = math.log(p)
     exponents = []
     for q in factors:
-        e = valuation(q, p) if q >= p else 0
+        e = round(math.log(q) / log_p) if q >= p else 0
         if e == 0 or q != p**e:
             raise ValueError(f"invariant {q} is not a power of {p}")
         exponents.append(e)

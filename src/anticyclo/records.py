@@ -16,6 +16,7 @@ input error.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .iwasawa import fit_invariants
@@ -28,6 +29,8 @@ FLAG_NAMES = (
     "A_kplus_trivial",
     "no_p_roots_of_unity",
 )
+#: The keys a record line may hold; any other is ignored with a warning.
+KEYS = frozenset(("p", "n", "inv", "flags", "label"))
 
 
 class RecordParseError(ValueError):
@@ -68,21 +71,25 @@ def parse_record(line: str, line_number: int = 0) -> ClassGroupRecord:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"line {line_number}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # the one other refusal of json.loads: too many digits
+        raise RecordParseError(
+            f"line {line_number}: an integer has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for reading integers; set PYTHONINTMAXSTRDIGITS to raise it"
+        ) from exc
     if not isinstance(raw, dict):
         raise RecordParseError(f"line {line_number}: record must be a JSON object")
-    warnings = []
-    known = {"p", "n", "inv", "flags", "label"}
-    for key in sorted(set(raw) - known):
-        warnings.append(f"line {line_number}: unknown key {key!r} ignored")
-    for key in ("p", "n", "inv"):
-        if key not in raw:
-            raise RecordParseError(f"line {line_number}: missing key {key!r}")
-    p, n, inv = raw["p"], raw["n"], raw["inv"]
+    unknown = raw.keys() - KEYS
+    warnings = [f"line {line_number}: unknown key {key!r} ignored" for key in sorted(unknown)] if unknown else []
+    try:
+        p, n, inv = raw["p"], raw["n"], raw["inv"]
+    except KeyError as exc:  # read in the order p, n, inv, so the first missing one is named
+        raise RecordParseError(f"line {line_number}: missing key {exc.args[0]!r}") from None
     if not isinstance(inv, list):
         raise RecordParseError(f"line {line_number}: key 'inv' must be a JSON array, got {json.dumps(inv)}")
-    for key, value in [("p", p), ("n", n)] + [("inv", q) for q in inv]:
-        if type(value) is not int:  # JSON integers only: no float, string or bool
-            raise RecordParseError(f"line {line_number}: key {key!r} must hold JSON integers, got {json.dumps(value)}")
+    if {type(p), type(n), *map(type, inv)} != {int}:  # JSON integers only: no float, string or bool
+        key, value = next((key, value) for key, value in [("p", p), ("n", n)] + [("inv", q) for q in inv]
+                          if type(value) is not int)
+        raise RecordParseError(f"line {line_number}: key {key!r} must hold JSON integers, got {json.dumps(value)}")
     # the record checks p, n and inv when built; the flags and their
     # warnings are read into it afterwards
     flags = {}
@@ -114,17 +121,17 @@ def parse_records_file(path) -> list[ClassGroupRecord]:
 
 def _record_check(rec: ClassGroupRecord) -> dict:
     """The non-cyclicity verdict on one record."""
-    base = {"kind": "record", "label": rec.label, "p": rec.p, "n": rec.n, "inv": list(rec.invariants)}
     if rec.n == 0:
-        return base | {"verdict": "ok", "reason": "layer 0 carries no non-cyclicity claim"}
-    if not rec.hypotheses_asserted():
-        return base | {"verdict": "skipped", "reason": "hypotheses not asserted"}
-    if rec.is_cyclic():
-        return base | {
-            "verdict": "contradiction",
-            "reason": f"cyclic structure {list(rec.invariants)} at layer {rec.n} with all hypotheses asserted",
-        }
-    return base | {"verdict": "ok", "reason": "not cyclic, as predicted"}
+        verdict, reason = "ok", "layer 0 carries no non-cyclicity claim"
+    elif not rec.hypotheses_asserted():
+        verdict, reason = "skipped", "hypotheses not asserted"
+    elif rec.is_cyclic():
+        verdict = "contradiction"
+        reason = f"cyclic structure {list(rec.invariants)} at layer {rec.n} with all hypotheses asserted"
+    else:
+        verdict, reason = "ok", "not cyclic, as predicted"
+    return {"kind": "record", "label": rec.label, "p": rec.p, "n": rec.n, "inv": list(rec.invariants),
+            "verdict": verdict, "reason": reason}
 
 
 def _growth_check(label: str, group: list[ClassGroupRecord]) -> dict:

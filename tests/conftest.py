@@ -21,6 +21,21 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+
+def p_power_exponents_by_division(factors, p: int) -> list[int]:
+    """The exponents of descending invariant factors p^(e_i), by one
+    division per factor of p, with the error texts of
+    ``padic.p_power_exponents``: the loop that the log guess replaced."""
+    exponents = []
+    for q in factors:
+        e = int_valuation(q, p) if q >= p else 0
+        if e == 0 or q != p**e:
+            raise ValueError(f"invariant {q} is not a power of {p}")
+        exponents.append(e)
+    if exponents != sorted(exponents, reverse=True):
+        raise ValueError("invariants must be descending")
+    return exponents
+
 # -- layer exponents in closed form ------------------------------------
 
 def closed_form_layer_exponent(p: int, g, n: int) -> int:

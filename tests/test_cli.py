@@ -491,6 +491,47 @@ def test_check_records_refuses_a_prime_beyond_the_primality_bound(tmp_path):
     assert "line 1" in result.stderr and str(MILLER_RABIN_BOUND) in result.stderr
 
 
+def test_check_records_names_the_line_of_an_oversized_integer(tmp_path):
+    # 3^9300 has 4,438 digits: above the interpreter's default limit of
+    # 4,300 for reading an integer, so the error names the line and the
+    # setting that raises the limit; raised, the record is read and checked
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(3**9300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    records = tmp_path / "oversized.jsonl"
+    records.write_text(
+        json.dumps({"p": 3, "n": 0, "inv": [9], "label": "a"}) + "\n"
+        + '{"p": 3, "n": 1, "inv": [' + digits + '], "label": "a"}\n'
+    )
+    result = run_process(["check-records", str(records)], PYTHONINTMAXSTRDIGITS="4300")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: line 2: an integer has more than 4300 digits, the interpreter's limit for "
+        "reading integers; set PYTHONINTMAXSTRDIGITS to raise it\n"
+    )
+    result = run_process(["check-records", str(records)], PYTHONINTMAXSTRDIGITS="5000")
+    assert result.returncode == 0, result.stderr
+    assert "summary: contradictions=0, records=2" in result.stdout
+
+
+def test_machine_lines_match_json_dumps_with_sorted_keys(tmp_path):
+    # the shared encoder writes what json.dumps(..., sort_keys=True) writes,
+    # escapes of non-ASCII labels and warnings included
+    records = tmp_path / "unicode.jsonl"
+    records.write_text("".join(
+        json.dumps({"p": 5, "n": n, "inv": [5**(2 * n + 2), 5], "flags": ALL_FLAGS, "label": "tour ζ-é ✓",
+                    "note": "ü"}, ensure_ascii=False) + "\n"
+        for n in range(4)
+    ), encoding="utf-8")
+    code, out = run(["--no-timestamps", "--format", "machine", "check-records", str(records)])
+    assert code == 0
+    assert out.isascii() and "\\u03b6" in out
+    assert out == "".join(json.dumps(json.loads(line), sort_keys=True) + "\n" for line in out.splitlines())
+
+
 def run_process_in_1_gib(argv):
     # A run that builds something huge fails here with MemoryError instead
     # of exhausting the host.

@@ -230,9 +230,10 @@ def test_subquotient_matches_full_elimination_on_random_lattices():
 @pytest.mark.parametrize(
     "operation", [fixed_points, norm_image, tate_h0, tate_hm1, minus_part, herbrand_check]
 )
-def test_trivial_module_short_circuits(operation):
-    # the zero module has no action matrices to look up, so each operation
-    # answers before asking for one
+def test_trivial_module_answers_with_default_action_names(operation):
+    # every operation asks the zero module for its action under the default
+    # name, and ``action`` returns the empty matrix, so each answers zero
+    # (herbrand_check: True) without any action being declared
     expected = True if operation is herbrand_check else FinitePModule(3, ())
     assert operation(FinitePModule(3, ())) == expected
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -24,7 +25,7 @@ from anticyclo.padic import (
 )
 from anticyclo.records import RecordParseError, parse_record
 
-from conftest import int_valuation
+from conftest import int_valuation, p_power_exponents_by_division
 
 
 def test_valuation_examples():
@@ -231,6 +232,50 @@ def test_p_power_exponents_accepts_exactly_descending_p_powers(case):
         parse_record(line, 2)
     with pytest.raises(ValueError, match=f"^{re.escape(verdict)}$"):
         FinitePModule(p, factors)
+
+
+def _exponents_or_error(factors, p, exponents_of):
+    try:
+        return exponents_of(factors, p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+#: Every e up to 128, then a spread up to 9000; 644 is the largest exponent
+#: among the invariants of the benchmark's records files.
+SWEPT_EXPONENTS = [*range(1, 129), 200, 300, 500, 644, 1000, 2000, 4000, 6000, 9000]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 1000003])
+def test_p_power_exponents_matches_the_division_oracle(p):
+    cases = [[0], [1], [-p], [p - 1], [p, p * p], [p * p, p, p]]
+    for e in SWEPT_EXPONENTS:
+        q = p**e
+        cases += [[q], [q + 1], [q - 1], [2 * q], [q * (p + 1)]]
+        if e <= 128:  # order checks; the oracle's loop is quadratic in e
+            cases += [[q, p], [p, q]]
+    for factors in cases:
+        expected = _exponents_or_error(factors, p, p_power_exponents_by_division)
+        assert _exponents_or_error(factors, p, p_power_exponents) == expected
+
+
+def test_p_power_exponents_finds_every_exponent_up_to_9000():
+    # the rounded float guess is the true exponent of every power 3^e,
+    # e <= 9000 (3^9000 has 4,295 digits, under the default digit limit)
+    q = 1
+    for e in range(1, 9001):
+        q *= 3
+        assert p_power_exponents([q], 3) == [e]
+
+
+def test_a_record_of_a_4295_digit_invariant():
+    limit = sys.get_int_max_str_digits()
+    assert limit == 0 or limit >= 4300
+    line = '{"p": 3, "n": 1, "inv": [%s]}' % (3**9000)
+    assert parse_record(line, 3).exponent_sum == 9000
+    line = '{"p": 3, "n": 1, "inv": [%s]}' % (3**9000 + 1)
+    with pytest.raises(RecordParseError, match=f"^line 3: invariant {3**9000 + 1} is not a power of 3$"):
+        parse_record(line, 3)
 
 
 def test_teichmuller_checks_p_and_precision_first():

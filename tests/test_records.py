@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,43 @@ def test_parse_errors():
         parse_record(_line(n=-1), 1)
     with pytest.raises(RecordParseError, match="line 1: missing key 'inv'"):
         parse_record(json.dumps({"p": 3, "n": 1}), 1)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # a missing key comes first, in the order p, n, inv
+        ({"n": 1.5, "inv": "x"}, "missing key 'p'"),
+        ({"p": 3.5, "inv": [9]}, "missing key 'n'"),
+        ({"p": 3, "n": 1}, "missing key 'inv'"),
+        # then inv must be an array, then every number an integer: the first
+        # offender in the order p, n, inv entries is named
+        ({"p": 3.5, "n": 1, "inv": "x"}, "key 'inv' must be a JSON array, got \"x\""),
+        ({"p": "3", "n": 1.5, "inv": [9]}, "key 'p' must hold JSON integers, got \"3\""),
+        ({"p": 3, "n": True, "inv": [9.0]}, "key 'n' must hold JSON integers, got true"),
+        ({"p": 3, "n": 1, "inv": [9, 3.0, "x"]}, "key 'inv' must hold JSON integers, got 3.0"),
+        # then the record's own checks, then the flags
+        ({"p": 4, "n": -1, "inv": [9], "flags": 1}, "p must be an odd prime, got 4"),
+        ({"p": 3, "n": -1, "inv": [10], "flags": 1}, "layer index must be non-negative"),
+        ({"p": 3, "n": 1, "inv": [10], "flags": 1}, "invariant 10 is not a power of 3"),
+        ({"p": 3, "n": 1, "inv": [9], "flags": 1}, "flags must be an object"),
+        ({"p": 3, "n": 1, "inv": [9], "flags": {"x": 1, "cm_field": 1}}, "flag 'cm_field' must be a boolean"),
+    ],
+)
+def test_parse_errors_keep_their_precedence(raw, message):
+    with pytest.raises(RecordParseError, match=f"^line 6: {re.escape(message)}$"):
+        parse_record(json.dumps(raw), 6)
+
+
+def test_unknown_keys_and_flags_warn_in_order():
+    line = json.dumps({"zeta": 0, "p": 3, "n": 1, "inv": [9], "alpha": 0,
+                       "flags": {"zz": True, "cm_field": True, "aa": False}})
+    assert parse_record(line, 2).warnings == [
+        "line 2: unknown key 'alpha' ignored",
+        "line 2: unknown key 'zeta' ignored",
+        "line 2: unknown flag 'zz' ignored",
+        "line 2: unknown flag 'aa' ignored",
+    ]
 
 
 def test_zero_invariant_is_rejected_not_looped_on():
