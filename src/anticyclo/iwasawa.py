@@ -35,6 +35,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, PadicInt, require_odd_prime, teichmuller, valuation
+from .poly import poly_mod_monic
 from .snf import cokernel_mod, det_nonzero_mod, minus_identity, smith_normal_form_mod_prime_power
 
 #: Largest degree of a polynomial factor whose layer exponents are
@@ -49,18 +50,6 @@ MAX_POLY_DEGREE = 400
 # ----------------------------------------------------------------------
 # integer polynomials (ascending coefficient lists)
 # ----------------------------------------------------------------------
-
-def _poly_mod_monic(a, g):
-    """Remainder of a modulo the monic polynomial g, as deg g coefficients."""
-    dg = len(g) - 1
-    a = list(a) + [0] * (dg - len(a))
-    for i in range(len(a) - 1, dg - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dg + 1):
-                a[i - dg + j] -= c * g[j]
-    return a[:dg]
-
 
 def omega_n(p: int, n: int) -> list[int]:
     """(1 + T)^(p^n) - 1, the level-n kernel polynomial (ascending coeffs)."""
@@ -137,13 +126,13 @@ def _level_terms(g, p: int):
     k = 1
     while (p - 1) * p ** (k - 1) <= deg:  # deg Phi_{p^k}(1 + T) = φ(p^k)
         phi = _cyclotomic_factor(p, k)
-        if not any(_poly_mod_monic(g, phi)):
+        if not any(poly_mod_monic(g, phi)):
             yield None
         else:
-            w = _poly_mod_monic(phi, g)
+            w = poly_mod_monic(phi, g)
             # row i holds Phi·T^i mod g: the transpose of the multiplication
             # matrix, which has the same invariant factors
-            rows = [_poly_mod_monic([0] * i + w, g) for i in range(deg)]
+            rows = [poly_mod_monic([0] * i + w, g) for i in range(deg)]
             K = deg + 1
             while not all(diag := smith_normal_form_mod_prime_power(rows, p, K, False)[0]):
                 K *= 2

@@ -3,11 +3,12 @@ of matrices congruent to the identity mod p, and the intertwiner equation
 M^zeta · D = D · M.
 
 Z/p^N has zero divisors, so the characteristic polynomial is computed
-division-free (Berkowitz) and inverses go through Cayley-Hamilton with a
-unit constant term.  Kernels and the determinant tests of
-``det_nonzero_mod`` (det(M - I) ≢ 0 mod p^N, a candidate intertwiner
-invertible mod p) read the local-ring Smith normal form, which pivots on
-an entry of least valuation and so never divides by a non-unit.
+without dividing by a non-unit (Hessenberg reduction on pivots of least
+valuation) and inverses go through Cayley-Hamilton with a unit constant
+term.  Kernels and the determinant tests of ``det_nonzero_mod``
+(det(M - I) ≢ 0 mod p^N, a candidate intertwiner invertible mod p) read
+the local-ring Smith normal form, which pivots on an entry of least
+valuation and so never divides by a non-unit.
 
 The headline decision procedure is ``intertwiner_solve``: whether an
 *invertible* D intertwines M with its zeta-th power.  When one exists
@@ -15,30 +16,33 @@ and the 1-eigenspace of M vanishes at precision, the dimension of M is a
 multiple of the order of zeta (``rank_divisibility_check``).  Writing
 M = I + p·S and M^zeta = I + p·S', the solutions are the X with
 S'·X ≡ X·S mod p^(N-1), and S' ≡ zeta·S mod p.  Three stages decide it,
-each only when the one before is silent.  First, before M^zeta is
-computed: when S mod p and zeta·S mod p have disjoint spectra (their
-characteristic polynomials are coprime over F_p), no solution is
-nonzero mod p (Sylvester, C. R. Acad. Sci. Paris 99, 1884).  Second,
-every column of a solution lies in the kernel of chi_S(S') mod
-p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves no solution but
-0 mod p.  Both read one chi_S mod p^(N-1), the first through its
-reduction mod p, so each solve runs Berkowitz once.  Third, when that
-kernel is visible mod p, or N = 1, the dense r²×r² system of the
-equation is solved.  Its solutions are kept once, mod p^N, as a basis
-whose reduction mod p is the canonical echelon basis; each combination
-of them is one candidate, tested for invertibility mod p and returned
-as it is.
+each only when the one before is silent.  First: when S mod p and
+zeta·S mod p have disjoint spectra (their characteristic polynomials
+are coprime over F_p), no solution is nonzero mod p (Sylvester, C. R.
+Acad. Sci. Paris 99, 1884).  Second, every column of a solution lies in
+the kernel of chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod
+p leaves no solution but 0 mod p.  Both read only S and one chi_S mod
+p^(N-1), the first through its reduction mod p; the second reads
+chi_S(S') as h(S) for a polynomial h of degree < r, found by polynomial
+arithmetic mod chi_S, so neither builds M^zeta.  Third, when that kernel
+is visible mod p, or N = 1, M^zeta is built and the dense r²×r² system
+of the equation is solved.  Its solutions are kept once, mod p^N, as a
+basis whose reduction mod p is the canonical echelon basis; each
+combination of them is one candidate, tested for invertibility mod p and
+returned as it is.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from operator import mul
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
-from .padic import PadicExponent, PadicInt, binom, pow_one_unit, require_parameters
+from .padic import PadicExponent, PadicInt, pow_one_unit, require_parameters
+from .poly import poly_mod_monic
 from .snf import cokernel_mod, det_nonzero_mod, identity_matrix, kernel_mod, mat_mul, minus_identity
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
@@ -146,34 +150,57 @@ class PadicMatrix:
 
 def charpoly(A, m: int) -> tuple[int, ...]:
     """Ascending coefficients of the monic characteristic polynomial of the
-    square matrix A of integer rows, mod m: entry i multiplies T^i and the
-    last entry is 1.
+    square matrix A of integer rows, mod m = p^N: entry i multiplies T^i
+    and the last entry is 1.
 
-    Berkowitz recursion: division-free, hence sound over Z/p^N.  Cost
-    O(r^4), irrelevant at the dimensions used here.
+    Hessenberg method (Cohen, GTM 138, Alg. 2.2.9), O(r^3).  A is first
+    brought to upper Hessenberg form H by similarities: in column j the
+    pivot is an entry of least valuation at or below the subdiagonal,
+    moved to row j+1 by a swap of rows and of columns; it divides every
+    entry below it, so each multiplier q = (a/p^v)·u^-1, the pivot being
+    p^v·u with u a unit, exists in Z/p^N and row i -= q·row j+1, column
+    j+1 += q·column i clears H[i][j] without dividing by a non-unit.  The
+    valuation is read as gcd(x, m), so p is never named.  Then the
+    division-free recurrence chi_k = (T - h_kk)·chi_(k-1) -
+    sum_(i<k) h_ik·h_(i+1,i)···h_(k,k-1)·chi_(i-1) over the leading
+    principal minors gives chi_r.
     """
     n = len(A)
-    coeffs = [1]  # leading-first, for the empty principal minor
-    for k in range(1, n + 1):
-        a = A[k - 1][k - 1]
-        R = A[k - 1][: k - 1]
-        C = [A[i][k - 1] for i in range(k - 1)]
-        sub = [row[: k - 1] for row in A[: k - 1]]
-        q = [1, (-a) % m]
-        w = list(C)
-        for i in range(2, k + 1):
-            if i > 2:
-                w = [sum(sub[x][y] * w[y] for y in range(k - 1)) % m for x in range(k - 1)]
-            q.append((-sum(rv * wv for rv, wv in zip(R, w))) % m)
-        new = []
-        for i in range(k + 1):
-            acc = 0
-            for j, cj in enumerate(coeffs):
-                if 0 <= i - j < len(q):
-                    acc += q[i - j] * cj
-            new.append(acc % m)
-        coeffs = new
-    return tuple(coeffs[::-1])
+    H = [[x % m for x in row] for row in A]
+    for j in range(n - 2):
+        piv = min(range(j + 1, n), key=lambda i: gcd(H[i][j], m))
+        g = gcd(H[piv][j], m)
+        if g == m:
+            continue  # the column is already zero below the subdiagonal
+        k = j + 1
+        if piv != k:
+            H[k], H[piv] = H[piv], H[k]
+            for row in H:
+                row[k], row[piv] = row[piv], row[k]
+        pivot_row = H[k]
+        scale = pow(pivot_row[j] // g, -1, m)
+        for i in range(k + 1, n):
+            if a := H[i][j]:
+                q = a // g * scale % m
+                H[i] = [(x - q * y) % m for x, y in zip(H[i], pivot_row)]
+                for row in H:
+                    row[k] = (row[k] + q * row[i]) % m
+    chis = [[1]]  # chis[k]: ascending charpoly of the leading k×k block
+    for k in range(n):
+        prev = chis[k]
+        new = [0] + prev
+        for i, c in enumerate(prev):
+            new[i] -= H[k][k] * c
+        t = 1
+        for i in reversed(range(k)):
+            t = t * H[i + 1][i] % m
+            if not t:
+                break
+            if coef := H[i][k] * t % m:
+                for idx, c in enumerate(chis[i]):
+                    new[idx] -= coef * c
+        chis.append([c % m for c in new])
+    return tuple(chis[n])
 
 
 def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
@@ -185,8 +212,21 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
     PadicMatrix is built at the end.
     """
     _require_zeta_power(M, zeta)
-    coeffs = [binom(zeta, k, p=M.p, precision=M.precision).residue for k in range(M.precision)]
+    coeffs = _zeta_binomials(zeta, M.p, M.precision)
     return PadicMatrix(M.p, M.precision, _poly_at(coeffs, minus_identity(M.rows), M.modulus))
+
+
+def _zeta_binomials(zeta: PadicExponent, p: int, precision: int) -> list[int]:
+    """C(zeta, k) mod p^N for k < N, zeta read as its canonical residue
+    when it is a PadicInt: each from the one before, by the exact
+    division C(e, k) = C(e, k-1)·(e - k + 1)/k over Z."""
+    e = zeta.residue if isinstance(zeta, PadicInt) else zeta
+    m = p**precision
+    c, out = 1, [1]
+    for k in range(1, precision):
+        c = c * (e - k + 1) // k
+        out.append(c % m)
+    return out
 
 
 def _require_zeta_power(M: PadicMatrix, zeta: PadicExponent) -> None:
@@ -308,10 +348,11 @@ def _coprime_mod_p(f, g, p: int) -> bool:
 
 
 def _shift_charpoly(M: PadicMatrix):
-    """Coefficients of chi_S mod p^(N-1), S = (M - I)/p, for N >= 2: the
-    one Berkowitz run that both tests of ``intertwiner_solve`` read."""
+    """(S, chi_S mod p^(N-1)) for S = (M - I)/p, N >= 2: the shift and
+    the one characteristic polynomial that both tests of
+    ``intertwiner_solve`` read."""
     S = [[x // M.p for x in row] for row in minus_identity(M.rows)]
-    return charpoly(S, M.modulus // M.p)
+    return S, charpoly(S, M.modulus // M.p)
 
 
 def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
@@ -330,21 +371,44 @@ def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
     return _coprime_mod_p(chi, [c * pow(z, r - i, p) for i, c in enumerate(chi)], p)
 
 
-def _no_visible_solution(chi, B: PadicMatrix) -> bool:
-    """True when every solution of B·X ≡ X·M mod p^N, N >= 2, is ≡ 0 mod
-    p, read from one r×r system, given chi = chi_S mod p^(N-1)
-    (``_shift_charpoly``); False when its kernel is visible mod p.
+def _no_visible_solution(chi, S, zeta: PadicExponent, p: int, precision: int) -> bool:
+    """True when every solution of M^zeta·X ≡ X·M mod p^N, N >= 2, is ≡ 0
+    mod p, read from one r×r system, given (S, chi) = ``_shift_charpoly(M)``;
+    False when its kernel is visible mod p.
 
-    With M = I + p·S and B = I + p·S', B·X ≡ X·M mod p^N iff
+    With M = I + p·S and M^zeta = I + p·S', the equation holds iff
     S'·X ≡ X·S mod p^(N-1).  Then chi_S(S')·X = X·chi_S(S) = 0, so every
     column of a solution lies in ker chi_S(S') mod p^(N-1), whatever S is.
     That kernel is ≡ 0 mod p exactly when the local SNF of chi_S(S') has
     no zero pivot, i.e. no cokernel factor p^(N-1).
     """
-    p, N = B.p, B.precision
-    m1 = p ** (N - 1)
-    S = [[x // p for x in row] for row in minus_identity(B.rows)]
-    return m1 not in cokernel_mod(_poly_at(chi, S, m1), p, N - 1)
+    m1 = p ** (precision - 1)
+    return m1 not in cokernel_mod(_chi_at_zeta_shift(chi, S, zeta, p, precision), p, precision - 1)
+
+
+def _chi_at_zeta_shift(chi, S, zeta: PadicExponent, p: int, precision: int):
+    """chi_S(S') mod p^(N-1), S' = (M^zeta - I)/p, from (S, chi) =
+    ``_shift_charpoly(M)`` alone: M^zeta is never built.
+
+    The binomial series gives S' ≡ f(S) mod p^(N-1), with
+    f(x) = sum_(1<=k<N) C(zeta,k)·p^(k-1)·x^k.  Cayley-Hamilton holds
+    over Z/p^(N-1), so chi_S(S') ≡ h(S) with h = chi_S(f mod chi_S) mod
+    chi_S, of degree < r: one reduction of f and r Horner steps on
+    polynomials mod chi_S, then r - 1 matrix products.  The result
+    equals chi_S(S') mod p^(N-1) entry by entry.
+    """
+    m1 = p ** (precision - 1)
+    f = [0] + [c * p**k for k, c in enumerate(_zeta_binomials(zeta, p, precision)[1:])]
+    f = [x % m1 for x in poly_mod_monic(f, chi)]
+    h = [1]
+    for a in reversed(chi[:-1]):
+        prod = [0] * (len(h) + len(f) - 1)
+        for i, x in enumerate(h):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        prod[0] += a
+        h = [x % m1 for x in poly_mod_monic(prod, chi)]
+    return _poly_at(h, S, m1)
 
 
 def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> IntertwinerResult:
@@ -353,12 +417,12 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     An invertible solution exists iff the reduction mod p of the solution
     module, of dimension k, contains an invertible matrix.  Three stages
     read that reduction, in order, and for N >= 2 the first two share one
-    chi_S mod p^(N-1) (``_shift_charpoly``).  It is 0 when S mod p and
-    zeta·S mod p, S = (M-I)/p, have disjoint spectra
-    (``_spectra_disjoint_mod_p``, before M^zeta is computed); it is 0 when
-    the r×r kernel of chi_S(S') mod p^(N-1) is ≡ 0 mod p
-    (``_no_visible_solution``); otherwise, and always for N = 1, it is read
-    from the dense r²×r² kernel of D -> M^zeta·D - D·M (``_kernel_space``),
+    S = (M-I)/p and one chi_S mod p^(N-1) (``_shift_charpoly``) and never
+    build M^zeta.  It is 0 when S mod p and zeta·S mod p have disjoint
+    spectra (``_spectra_disjoint_mod_p``); it is 0 when the r×r kernel of
+    chi_S(S') mod p^(N-1) is ≡ 0 mod p (``_no_visible_solution``);
+    otherwise, and always for N = 1, it is read from the dense r²×r²
+    kernel of D -> M^zeta·D - D·M (``_kernel_space``),
     as vectors mod p^N reducing to the canonical RREF basis mod p.  Each
     combo of them is one candidate, tested for invertibility mod p and
     returned as it is.  Scaling by a unit keeps invertibility, so only the
@@ -379,11 +443,12 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     r = M.dim
     p = M.p
     # N = 1: M = I, neither test can fire, and the dense system decides
-    chi = _shift_charpoly(M) if M.precision > 1 else None
-    if chi and _spectra_disjoint_mod_p(chi, zeta, p):
-        return IntertwinerResult("none")
+    if M.precision > 1:
+        S, chi = _shift_charpoly(M)
+        if _spectra_disjoint_mod_p(chi, zeta, p) or _no_visible_solution(chi, S, zeta, p, M.precision):
+            return IntertwinerResult("none")
     B = mat_pow_zeta(M, zeta)
-    basis = [] if chi and _no_visible_solution(chi, B) else _kernel_space(M, B)
+    basis = _kernel_space(M, B)
     dim = len(basis)
     if dim == 0:
         return IntertwinerResult("none")
@@ -501,8 +566,9 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
             f"raise precision: det(M - I) always vanishes mod p^{precision} "
             f"for {dim}x{dim} matrices ≡ I mod p"
         )
+    # det(p·U) = p^dim·det U, so it survives mod p^N iff det U does mod p^(N-dim)
     while True:
-        shift = [[p * rng.randrange(p ** (precision - 1)) for _ in range(dim)] for _ in range(dim)]
-        if det_nonzero_mod(shift, p, precision):
-            rows = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(shift)]
+        U = [[rng.randrange(p ** (precision - 1)) for _ in range(dim)] for _ in range(dim)]
+        if det_nonzero_mod(U, p, precision - dim):
+            rows = [[p * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(U)]
             return PadicMatrix(p, precision, rows)

@@ -212,7 +212,8 @@ def p_power_exponents(factors, p: int) -> list[int]:
 
     Raises ValueError unless every factor is a power p^e with e >= 1 (so
     0, 1 and negatives are refused) and the list is descending; p must
-    be an odd prime.
+    be an odd prime.  The error names the factor, or its index and bit
+    length when it has more digits than the interpreter prints.
 
     No division loop: the rounded float log(q)/log(p) only proposes e,
     and the exact test q == p^e decides.  For q = p^e that quotient is e
@@ -222,10 +223,14 @@ def p_power_exponents(factors, p: int) -> list[int]:
     """
     log_p = math.log(p)
     exponents = []
-    for q in factors:
+    for i, q in enumerate(factors):
         e = round(math.log(q) / log_p) if q >= p else 0
         if e == 0 or q != p**e:
-            raise ValueError(f"invariant {q} is not a power of {p}")
+            try:
+                name = str(q)
+            except ValueError:  # more digits than the interpreter prints
+                name = f"#{i} ({q.bit_length()} bits)"
+            raise ValueError(f"invariant {name} is not a power of {p}")
         exponents.append(e)
     if exponents != sorted(exponents, reverse=True):
         raise ValueError("invariants must be descending")

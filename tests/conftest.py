@@ -27,10 +27,14 @@ def p_power_exponents_by_division(factors, p: int) -> list[int]:
     division per factor of p, with the error texts of
     ``padic.p_power_exponents``: the loop that the log guess replaced."""
     exponents = []
-    for q in factors:
+    for i, q in enumerate(factors):
         e = int_valuation(q, p) if q >= p else 0
         if e == 0 or q != p**e:
-            raise ValueError(f"invariant {q} is not a power of {p}")
+            try:
+                name = str(q)
+            except ValueError:  # more digits than the interpreter prints
+                name = f"#{i} ({q.bit_length()} bits)"
+            raise ValueError(f"invariant {name} is not a power of {p}")
         exponents.append(e)
     if exponents != sorted(exponents, reverse=True):
         raise ValueError("invariants must be descending")
@@ -235,10 +239,9 @@ def mat_pow_zeta_by_series(M, zeta):
 def padic_det(M):
     """det M as a PadicInt: (-1)^r times the constant coefficient of the
     Berkowitz characteristic polynomial."""
-    from anticyclo.linalg import charpoly
     from anticyclo.padic import PadicInt
 
-    c0 = charpoly(M.rows, M.modulus)[0]
+    c0 = charpoly_by_berkowitz(M.rows, M.modulus)[0]
     return PadicInt(M.p, M.precision, -c0 if M.dim % 2 else c0)
 
 
@@ -589,6 +592,54 @@ def charpoly_by_expansion(rows, m):
             term = [(-c) % m for c in term]
         total = poly_add(total, term, m)
     return total
+
+
+def charpoly_by_berkowitz(A, m):
+    """Ascending monic characteristic polynomial of the integer rows A mod
+    m by the Berkowitz recursion: division-free, O(r^4), the route that
+    ``linalg.charpoly`` took before its Hessenberg reduction."""
+    n = len(A)
+    coeffs = [1]  # leading-first, for the empty principal minor
+    for k in range(1, n + 1):
+        a = A[k - 1][k - 1]
+        R = A[k - 1][: k - 1]
+        C = [A[i][k - 1] for i in range(k - 1)]
+        sub = [row[: k - 1] for row in A[: k - 1]]
+        q = [1, (-a) % m]
+        w = list(C)
+        for i in range(2, k + 1):
+            if i > 2:
+                w = [sum(sub[x][y] * w[y] for y in range(k - 1)) % m for x in range(k - 1)]
+            q.append((-sum(rv * wv for rv, wv in zip(R, w))) % m)
+        new = []
+        for i in range(k + 1):
+            acc = 0
+            for j, cj in enumerate(coeffs):
+                if 0 <= i - j < len(q):
+                    acc += q[i - j] * cj
+            new.append(acc % m)
+        coeffs = new
+    return tuple(coeffs[::-1])
+
+
+def no_visible_matrix_by_power(M, zeta):
+    """chi_S(S') mod p^(N-1) for M = I + p·S, N >= 2, with
+    S' = (M^zeta - I)/p read from the matrix ``mat_pow_zeta`` builds and
+    chi_S from the Berkowitz oracle: the r×r matrix of the visible-kernel
+    test as it was computed before that test stopped building M^zeta."""
+    from anticyclo.linalg import mat_pow_zeta
+
+    p, m1 = M.p, M.modulus // M.p
+    S = [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+    B = mat_pow_zeta(M, zeta)
+    S_prime = [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(B.rows)]
+    r = M.dim
+    acc = [[0] * r for _ in range(r)]
+    power = [[int(i == j) for j in range(r)] for i in range(r)]
+    for c in charpoly_by_berkowitz(S, m1):
+        acc = [[(a + c * x) % m1 for a, x in zip(ra, rx)] for ra, rx in zip(acc, power)]
+        power = [[sum(power[i][k] * S_prime[k][j] for k in range(r)) % m1 for j in range(r)] for i in range(r)]
+    return acc
 
 
 # -- intertwiner search by full enumeration ------------------------------

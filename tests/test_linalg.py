@@ -8,6 +8,7 @@ from anticyclo.errors import NotInvertibleError, PrecisionError
 from anticyclo.linalg import (
     EXHAUSTIVE_KERNEL_DIM,
     PadicMatrix,
+    _chi_at_zeta_shift,
     _kernel_space,
     _no_visible_solution,
     _shift_charpoly,
@@ -21,9 +22,10 @@ from anticyclo.linalg import (
     zeta_order,
 )
 from anticyclo.padic import PadicInt, teichmuller, val
-from anticyclo.snf import cokernel_mod
+from anticyclo.snf import cokernel_mod, det_nonzero_mod
 
 from conftest import (
+    charpoly_by_berkowitz,
     charpoly_by_expansion,
     enumerate_intertwiner,
     evaluate_charpoly,
@@ -31,6 +33,7 @@ from conftest import (
     is_zero_matrix,
     mat_pow_zeta_by_series,
     matrix_power,
+    no_visible_matrix_by_power,
     padic_det,
     sylvester_solutions_mod_p,
 )
@@ -44,14 +47,47 @@ def test_charpoly_examples():
     assert charpoly([[7]], 3) == (2, 1)  # T - 7 ≡ T + 2 mod 3
 
 
-def test_charpoly_matches_cofactor_expansion_oracle():
-    rng = random.Random(2)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        rows = [[rng.randrange(27) for _ in range(n)] for _ in range(n)]
-        expected = charpoly_by_expansion(rows, 27)
-        expected += [0] * (n + 1 - len(expected))
-        assert list(charpoly(rows, 27)) == [c % 27 for c in expected]
+def _charpoly_cases(rng):
+    """(rows, m) for r = 0..6, m = p^N with p in {3, 5, 7} and N = 1..8:
+    random entries of mixed valuation, a zero column, a block of entries
+    ≡ 0 mod p^N (unreduced multiples of p^N), and columns whose entries
+    below the diagonal share one valuation (pivot ties)."""
+    for p in (3, 5, 7):
+        for N in range(1, 9):
+            m = p**N
+            for r in range(7):
+                def entry():
+                    return rng.choice([0, rng.randrange(m), p ** rng.randrange(N + 1) * rng.randrange(1, m)])
+
+                rows = [[entry() for _ in range(r)] for _ in range(r)]
+                yield rows, m
+                if r == 0:
+                    continue
+                zero_col = [list(row) for row in rows]
+                for row in zero_col:
+                    row[rng.randrange(r)] = 0
+                yield zero_col, m
+                k = rng.randint(1, r)
+                block = [[m * rng.randrange(-3, 4) if i < k and j < k else x for j, x in enumerate(row)]
+                         for i, row in enumerate(rows)]
+                yield block, m
+                v = rng.randrange(N)
+                tie = [[p**v * rng.choice([u for u in range(1, 2 * p) if u % p]) if i > j else x
+                        for j, x in enumerate(row)] for i, row in enumerate(rows)]
+                yield tie, m
+
+
+def test_charpoly_matches_berkowitz_and_expansion_oracles():
+    cases = 0
+    for rows, m in _charpoly_cases(random.Random(8)):
+        got = charpoly(rows, m)
+        assert got == charpoly_by_berkowitz(rows, m)
+        if len(rows) <= 5 or cases % 7 == 0:
+            expected = charpoly_by_expansion(rows, m)
+            assert list(got) == expected + [0] * (len(rows) + 1 - len(expected))
+        cases += 1
+    assert cases == 3 * 8 * (1 + 6 * 4)
+    assert charpoly([], 27) == (1,)
 
 
 def test_cayley_hamilton():
@@ -418,6 +454,56 @@ def _path_cases(rng):
                     yield _conjugate(extra, rng), zeta
 
 
+def test_chi_at_zeta_shift_matches_the_power_route():
+    # h(S) from polynomial arithmetic mod chi_S is chi_S(S') mod p^(N-1)
+    # entry by entry, S' read from M^zeta: on the path cases, on random
+    # unipotent matrices at every N > r, on orbit blocks as built and
+    # conjugated, and on shifts ≡ 0 mod p
+    rng = random.Random(29)
+    cases = list(_path_cases(rng))
+    for p, generator in ((3, 2), (5, 2), (7, 3)):
+        for r in range(1, 5):
+            for N in range(r + 1, r + 5):
+                for zeta in (1, -1, teichmuller(generator, p, N)):
+                    cases.append((random_unipotent_matrix(p, N, r, rng), zeta))
+                    deep = [[p * p * rng.randrange(p**N) for _ in range(r)] for _ in range(r)]
+                    cases.append((PadicMatrix.identity(p, N, r) + PadicMatrix(p, N, deep), zeta))
+                    d = zeta_order(zeta, p)
+                    if r % d == 0:
+                        M, _ = orbit_block_construct(p, N, r // d, zeta)
+                        cases += [(M, zeta), (_conjugate(M, rng), zeta)]
+    for M, zeta in cases:
+        S, chi = _shift_charpoly(M)
+        assert _chi_at_zeta_shift(chi, S, zeta, M.p, M.precision) == no_visible_matrix_by_power(M, zeta)
+    assert len(cases) > 500
+
+
+def test_random_unipotent_matrix_criterion_matches_the_full_determinant():
+    # det(p·U) ≢ 0 mod p^N iff det U ≢ 0 mod p^(N-r): the sampler tests U
+    # at the lower precision, and draws and accepts as the full test would
+    rng = random.Random(31)
+    verdicts = set()
+    for p in (3, 5, 7):
+        for r in range(1, 5):
+            for N in range(r + 1, r + 4):
+                for _ in range(20):
+                    U = [[rng.choice([0, rng.randrange(p ** (N - 1))]) for _ in range(r)] for _ in range(r)]
+                    full = det_nonzero_mod([[p * x for x in row] for row in U], p, N)
+                    assert det_nonzero_mod(U, p, N - r) == full
+                    verdicts.add(full)
+                seed = rng.randrange(10**6)
+                draws = random.Random(seed)
+                while True:
+                    U = [[draws.randrange(p ** (N - 1)) for _ in range(r)] for _ in range(r)]
+                    if det_nonzero_mod([[p * x for x in row] for row in U], p, N):
+                        break
+                expected = PadicMatrix(p, N, [[p * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(U)])
+                sampler = random.Random(seed)
+                assert random_unipotent_matrix(p, N, r, sampler) == expected
+                assert sampler.getstate() == draws.getstate()
+    assert verdicts == {True, False}
+
+
 def _count_dense_calls(monkeypatch):
     calls = []
 
@@ -437,17 +523,18 @@ def test_no_visible_solution_is_sound(monkeypatch):
     for M, zeta in cases:
         B = mat_pow_zeta(M, zeta)
         statuses.append(intertwiner_solve(M, zeta, seed=1).status)
-        if _no_visible_solution(_shift_charpoly(M), B):
+        S, chi = _shift_charpoly(M)
+        if _no_visible_solution(chi, S, zeta, M.p, M.precision):
             certified += 1
             assert _kernel_space(M, B) == []
-    monkeypatch.setattr(linalg, "_no_visible_solution", lambda chi, B: False)
+    monkeypatch.setattr(linalg, "_no_visible_solution", lambda chi, S, zeta, p, precision: False)
     monkeypatch.setattr(linalg, "_spectra_disjoint_mod_p", lambda chi, zeta, p: False)
     assert statuses == [intertwiner_solve(M, zeta, seed=1).status for M, zeta in cases]
     assert (certified, len(cases)) == (30, 111)
     assert statuses.count("witness") >= 10 and "none" in statuses
 
 
-def test_intertwiner_runs_berkowitz_once(monkeypatch):
+def test_intertwiner_runs_charpoly_once(monkeypatch):
     # both tests read one chi_S mod p^(N-1); N = 1 computes none and goes
     # straight to the dense system
     runs = []
@@ -462,18 +549,36 @@ def test_intertwiner_runs_berkowitz_once(monkeypatch):
     assert runs == [] and len(calls) == 1
 
 
+def test_campaign_builds_m_zeta_only_for_the_dense_system(monkeypatch, capsys):
+    # a fixed lemma2-campaign: M^zeta is built once per solve that reaches
+    # the dense system (its witness check reuses it) and once per orbit
+    # construction, never for a solve that the r×r tests decide
+    from anticyclo.cli import main
+
+    dense = _count_dense_calls(monkeypatch)
+    powers = []
+    monkeypatch.setattr(linalg, "mat_pow_zeta", lambda M, zeta: powers.append(M) or mat_pow_zeta(M, zeta))
+    argv = ["lemma2-campaign", "--p", "3", "--zeta", "-1", "--precision", "5", "--r", "2", "3", "4",
+            "--trials", "40", "--seed", "2", "--format", "machine", "--no-timestamps"]
+    assert main(argv) == 0
+    controls = capsys.readouterr().out.count("constructed orbit control")
+    assert controls == 2
+    assert len(powers) == len(dense) + controls
+    assert 0 < len(dense) < 3 * 40
+
+
 def test_spectra_test_is_sound():
     # whenever S̄ and zeta·S̄ have disjoint spectra, the r×r certificate
     # holds and the dense system sees no solution mod p
     fired = 0
     cases = list(_path_cases(random.Random(17)))
     for M, zeta in cases:
-        chi = _shift_charpoly(M)
+        S, chi = _shift_charpoly(M)
         if _spectra_disjoint_mod_p(chi, zeta, M.p):
             fired += 1
             assert zeta != 1
-            B = mat_pow_zeta(M, zeta)
-            assert _no_visible_solution(chi, B) and _kernel_space(M, B) == []
+            assert _no_visible_solution(chi, S, zeta, M.p, M.precision)
+            assert _kernel_space(M, mat_pow_zeta(M, zeta)) == []
     assert (fired, len(cases)) == (23, 111)
     # at N = 1, M = I: S̄ = 0, chi_S̄ = T^2 and the test cannot fire
     for p, generator in ((3, 2), (5, 2), (7, 3)):
@@ -493,7 +598,7 @@ def test_spectra_test_matches_the_mod_p_oracle(z):
             S = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
             M = PadicMatrix.identity(p, 3, r) + PadicMatrix(p, 3, S).scale(p)
             only_zero = len(sylvester_solutions_mod_p(S, z, p)) == 1
-            assert _spectra_disjoint_mod_p(_shift_charpoly(M), z, p) == only_zero
+            assert _spectra_disjoint_mod_p(_shift_charpoly(M)[1], z, p) == only_zero
             fired += only_zero
     assert fired == (0 if z == 1 else 32)
 
@@ -505,11 +610,11 @@ def test_intertwiner_guards_run_before_the_spectra_test():
     S = PadicMatrix(p, N, [[1, 1], [0, 1]]).scale(p)
     M = PadicMatrix.identity(p, N, 2) + S
     not_pro_p = M + PadicMatrix(p, N, [[0, 1], [0, 0]])
-    assert _spectra_disjoint_mod_p(_shift_charpoly(not_pro_p), -1, p)
+    assert _spectra_disjoint_mod_p(_shift_charpoly(not_pro_p)[1], -1, p)
     with pytest.raises(ValueError, match="pro-p"):
         intertwiner_solve(not_pro_p, -1)
     zeta = teichmuller(4, p, N - 1)
-    assert _spectra_disjoint_mod_p(_shift_charpoly(M), zeta, p)
+    assert _spectra_disjoint_mod_p(_shift_charpoly(M)[1], zeta, p)
     with pytest.raises(ValueError, match="mixed p-adic parameters"):
         intertwiner_solve(M, zeta)
 
@@ -563,8 +668,9 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     M = PadicMatrix.identity(p, N, 2) + PadicMatrix(p, N, S).scale(p)
     minus_S = PadicMatrix(p, 1, S).scale(-1)
     assert cokernel_mod(evaluate_charpoly(charpoly(S, p), minus_S).rows, p, 1) == ()
-    assert _spectra_disjoint_mod_p(_shift_charpoly(M), -1, p)
-    assert _no_visible_solution(_shift_charpoly(M), mat_pow_zeta(M, -1))
+    shift, chi = _shift_charpoly(M)
+    assert _spectra_disjoint_mod_p(chi, -1, p)
+    assert _no_visible_solution(chi, shift, -1, p, N)
     calls = _count_dense_calls(monkeypatch)
     powers = []
     monkeypatch.setattr(linalg, "mat_pow_zeta", lambda M, zeta: powers.append(M) or mat_pow_zeta(M, zeta))

@@ -259,6 +259,25 @@ def test_p_power_exponents_matches_the_division_oracle(p):
         assert _exponents_or_error(factors, p, p_power_exponents) == expected
 
 
+def test_p_power_exponents_names_an_unprintable_factor_by_index_and_bits():
+    # at the interpreter's default limit of 4,300 digits, a factor that
+    # cannot be printed is named by its position and bit length
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        p = 1000003
+        big = 2 * p**1000  # 6,001 digits
+        named = f"invariant #1 ({big.bit_length()} bits) is not a power of {p}"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            p_power_exponents([p**2000, big], p)
+        with pytest.raises(ValueError, match=f"^{re.escape(named.replace('#1', '#0'))}$"):
+            FinitePModule(p, (big,))
+        with pytest.raises(ValueError, match=f"^invariant {2 * p} is not a power of {p}$"):
+            p_power_exponents([2 * p], p)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_p_power_exponents_finds_every_exponent_up_to_9000():
     # the rounded float guess is the true exponent of every power 3^e,
     # e <= 9000 (3^9000 has 4,295 digits, under the default digit limit)
