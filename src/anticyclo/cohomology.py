@@ -1,13 +1,18 @@
 """Tate cohomology of cyclic actions on finite abelian p-groups.
 
 A module is a list of invariant factors (p-powers) plus named integer
-matrices acting on the generators.  With p^E the largest factor, the map
-x_i -> (p^E/q_i)·x_i, i.e. D = diag(p^E/q_i), embeds A = ⊕ Z/q_i in the
-free module (Z/p^E)^k.  Fixed points, norm images, the degree 0 and -1
-Tate groups, and minus-parts of involutions are then submodules and
-subquotients of (Z/p^E)^k, and everything reduces to the local-ring
-Smith normal form mod p^E on k columns.  No number-field data appears
-anywhere: class groups enter as plain invariant-factor lists.
+matrices acting on the generators.  With p^E the largest factor,
+A = ⊕ Z/q_i is (Z/p^E)^k modulo R = diag(q_i)·(Z/p^E)^k, and the map
+x_i -> (p^E/q_i)·x_i, i.e. D = diag(p^E/q_i), embeds A in the free
+module (Z/p^E)^k.  Everything reduces to the local-ring Smith normal
+form mod p^E on k columns.  Images (norm images, minus-parts of
+involutions) are spans of the columns of D·F, read from the pivots
+alone.  Kernels and subquotients ker F / im G (fixed points and the
+degree 0 and -1 Tate groups) are read in the coordinates of one SNF of
+D·F, whose V^-1 the engine hands out from its pivot rows, plus one
+``cokernel_mod``; no V and no second SNF is built.  No number-field
+data appears anywhere: class groups enter as plain invariant-factor
+lists.
 
 The norm 1 + T + ... + T^(m-1) is built on packed rows (Kronecker
 substitution): each row of T is one integer with w-bit digits,
@@ -26,7 +31,7 @@ from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
 from .padic import p_power_exponents, require_odd_prime
-from .snf import cokernel_mod, identity_matrix, kernel_mod, mat_mul, minus_identity, smith_normal_form_mod_prime_power
+from .snf import cokernel_mod, identity_matrix, mat_mul, minus_identity, smith_normal_form_mod_prime_power
 
 
 @dataclass(frozen=True)
@@ -120,76 +125,79 @@ class FinitePModule:
         return prod(self.invariant_factors)
 
 
-def _embed(module: FinitePModule, vectors):
-    """D·x for each x in ``vectors``: the embedding of A in (Z/p^E)^k."""
-    m = module.p**module.exponent
-    scales = [m // q for q in module.invariant_factors]
-    return [[s * x for s, x in zip(scales, vec)] for vec in vectors]
-
-
 def _image_gens(module: FinitePModule, F):
     """Generators of F·A inside (Z/p^E)^k, one per row: the columns of D·F."""
-    return _embed(module, zip(*F))
-
-
-def _preimage_gens(module: FinitePModule, F):
-    """Generators of ker F inside (Z/p^E)^k, one per row.
-
-    (F·x)_i ≡ 0 mod q_i exactly when (p^E/q_i)·(F·x)_i ≡ 0 mod p^E, so
-    kernel_mod(D·F), a k×k system, spans {x : F·x = 0 in A} mod p^E.
-    That lattice contains the relations, which D kills, so its image
-    under D is ker F embedded.
-    """
-    DF = list(zip(*_image_gens(module, F)))
-    return _embed(module, (vec for vec, _ in kernel_mod(DF, module.p, module.exponent)))
+    m = module.p**module.exponent
+    scales = [m // q for q in module.invariant_factors]
+    return [[s * x for s, x in zip(scales, col)] for col in zip(*F)]
 
 
 def _span(module: FinitePModule, X) -> tuple[int, ...]:
     """Invariant factors of the submodule of (Z/p^E)^k spanned by the rows
     of X: p^E/d for each pivot d ≠ 0 of one pivot-only local SNF."""
     m = module.p**module.exponent
-    diag, _ = smith_normal_form_mod_prime_power(X, module.p, module.exponent, False)
+    diag, _ = smith_normal_form_mod_prime_power(X, module.p, module.exponent, None)
     return tuple(m // d for d in diag if d)
 
 
-def _subquotient(module: FinitePModule, X, Y) -> tuple[int, ...]:
-    """Invariant factors of X/Y for submodules Y ⊆ X of (Z/p^E)^k, each
-    given by generators, one per row.
+def _ker_mod_im(module: FinitePModule, F, G=None) -> tuple[int, ...]:
+    """Invariant factors of ker F / im G for endomorphisms with F·G = 0;
+    without G, of ker F itself.
 
-    The local SNF of X gives an invertible V such that the rows of X·V
-    span ⊕ p^(v_i)·Z/p^E, a zero pivot meaning v_i = E.  In the
-    coordinates x·V, X is ⊕ Z/p^(E-v_i) and Y is spanned by the rows
-    (y·V)_i / p^(v_i), so X/Y is the cokernel of those columns beside
-    diag(p^(E-v_i)).  A y outside X raises ArithmeticError; that check
-    runs on every coordinate before anything is dropped.
+    In lift coordinates x in (Z/p^E)^k, A = (Z/p^E)^k / R with
+    R = diag(q_i)·(Z/p^E)^k.  (F·x)_i ≡ 0 mod q_i exactly when
+    (p^E/q_i)·(F·x)_i ≡ 0 mod p^E, so L = {x : D·F·x ≡ 0 mod p^E} is the
+    preimage of ker F.  It contains R, so ker F / im G is
+    L / (G·(Z/p^E)^k + R), the quotient of L by the span of the columns
+    of H = [G | diag(q_i)].
 
-    One local SNF with V (read as the list of its columns, so coordinate
-    i is y·V[:, i]) and one pivot-only ``cokernel_mod``.  The cokernel
-    matrix is trimmed first: a row with a zero pivot carries the unit
-    relation e_i, which kills it, and a unit pivot gives the relation
-    p^E·e_i = 0, a zero column.
+    One local SNF U·D·F·V ≡ diag(g_t) hands out the rows of V^-1.  In
+    y = V^-1·x, L is ⊕ (p^E/g_t)·Z/p^E, all of Z/p^E where g_t = 0, so
+    the quotient is the cokernel of the rows (V^-1·H)_t / (p^E/g_t) beside
+    diag(g_t), read by one pivot-only ``cokernel_mod``.  A column of H
+    outside L raises ArithmeticError; that check runs on every coordinate
+    before any row is dropped.  The cokernel matrix is trimmed: a unit
+    pivot leaves Z/1, so its row goes once checked, and the relation
+    p^E of a zero pivot is a zero column, as is a column q_i = p^E of
+    diag(q_i); none of them is written.
+
+    Row t of V^-1·G is one C-level sum of the rows of G packed into
+    integers of w-bit digits (Kronecker substitution, as in
+    ``_norm_matrix``), with G first reduced into [0, p^E) and
+    w = bit_length(k·p^2E), so no digit carries into the next.  Row t of
+    V^-1·diag(q_i) is row t of V^-1 scaled by the q_i.
     """
     p, E = module.p, module.exponent
     m = p**E
-    k = len(module.invariant_factors)
-    # no generators (a trivial kernel) span the zero submodule
-    diag, Vc = smith_normal_form_mod_prime_power(X or [[0] * k], p, E)
+    factors = module.invariant_factors
+    k = len(factors)
+    DF = [[m // q * x for x in row] for q, row in zip(factors, F)]
+    diag, Vr = smith_normal_form_mod_prime_power(DF, p, E, "V^-1")
+    relations = [(i, q) for i, q in enumerate(factors) if q != m]
+    if G is not None:
+        w = (k * m * m).bit_length()
+        mask = (1 << w) - 1
+        shifts = [w * j for j in range(k)]
+        packed = [sum(map(lshift, [x % m for x in row], shifts)) for row in G]
     rows = []
-    for d, v in zip(diag, Vc):
-        s = d or m
-        coords = [sum(map(mul, y, v)) % m for y in Y]
-        if any(c % s for c in coords):
-            raise ArithmeticError("subquotient generators are not inside the ambient lattice")
-        if d:
-            rows.append([c // s for c in coords])
-    relations = [(i, m // d) for i, d in enumerate(d for d in diag if d) if d != 1]
-    cokernel = [row + [r if i == j else 0 for j, r in relations] for i, row in enumerate(rows)]
+    for g, vr in zip(diag, Vr):
+        coords = [vr[i] * q % m for i, q in relations]
+        if G is not None:
+            y = sum(map(mul, vr, packed))
+            coords += [(y >> s & mask) % m for s in shifts]
+        if g == 1:
+            if any(coords):
+                raise ArithmeticError("im G is not inside ker F")
+            continue
+        if g:
+            d = m // g
+            if any(c % d for c in coords):
+                raise ArithmeticError("im G is not inside ker F")
+            coords = [c // d for c in coords]
+        rows.append(coords)
+    kept = [(i, g) for i, g in enumerate(g for g in diag if g != 1) if g]
+    cokernel = [row + [g if i == j else 0 for j, g in kept] for i, row in enumerate(rows)]
     return cokernel_mod(cokernel, p, E)
-
-
-def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
-    """Invariant factors of ker F / im G for endomorphisms with F·G = 0."""
-    return _subquotient(module, _preimage_gens(module, F), _image_gens(module, G))
 
 
 def _norm_matrix(module: FinitePModule, name: str, m: int | None):
@@ -227,14 +235,14 @@ def _norm_matrix(module: FinitePModule, name: str, m: int | None):
         acc = list(map(add, acc, rows))
         rows = [sum(map(mul, row, packed)) for row in power]
         power = [[(x >> s & mask) % q for s in shifts] for x, q in zip(rows, factors)]
-    if not module._is_identity(power):
+    if power != identity_matrix(len(T)):  # power is reduced, and so is the identity
         raise ValueError(f"action {name!r} does not satisfy {name}^{m} = identity")
     return [[(x >> s & mask) % q for s in shifts] for x, q in zip(acc, factors)]
 
 
 def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
     """Kernel of (action - 1), as a bare structure (no actions carried)."""
-    return FinitePModule(module.p, _span(module, _preimage_gens(module, minus_identity(module.action(action)))))
+    return FinitePModule(module.p, _ker_mod_im(module, minus_identity(module.action(action))))
 
 
 def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:

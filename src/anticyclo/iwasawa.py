@@ -134,7 +134,7 @@ def _level_terms(g, p: int):
             # matrix, which has the same invariant factors
             rows = [poly_mod_monic([0] * i + w, g) for i in range(deg)]
             K = deg + 1
-            while not all(diag := smith_normal_form_mod_prime_power(rows, p, K, False)[0]):
+            while not all(diag := smith_normal_form_mod_prime_power(rows, p, K, None)[0]):
                 K *= 2
             yield sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
         k += 1

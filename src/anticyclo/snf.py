@@ -18,7 +18,10 @@ Only the rows below a pivot are eliminated, and the matrix itself takes
 no column operations: once its column is cleared, the pivot row is never
 read again, so they could only zero entries nobody looks at.  Column
 operations are applied to V alone, and callers that read only the pivots
-skip V entirely.
+skip V entirely.  A caller that needs coordinates adapted to the pivots
+(the Tate subquotients) can take the rows of V^-1 instead: they are the
+pivot rows over their pivots, so they cost no column operation at all.
+``kernel_mod`` keeps V, whose columns are the kernel generators.
 """
 
 from __future__ import annotations
@@ -41,17 +44,18 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def smith_normal_form_mod_prime_power(A, p: int, precision: int, track_v: bool = True):
-    """Diagonalize A over the local ring Z/p^N: returns (diag, Vc).
+def smith_normal_form_mod_prime_power(A, p: int, precision: int, track: str | None = "V"):
+    """Diagonalize A over the local ring Z/p^N: returns (diag, basis).
 
     diag[i] is p^(v_i) with non-decreasing v_i (0 entries mean the image
-    vanishes in that direction).  Vc is the list of the columns of a V
-    invertible mod p^N with U·A·V ≡ diag for a suitable invertible U (not
-    tracked), or None when ``track_v`` is false.  Over a local ring an
-    entry of least valuation divides everything in sight, so one
-    elimination pass per pivot suffices and entries stay reduced mod p^N;
-    this avoids the coefficient blowup of integer SNF.  This is the
-    elimination engine behind every other function here.
+    vanishes in that direction), for U·A·V ≡ diag with U and V invertible
+    mod p^N; U is never tracked.  ``track`` picks the basis returned:
+    "V" the list of the columns of V, "V^-1" the list of the rows of
+    V^-1, None nothing (None is returned).  Over a local ring an entry of
+    least valuation divides everything in sight, so one elimination pass
+    per pivot suffices and entries stay reduced mod p^N; this avoids the
+    coefficient blowup of integer SNF.  This is the elimination engine
+    behind every other function here.
 
     Step t takes the least valuation v of the active block (rows and
     columns >= t) as v_p(gcd(p^N, *entries)), by C-level gcds row by row,
@@ -66,16 +70,27 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track_v: bool =
     off the pivot, so a column operation on M would only zero an entry
     of the finished row t, and the active block would not change.  The
     column operations go to V alone, kept as a list of columns so that
-    each one rewrites a single list; with ``track_v`` false V is not
-    built at all.  The pivot row is not rescaled either: multiplying the
-    row multipliers by the inverse of the pivot's unit part gives the
-    same rows mod p^N.
+    each one rewrites a single list.  The pivot row is not rescaled
+    either: multiplying the row multipliers by the inverse of the pivot's
+    unit part gives the same rows mod p^N.
+
+    V is built from nothing but a column swap and the operations
+    V[:, j] -= q_j·V[:, t] (j > t, q_j the entry j of the pivot row over
+    the pivot) at each step t.  Undone in reverse, these leave row t of
+    V^-1 equal to e_t + sum_j q_j·e_j in the column order of step t: the
+    pivot row over its pivot, moved to the input's columns by the swaps
+    so far.  Past the last pivot, row t is the unit vector of the input
+    column at position t.  So "V^-1" costs one pass over each pivot row
+    and no column operation at all.
     """
     m = p**precision
     rows = len(A)
     cols = len(A[0]) if rows else 0
     M = [[x % m for x in row] for row in A]
-    Vc = identity_matrix(cols) if track_v else None  # the columns of V
+    Vc = identity_matrix(cols) if track == "V" else None  # the columns of V
+    inverse = track == "V^-1"
+    at = list(range(cols)) if inverse else None  # at[j]: the input column now at position j
+    Vr = []  # the rows of V^-1
     diag = [0] * cols
     for t in range(min(rows, cols)):
         # columns < t are zero in every row >= t, so whole rows can be read;
@@ -95,8 +110,10 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track_v: bool =
         if bj != t:
             for row in M[t:]:
                 row[t], row[bj] = row[bj], row[t]
-            if track_v:
+            if Vc is not None:
                 Vc[t], Vc[bj] = Vc[bj], Vc[t]
+            elif inverse:
+                at[t], at[bj] = at[bj], at[t]
         pivot_row = M[t]
         scale = pow(pivot_row[t] // g, -1, m)  # scaled, the pivot is exactly g
         zeros = [0] * (t + 1)  # columns <= t of every row below, once cleared
@@ -107,12 +124,23 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track_v: bool =
                 q = row[t] // g * scale
                 M[i] = zeros + [(a - q * b) % m for a, b in zip(row[t + 1 :], tail)]
         diag[t] = g
-        if track_v:
+        if Vc is not None:
             vt = Vc[t]
             for j in range(t + 1, cols):
                 if pivot_row[j]:
                     q = pivot_row[j] * scale % m // g
                     Vc[j] = [(a - q * b) % m for a, b in zip(Vc[j], vt)]
+        elif inverse:
+            vr = [0] * cols
+            for j, x in zip(at[t:], pivot_row[t:]):
+                vr[j] = x * scale % m // g
+            Vr.append(vr)
+    if inverse:
+        for j in at[len(Vr) :]:
+            vr = [0] * cols
+            vr[j] = 1
+            Vr.append(vr)
+        return diag, Vr
     return diag, Vc
 
 
@@ -144,7 +172,7 @@ def cokernel_mod(A, p: int, precision: int) -> tuple[int, ...]:
     """
     m = p**precision
     rows = len(A)
-    diag, _ = smith_normal_form_mod_prime_power(A, p, precision, False)
+    diag, _ = smith_normal_form_mod_prime_power(A, p, precision, None)
     pivots = (diag + [0] * rows)[:rows]
     return tuple(sorted((d or m for d in pivots if d != 1), reverse=True))
 

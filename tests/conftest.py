@@ -342,6 +342,38 @@ def subquotient_by_full_elimination(X, Y, p, E):
     return cokernel_by_full_elimination(cokernel, p, E)
 
 
+def ker_mod_im_by_embedded_kernel(module, F, G=None):
+    """ker F / im G (ker F itself without G) in the embedded coordinates
+    of (Z/p^E)^k: ker F embedded by D = diag(p^E/q_i) from the generators
+    of ``kernel_mod(D·F)``, an SNF with V of those generators, the columns
+    of D·G moved into its coordinates one dot product at a time, and a
+    ``cokernel_mod`` of the rows y·V[:, i] / p^(v_i) beside
+    diag(p^(E-v_i)).  A zero pivot drops its row; a column of D·G outside
+    ker F raises ArithmeticError."""
+    from anticyclo.snf import cokernel_mod, kernel_mod, smith_normal_form_mod_prime_power
+
+    p, E, factors = module.p, module.exponent, module.invariant_factors
+    m, k = p**E, len(factors)
+
+    def embed(vectors):
+        return [[m // q * x for q, x in zip(factors, vec)] for vec in vectors]
+
+    DF = [[m // q * x for x in row] for q, row in zip(factors, F)]
+    X = embed(vec for vec, _ in kernel_mod(DF, p, E))
+    Y = [] if G is None else embed(zip(*G))
+    diag, Vc = smith_normal_form_mod_prime_power(X or [[0] * k], p, E)
+    rows = []
+    for d, v in zip(diag, Vc):
+        s = d or m
+        coords = [sum(a * b for a, b in zip(y, v)) % m for y in Y]
+        if any(c % s for c in coords):
+            raise ArithmeticError("im G is not inside ker F")
+        if d:
+            rows.append([c // s for c in coords])
+    relations = [(i, m // d) for i, d in enumerate(d for d in diag if d) if d != 1]
+    return cokernel_mod([row + [r if i == j else 0 for j, r in relations] for i, row in enumerate(rows)], p, E)
+
+
 def tate_groups_by_relation_lattice(module, order):
     """The six cohomology operations of a FinitePModule with actions "tau"
     (of the given order) and "J", as lattices between the relation lattice

@@ -5,9 +5,8 @@ import pytest
 
 from anticyclo.cohomology import (
     FinitePModule,
-    _image_gens,
+    _ker_mod_im,
     _norm_matrix,
-    _subquotient,
     fixed_points,
     herbrand_check,
     minus_part,
@@ -17,14 +16,18 @@ from anticyclo.cohomology import (
     theorem2_cyclic_obstruction,
 )
 from anticyclo.iwasawa import coinvariants
-from anticyclo.snf import smith_normal_form_mod_prime_power
+from anticyclo.snf import minus_identity, smith_normal_form_mod_prime_power
 
 from conftest import (
     add_elements,
     all_elements,
     apply_rows,
+    image_gens_with_relations,
+    ker_mod_im_by_embedded_kernel,
     norm_matrix_by_repeated_products,
+    preimage_gens_with_relations,
     quotient_structure,
+    scale_element,
     subgroup_closure,
     subquotient_by_full_elimination,
     tate_groups_by_relation_lattice,
@@ -150,81 +153,226 @@ def test_herbrand_check_builds_one_norm_matrix(monkeypatch):
         assert len(calls) == 1
 
 
-def test_subquotient_rejects_generators_outside_the_lattice():
-    # D = diag(1, 3) embeds Z/9 + Z/3 in (Z/9)^2 and sends the relations to 0 mod 9
+def test_ker_mod_im_rejects_images_outside_the_kernel():
+    # on Z/9 + Z/3, F·G ≠ 0 puts a column of G outside ker F
     module = FinitePModule(3, (9, 3))
-    relations = _image_gens(module, [[9, 0], [0, 3]])
-    generators = _image_gens(module, [[1, 0], [0, 1]])
-    assert relations == [[9, 0], [0, 9]] and generators == [[1, 0], [0, 3]]
+    identity, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    first = [[1, 0], [0, 0]]  # onto the Z/9 generator, killing the Z/3 one
     with pytest.raises(ArithmeticError, match="not inside"):
-        _subquotient(module, relations, generators[:1] + relations)
+        _ker_mod_im(module, identity, first)  # ker F = 0, im G = Z/9
     with pytest.raises(ArithmeticError, match="not inside"):
-        _subquotient(module, generators[1:], generators[:1])
-    assert _subquotient(module, generators, relations) == (9, 3)
+        _ker_mod_im(module, first, first)  # ker F = Z/3, im G = Z/9
+    assert _ker_mod_im(module, zero, zero) == (9, 3)
 
 
 def _span_in_free_module(gens, m, k):
     return subgroup_closure(lambda x, y: add_elements(x, y, (m,) * k), [tuple(g) for g in gens], (0,) * k)
 
 
-def test_subquotient_trims_dead_rows_and_columns():
-    # E = 3 and k = 3: X and Y are submodules of (Z/27)^3, given by rows
-    module = FinitePModule(3, (27, 9, 3))
+def _columns(vectors, k):
+    """The k×k matrix whose columns are ``vectors``, then zero columns."""
+    return [list(row) for row in zip(*(list(vectors) + [[0] * k] * (k - len(vectors))))]
+
+
+def test_ker_mod_im_trims_dead_rows_and_columns():
+    # on the free module (Z/27)^3, D = 1: each F has the kernel X, the
+    # columns of G span Y, and ker F / im G is X/Y
+    module = FinitePModule(3, (27, 27, 27))
     m, k = 27, 3
-    for X, Y, expected in (
-        ([[3, 6, 0], [0, 0, 0]], [[9, 18, 0]], (3,)),  # pivots (3, 0, 0): two zero pivots
-        ([[1, 3, 9], [0, 3, 0]], [[3, 9, 0]], (9, 3)),  # pivots (1, 3, 0): a unit pivot
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[3, 0, 0]], (27, 27, 3)),  # every pivot a unit
-        ([[1, 3, 9], [0, 3, 0]], [[1, 3, 9], [0, 3, 0]], ()),  # Y = X
-        ([[9, 0, 0]], [[9, 0, 0]], ()),
-        ([], [[0, 0, 0]], ()),  # no generators: the zero submodule
+    elements = all_elements((m,) * k)
+    for X, F, Y, expected in (
+        # pivots of F (1, 1, 9): two unit rows dropped
+        ([[3, 6, 0], [0, 0, 0]], [[9, 0, 0], [-2, 1, 0], [0, 0, 1]], [[9, 18, 0]], (3,)),
+        # pivots (1, 9, 0): a unit, a p^2 and a zero pivot
+        ([[1, 3, 9], [0, 3, 0]], [[0, 0, 0], [0, 9, 0], [-9, 0, 1]], [[3, 9, 0]], (9, 3)),
+        # every pivot zero: no relation column at all
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0] * 3] * 3, [[3, 0, 0]], (27, 27, 3)),
+        ([[1, 3, 9], [0, 3, 0]], [[0, 0, 0], [0, 9, 0], [-9, 0, 1]], [[1, 3, 9], [0, 3, 0]], ()),  # Y = X
+        ([[9, 0, 0]], [[3, 0, 0], [0, 1, 0], [0, 0, 1]], [[9, 0, 0]], ()),
+        # every pivot a unit: the zero submodule, every row dropped
+        ([], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 0]], ()),
     ):
-        oracle = quotient_structure(
-            _span_in_free_module(X, m, k), _span_in_free_module(Y, m, k), (m,) * k, 3
-        )
-        assert _subquotient(module, X, Y) == oracle == expected
-    # the only coordinate of y outside X lies in a zero-pivot row, which the
-    # trimmed cokernel drops: the containment check still sees it
-    for X, Y in (
-        ([[1, 0, 0]], [[5, 0, 9]]),
-        ([[3, 6, 0], [0, 0, 0]], [[0, 0, 1]]),
-        ([], [[0, 9, 0]]),
+        span = _span_in_free_module(X, m, k)
+        assert {x for x in elements if not any(apply_rows(F, x, (m,) * k))} == span
+        oracle = quotient_structure(span, _span_in_free_module(Y, m, k), (m,) * k, 3)
+        assert _ker_mod_im(module, F, _columns(Y, k)) == oracle == expected
+    # the only coordinate of y outside X lies in a unit-pivot row, which the
+    # trimmed cokernel drops: the containment check still sees it; in the
+    # last case it lies in the row of the pivot 3
+    for F, Y in (
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[5, 0, 9]]),  # X = <e_1>
+        ([[9, 0, 0], [-2, 1, 0], [0, 0, 1]], [[0, 0, 1]]),  # X = <(3, 6, 0)>
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 9, 0]]),  # X = 0
+        ([[3, 0, 0], [0, 1, 0], [0, 0, 1]], [[3, 0, 0]]),  # X = <9·e_1>
     ):
         with pytest.raises(ArithmeticError, match="not inside"):
-            _subquotient(module, X, Y)
+            _ker_mod_im(module, F, _columns(Y, k))
 
 
-def test_subquotient_matches_full_elimination_on_random_lattices():
+def test_ker_mod_im_matches_full_elimination_on_random_pairs():
+    # a random F on A = ⊕ Z/q_i, some of its columns zeroed, and G whose
+    # columns are elements of ker F, some times p; in every third case
+    # they generate it
     rng = random.Random(31)
-    seen = {"zero pivot": 0, "unit pivot": 0, "y = x": 0}
+    seen = {"zero pivot": 0, "unit pivot": 0, "im G = ker F": 0, "im G < ker F": 0}
     for case in range(60):
         p = (3, 5)[case % 2]
         # at most p^E = 27 or 25 on k <= 3 coordinates, for the enumeration oracle
         exps = sorted((rng.randint(1, 3 if p == 3 else 2) for _ in range(rng.randint(1, 3))), reverse=True)
-        module = FinitePModule(p, tuple(p**e for e in exps))
+        factors = tuple(p**e for e in exps)
+        module = FinitePModule(p, factors)
         E, k = exps[0], len(exps)
-        m = p**E
-        X = [[rng.choice((0, 1, p, p * rng.randrange(m))) for _ in range(k)] for _ in range(rng.randint(1, k))]
+        zero = (0,) * k
+        F = _random_action(rng, factors)
+        for j in rng.sample(range(k), rng.randint(0, k - 1)):
+            for row in F:
+                row[j] = 0
+        kernel = [x for x in all_elements(factors) if apply_rows(F, x, factors) == zero]
+
+        def span(vectors):
+            return subgroup_closure(lambda x, y: add_elements(x, y, factors), vectors, zero)
+
         if case % 3 == 0:
-            Y = [list(x) for x in X]
+            cols = []
+            while len(span(cols)) < len(kernel):
+                cols = [rng.choice(kernel) for _ in range(k)]
         else:
-            Y = []
-            for _ in range(rng.randint(1, 3)):
-                c = [rng.randrange(m) for _ in X]
-                Y.append([sum(a * x[j] for a, x in zip(c, X)) % m for j in range(k)])
-        diag, _ = smith_normal_form_mod_prime_power(X, p, E, False)
+            cols = [scale_element(rng.choice((1, p)), rng.choice(kernel), factors) for _ in range(rng.randint(1, k))]
+        G = _columns(cols, k)
+        diag, _ = smith_normal_form_mod_prime_power(
+            [[p ** (E - e) * x for x in row] for e, row in zip(exps, F)], p, E, None
+        )
         seen["zero pivot"] += 0 in diag
         seen["unit pivot"] += 1 in diag
-        seen["y = x"] += Y == X
-        expected = subquotient_by_full_elimination(X, Y, p, E)
-        assert _subquotient(module, X, Y) == expected
-        if Y == X:
-            assert expected == ()
-        oracle = quotient_structure(
-            _span_in_free_module(X, m, k), _span_in_free_module(Y, m, k), (m,) * k, p
+        seen["im G = ker F" if len(span(cols)) == len(kernel) else "im G < ker F"] += 1
+        expected = subquotient_by_full_elimination(
+            preimage_gens_with_relations(factors, F, p, E), image_gens_with_relations(factors, G), p, E
         )
-        assert expected == oracle
+        assert _ker_mod_im(module, F, G) == expected == ker_mod_im_by_embedded_kernel(module, F, G)
+        assert expected == quotient_structure(kernel, span(cols), factors, p)
     assert min(seen.values()) >= 10
+
+
+def _random_automorphism(rng, factors):
+    """(P, P^-1) for P = L·U an automorphism of ⊕ Z/q_i: L unit lower
+    triangular with any entries, U unit upper triangular with U_ij a
+    multiple of q_i/q_j."""
+    k = len(factors)
+    L = [[int(i == j) or (rng.randrange(-3, 4) if i > j else 0) for j in range(k)] for i in range(k)]
+    U = [
+        [int(i == j) or (rng.randrange(-3, 4) * factors[i] // factors[j] if i < j else 0) for j in range(k)]
+        for i in range(k)
+    ]
+    return _mat_mul(L, U), _mat_mul(_unit_triangular_inverse(U, False), _unit_triangular_inverse(L, True))
+
+
+def _sweep_module(rng, p, m, kind):
+    """A module with an action tau of order dividing m ∈ {p, p², 2}.
+
+    tau is P·B·P^-1 for a block-diagonal B and P from ``_random_automorphism``.
+    A "trivial" block is 1; a "scalar" block multiplies one generator of
+    order p^e by a unit u with u^m = 1: ±1 for m = 2, and for m = p^j,
+    u ≡ 1 mod p^max(1, e - j), of order m when e ≥ j + 1 and u - 1 has
+    valuation e - j; a "cycle" block permutes 2 generators (m = 2) or p
+    (m = p, p²) cyclically.  ``kind`` "mixed" draws each block's kind.
+    """
+    j = 0 if m == 2 else 1 if m == p else 2
+    while True:
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            block = kind if kind != "mixed" else rng.choice(("trivial", "scalar", "cycle"))
+            blocks.append((block, rng.randint(1, 3)))
+        gens = sorted(
+            ((e, b, i) for b, (block, e) in enumerate(blocks) for i in range((2 if m == 2 else p) if block == "cycle" else 1)),
+            reverse=True,
+        )
+        if len(gens) <= 16:
+            break
+    k = len(gens)
+    factors = tuple(p**e for e, _, _ in gens)
+    index = {(b, i): t for t, (_, b, i) in enumerate(gens)}
+    B = [[0] * k for _ in range(k)]
+    for t, (e, b, i) in enumerate(gens):
+        block = blocks[b][0]
+        if block == "cycle":
+            B[index[(b, (i + 1) % (2 if m == 2 else p))]][t] = 1
+        elif block == "scalar":
+            B[t][t] = rng.choice((1, -1)) if m == 2 else 1 + rng.randrange(1, p) * p ** max(1, e - j)
+        else:
+            B[t][t] = 1
+    P, P_inv = _random_automorphism(rng, factors)
+    return FinitePModule(p, factors, actions={"tau": _mat_mul(_mat_mul(P, B), P_inv)}, orders={"tau": m})
+
+
+def test_tate_sweep_against_embedded_kernel_and_full_elimination():
+    # ker F / im G for F, G in {T - 1, N} and for F alone, against today's
+    # route in embedded coordinates and the relation-lattice oracle; then
+    # a G = V[:, t] outside ker F on each pivot g_t ≠ 0, which must raise,
+    # and (p^E/g_t)·V[:, t], which lies inside
+    rng = random.Random(2027)
+    seen = {"zero pivot": 0, "unit pivot": 0, "raised on a unit pivot": 0, "raised on another pivot": 0}
+    for p in (3, 5, 7):
+        for m in (p, p * p, 2):
+            zero = FinitePModule(p, ())
+            assert _ker_mod_im(zero, [], []) == _ker_mod_im(zero, []) == ()
+            assert tate_h0(zero, "tau", m) == tate_hm1(zero, "tau", m) == fixed_points(zero, "tau") == zero
+            for kind in ("trivial", "scalar", "cycle", "mixed", "mixed"):
+                module = _sweep_module(rng, p, m, kind)
+                factors, E = module.invariant_factors, module.exponent
+                k, q = len(factors), p**E
+                shift = minus_identity(module.action("tau"))
+                norm = norm_matrix_by_repeated_products(module, "tau", m)
+                for F, G in ((shift, norm), (norm, shift), (shift, None), (norm, None)):
+                    got = _ker_mod_im(module, F, G)
+                    assert got == ker_mod_im_by_embedded_kernel(module, F, G)
+                    images = image_gens_with_relations(factors, G if G is not None else [[0] * k] * k)
+                    assert got == subquotient_by_full_elimination(
+                        preimage_gens_with_relations(factors, F, p, E), images, p, E
+                    )
+                    DF = [[q // qi * x for x in row] for qi, row in zip(factors, F)]
+                    diag, Vc = smith_normal_form_mod_prime_power(DF, p, E)
+                    seen["zero pivot"] += 0 in diag
+                    seen["unit pivot"] += 1 in diag
+                    for g, v in zip(diag, Vc):
+                        if not g:
+                            continue
+                        outside = _columns([v], k)
+                        for route in (_ker_mod_im, ker_mod_im_by_embedded_kernel):
+                            with pytest.raises(ArithmeticError, match="not inside"):
+                                route(module, F, outside)
+                        seen["raised on a unit pivot" if g == 1 else "raised on another pivot"] += 1
+                        inside = _columns([[q // g * x for x in v]], k)
+                        assert _ker_mod_im(module, F, inside) == ker_mod_im_by_embedded_kernel(module, F, inside)
+                assert tate_h0(module, "tau", m).invariant_factors == _ker_mod_im(module, shift, norm)
+                assert tate_hm1(module, "tau", m).invariant_factors == _ker_mod_im(module, norm, shift)
+                assert fixed_points(module, "tau").invariant_factors == _ker_mod_im(module, shift)
+    assert min(seen.values()) >= 10
+
+
+def test_tate_operations_take_two_engine_calls_and_build_no_v(monkeypatch):
+    # ker F / im G is one SNF of D·F handing out V^-1 plus one cokernel_mod
+    import anticyclo.cohomology as cohomology
+    import anticyclo.snf as snf
+
+    tracks = []
+    engine = snf.smith_normal_form_mod_prime_power
+
+    def counted(A, p, precision, track="V"):
+        tracks.append(track)
+        return engine(A, p, precision, track)
+
+    monkeypatch.setattr(snf, "smith_normal_form_mod_prime_power", counted)
+    monkeypatch.setattr(cohomology, "smith_normal_form_mod_prime_power", counted)
+    rng = random.Random(8)
+    modules = [_block_module(rng, (3, 5)[case % 2]) for case in range(4)]
+    modules += [_random_module_with_cyclic_action(rng, 3, 5)[0] for _ in range(4)]
+    modules.append(FinitePModule(3, ()))
+    for module in modules:
+        for operation, calls in ((tate_h0, 2), (tate_hm1, 2), (herbrand_check, 4), (fixed_points, 2)):
+            tracks.clear()
+            operation(module, "tau")
+            assert len(tracks) == calls
+            assert "V" not in tracks
 
 
 @pytest.mark.parametrize(
@@ -446,8 +594,7 @@ def _block_module(rng, p):
     Free blocks Z/p^e[C_p] (tau permutes p generators) and trivial blocks
     Z/p^e (tau = 1) give k = 8..16 generators with distinct exponents, and
     J is ±1 on each generator.  Both are conjugated by the automorphism
-    P = L·U of A: L is unit lower triangular with any entries, U is unit
-    upper triangular with U_ij a multiple of q_i/q_j.
+    P = L·U of A from ``_random_automorphism``.
     """
     while True:
         blocks = [(p, rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
@@ -462,13 +609,7 @@ def _block_module(rng, p):
     for j, (_, b, i) in enumerate(gens):
         tau[index[(b, (i + 1) % blocks[b][0])]][j] = 1
     J = [[rng.choice((1, -1)) if i == j else 0 for j in range(k)] for i in range(k)]
-    L = [[int(i == j) or (rng.randrange(-3, 4) if i > j else 0) for j in range(k)] for i in range(k)]
-    U = [
-        [int(i == j) or (rng.randrange(-3, 4) * factors[i] // factors[j] if i < j else 0) for j in range(k)]
-        for i in range(k)
-    ]
-    P = _mat_mul(L, U)
-    P_inv = _mat_mul(_unit_triangular_inverse(U, False), _unit_triangular_inverse(L, True))
+    P, P_inv = _random_automorphism(rng, factors)
     actions = {name: _mat_mul(_mat_mul(P, X), P_inv) for name, X in (("tau", tau), ("J", J))}
     return FinitePModule(p, factors, actions=actions, orders={"tau": p})
 

@@ -1,5 +1,6 @@
 import random
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -224,7 +225,14 @@ def test_lean_elimination_matches_full_elimination():
                 row[j] = 0
         diag, Vc = smith_normal_form_mod_prime_power(A, p, N)
         assert (diag, [list(row) for row in zip(*Vc)]) == snf_by_full_elimination(A, p, N)
-        assert smith_normal_form_mod_prime_power(A, p, N, False) == (diag, None)
+        assert smith_normal_form_mod_prime_power(A, p, N, None) == (diag, None)
+        # the rows of V^-1 come from the same elimination: same pivots, and
+        # V^-1·V is the identity mod p^N
+        pivots, Vr = smith_normal_form_mod_prime_power(A, p, N, "V^-1")
+        assert pivots == diag
+        assert [[sum(map(mul, row, col)) % m for col in Vc] for row in Vr] == [
+            [int(i == j) % m for j in range(len(Vc))] for i in range(len(Vc))
+        ]
         assert kernel_mod(A, p, N) == kernel_by_full_elimination(A, p, N)
         assert cokernel_mod(A, p, N) == cokernel_by_full_elimination(A, p, N)
         shapes.add("empty" if rows * cols == 0 else "wide" if rows < cols else "tall" if rows > cols else "square")
@@ -238,3 +246,4 @@ def test_lean_elimination_matches_full_elimination():
     # A k×0 and a 0×0 matrix: no pivots, and V is the empty identity
     assert smith_normal_form_mod_prime_power([[], []], 3, 2) == snf_by_full_elimination([[], []], 3, 2) == ([], [])
     assert smith_normal_form_mod_prime_power([], 3, 2) == snf_by_full_elimination([], 3, 2) == ([], [])
+    assert smith_normal_form_mod_prime_power([[], []], 3, 2, "V^-1") == smith_normal_form_mod_prime_power([], 3, 2, "V^-1") == ([], [])
