@@ -5,14 +5,15 @@ matrices acting on the generators.  With p^E the largest factor,
 A = ⊕ Z/q_i is (Z/p^E)^k modulo R = diag(q_i)·(Z/p^E)^k, and the map
 x_i -> (p^E/q_i)·x_i, i.e. D = diag(p^E/q_i), embeds A in the free
 module (Z/p^E)^k.  Everything reduces to the local-ring Smith normal
-form mod p^E on k columns.  Images (norm images, minus-parts of
-involutions) are spans of the columns of D·F, read from the pivots
-alone.  Kernels and subquotients ker F / im G (fixed points and the
-degree 0 and -1 Tate groups) are read in the coordinates of one SNF of
-D·F, whose V^-1 the engine hands out from its pivot rows, plus one
-``cokernel_mod``; no V and no second SNF is built.  No number-field
-data appears anywhere: class groups enter as plain invariant-factor
-lists.
+form mod p^E, one primitive per operation.  A quotient A/F·A is one
+``cokernel_mod`` of [F | diag(q_i)]: the coinvariants, the minus part
+A/(1 + J)·A and, by duality, the fixed points ker(T - 1).  An image F·A
+(the norm image) is the span of the columns of D·F, read from the
+pivots alone.  A subquotient ker F / im G (the degree 0 and -1 Tate
+groups) is read in the coordinates of one SNF of D·F, whose V^-1 the
+engine hands out from its pivot rows, plus one ``cokernel_mod``; no V
+and no second SNF is built.  No number-field data appears anywhere:
+class groups enter as plain invariant-factor lists.
 
 The norm 1 + T + ... + T^(m-1) is built on packed rows (Kronecker
 substitution): each row of T is one integer with w-bit digits,
@@ -124,25 +125,40 @@ class FinitePModule:
     def size(self) -> int:
         return prod(self.invariant_factors)
 
+    def cokernel(self, F) -> tuple[int, ...]:
+        """Invariant factors of A/F·A for an endomorphism F compatible with
+        the factors: one ``cokernel_mod`` of [F | diag(q_i)] mod p^E, whose
+        columns q_i = p^E vanish and are not written."""
+        factors, m = self.invariant_factors, self.p**self.exponent
+        rows = [list(row) + [q * (i == j) for j, q in enumerate(factors) if q != m] for i, row in enumerate(F)]
+        return cokernel_mod(rows, self.p, self.exponent)
 
-def _image_gens(module: FinitePModule, F):
-    """Generators of F·A inside (Z/p^E)^k, one per row: the columns of D·F."""
+    def kernel(self, F) -> tuple[int, ...]:
+        """Invariant factors of ker F, by duality the cokernel of F^∨.
+
+        ⟨x, y⟩ = Σ x_i·y_i/q_i in Q/Z is a perfect pairing of A with
+        itself, and ⟨F·x, y⟩ = ⟨x, F^∨·y⟩ for F^∨[j][i] = F[i][j]·q_j/q_i,
+        an integer since q_i/gcd(q_i, q_j) divides F_ij.  So ker F is the
+        annihilator of F^∨·A, the dual of A/F^∨·A, and a finite abelian
+        group has the invariant factors of its dual (Serre, Local Fields,
+        GTM 67, ch. VIII).
+        """
+        factors = self.invariant_factors
+        return self.cokernel([[F[i][j] * qj // qi for i, qi in enumerate(factors)] for j, qj in enumerate(factors)])
+
+
+def _image(module: FinitePModule, F) -> tuple[int, ...]:
+    """Invariant factors of F·A: the columns of D·F span its image in
+    (Z/p^E)^k, one p^E/d for each pivot d ≠ 0 of one pivot-only local SNF."""
     m = module.p**module.exponent
     scales = [m // q for q in module.invariant_factors]
-    return [[s * x for s, x in zip(scales, col)] for col in zip(*F)]
-
-
-def _span(module: FinitePModule, X) -> tuple[int, ...]:
-    """Invariant factors of the submodule of (Z/p^E)^k spanned by the rows
-    of X: p^E/d for each pivot d ≠ 0 of one pivot-only local SNF."""
-    m = module.p**module.exponent
-    diag, _ = smith_normal_form_mod_prime_power(X, module.p, module.exponent, None)
+    gens = [[s * x for s, x in zip(scales, col)] for col in zip(*F)]
+    diag, _ = smith_normal_form_mod_prime_power(gens, module.p, module.exponent, None)
     return tuple(m // d for d in diag if d)
 
 
-def _ker_mod_im(module: FinitePModule, F, G=None) -> tuple[int, ...]:
-    """Invariant factors of ker F / im G for endomorphisms with F·G = 0;
-    without G, of ker F itself.
+def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
+    """Invariant factors of ker F / im G for endomorphisms with F·G = 0.
 
     In lift coordinates x in (Z/p^E)^k, A = (Z/p^E)^k / R with
     R = diag(q_i)·(Z/p^E)^k.  (F·x)_i ≡ 0 mod q_i exactly when
@@ -174,17 +190,14 @@ def _ker_mod_im(module: FinitePModule, F, G=None) -> tuple[int, ...]:
     DF = [[m // q * x for x in row] for q, row in zip(factors, F)]
     diag, Vr = smith_normal_form_mod_prime_power(DF, p, E, "V^-1")
     relations = [(i, q) for i, q in enumerate(factors) if q != m]
-    if G is not None:
-        w = (k * m * m).bit_length()
-        mask = (1 << w) - 1
-        shifts = [w * j for j in range(k)]
-        packed = [sum(map(lshift, [x % m for x in row], shifts)) for row in G]
+    w = (k * m * m).bit_length()
+    mask = (1 << w) - 1
+    shifts = [w * j for j in range(k)]
+    packed = [sum(map(lshift, [x % m for x in row], shifts)) for row in G]
     rows = []
     for g, vr in zip(diag, Vr):
-        coords = [vr[i] * q % m for i, q in relations]
-        if G is not None:
-            y = sum(map(mul, vr, packed))
-            coords += [(y >> s & mask) % m for s in shifts]
+        y = sum(map(mul, vr, packed))
+        coords = [vr[i] * q % m for i, q in relations] + [(y >> s & mask) % m for s in shifts]
         if g == 1:
             if any(coords):
                 raise ArithmeticError("im G is not inside ker F")
@@ -242,13 +255,13 @@ def _norm_matrix(module: FinitePModule, name: str, m: int | None):
 
 def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
     """Kernel of (action - 1), as a bare structure (no actions carried)."""
-    return FinitePModule(module.p, _ker_mod_im(module, minus_identity(module.action(action))))
+    return FinitePModule(module.p, module.kernel(minus_identity(module.action(action))))
 
 
 def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
     """Image of 1 + T + ... + T^(m-1) for an action T with T^m = identity."""
     norm = _norm_matrix(module, action, m)
-    return FinitePModule(module.p, _span(module, _image_gens(module, norm)))
+    return FinitePModule(module.p, _image(module, norm))
 
 
 def tate_h0(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
@@ -264,7 +277,8 @@ def tate_hm1(module: FinitePModule, action: str = "tau", m: int | None = None) -
 
 
 def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
-    """Image of the idempotent (1 - J)/2 (p odd, so 2 is invertible).
+    """A⁻ = A/(1 + J)·A for an involution J: p is odd, so 2 is invertible,
+    A = A⁺ ⊕ A⁻ with A^± = (1 ± J)/2·A, and (1 + J)·A = A⁺.
 
     J^2 = 1 is checked here, with one product, only when the module does
     not declare an order of J dividing 2: a declared order (2 by default
@@ -275,10 +289,7 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
     J = module.action(action)
     if module.orders.get(action) not in (1, 2) and not module._is_identity(module._matrix_power(J, 2)):
         raise ValueError(f"action {action!r} is not an involution")
-    # (1 - J)/2 = -(J - 1)·2^-1
-    inv2 = pow(2, -1, module.p**module.exponent)
-    idempotent = module._reduce([[-x * inv2 for x in row] for row in minus_identity(J)])
-    invs = _span(module, _image_gens(module, idempotent))
+    invs = module.cokernel([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(J)])
     kk = len(invs)
     minus_action = {"J": [[-1 if i == j else 0 for j in range(kk)] for i in range(kk)]} if kk else {}
     return FinitePModule(module.p, invs, actions=minus_action)

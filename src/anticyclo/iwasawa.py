@@ -404,16 +404,6 @@ def parity_audit(model: GammaModel) -> str:
 # coinvariants
 # ----------------------------------------------------------------------
 
-def _coinvariant_factors(p: int, precision: int, rows, relations):
-    """Invariant factors of the cokernel of [rows - I | diag(relations)]
-    mod p^precision; a factor p^precision comes from a zero pivot."""
-    stacked = [
-        row + [q if i == j else 0 for j, q in enumerate(relations)]
-        for i, row in enumerate(minus_identity(rows))
-    ]
-    return cokernel_mod(stacked, p, precision)
-
-
 def coinvariants(
     module: Union[FinitePModule, GammaModel], action: str = "tau"
 ) -> FinitePModule:
@@ -426,13 +416,10 @@ def coinvariants(
     """
     if isinstance(module, GammaModel):
         M = module.M
-        invs = _coinvariant_factors(M.p, M.precision, M.rows, ())
+        invs = cokernel_mod(minus_identity(M.rows), M.p, M.precision)
         if M.modulus in invs:
             raise PrecisionError(
                 "raise precision: coinvariants are not certifiably finite at this N"
             )
         return FinitePModule(M.p, invs)
-    invs = _coinvariant_factors(
-        module.p, module.exponent, module.action(action), module.invariant_factors
-    )
-    return FinitePModule(module.p, invs)
+    return FinitePModule(module.p, module.cokernel(minus_identity(module.action(action))))

@@ -220,7 +220,7 @@ def _zeta_binomials(zeta: PadicExponent, p: int, precision: int) -> list[int]:
     """C(zeta, k) mod p^N for k < N, zeta read as its canonical residue
     when it is a PadicInt: each from the one before, by the exact
     division C(e, k) = C(e, k-1)·(e - k + 1)/k over Z."""
-    e = zeta.residue if isinstance(zeta, PadicInt) else zeta
+    e = int(zeta)
     m = p**precision
     c, out = 1, [1]
     for k in range(1, precision):
@@ -366,7 +366,7 @@ def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
     characteristic polynomial of zeta·S̄; gcd(f, g) = 1 means disjoint
     spectra, hence X̄ = 0 (Sylvester), and conversely.
     """
-    z = zeta.residue if isinstance(zeta, PadicInt) else zeta
+    z = int(zeta)
     r = len(chi) - 1
     return _coprime_mod_p(chi, [c * pow(z, r - i, p) for i, c in enumerate(chi)], p)
 

@@ -99,7 +99,7 @@ class MetacyclicGroup:
     def _check_guard(self):
         if self.order**2 > SEARCH_GUARD:
             raise SearchSpaceError(
-                f"search space too large: {self.order}^2 candidate pairs exceeds {SEARCH_GUARD}"
+                f"search space too large: ({self.p}^{self.u + 2})^2 candidate pairs exceeds {SEARCH_GUARD}"
             )
 
     def enumerate_automorphisms(self) -> list[GeneratorImages]:

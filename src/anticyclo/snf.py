@@ -19,8 +19,8 @@ no column operations: once its column is cleared, the pivot row is never
 read again, so they could only zero entries nobody looks at.  Column
 operations are applied to V alone, and callers that read only the pivots
 skip V entirely.  A caller that needs coordinates adapted to the pivots
-(the Tate subquotients) can take the rows of V^-1 instead: they are the
-pivot rows over their pivots, so they cost no column operation at all.
+(the Tate groups ker F / im G) can take the rows of V^-1 instead: they
+are the pivot rows over their pivots, so they cost no column operation.
 ``kernel_mod`` keeps V, whose columns are the kernel generators.
 """
 

@@ -158,6 +158,17 @@ def test_inverting_search_reports_guard_skips():
     assert "skipped" in out
 
 
+@pytest.mark.parametrize("p, u_max, searched", [("1000003", "715", 0), ("3", "9011", 5)])
+def test_guard_skips_groups_whose_order_has_more_than_4300_digits(p, u_max, searched):
+    # p^(u+2) has more than 4300 digits at the last grid point; the guard
+    # names the order without printing it, so each point is skipped
+    code, out = run(["--format", "machine", "--no-timestamps", "verify-lemma1", "--p", p, "--u-max", u_max])
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[-2]["verdict"] == "skipped"
+    assert lines[-1]["grid_points"] == int(u_max) and lines[-1]["searched"] == searched
+
+
 def test_campaign_command_small():
     code, out = run(
         ["--no-timestamps", "--seed", "7", "lemma2-campaign", "--p", "3",

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -22,11 +22,13 @@ from conftest import (
     add_elements,
     all_elements,
     apply_rows,
+    cokernel_by_full_elimination,
     image_gens_with_relations,
     ker_mod_im_by_embedded_kernel,
     norm_matrix_by_repeated_products,
     preimage_gens_with_relations,
     quotient_structure,
+    relation_columns,
     scale_element,
     subgroup_closure,
     subquotient_by_full_elimination,
@@ -305,16 +307,16 @@ def _sweep_module(rng, p, m, kind):
 
 
 def test_tate_sweep_against_embedded_kernel_and_full_elimination():
-    # ker F / im G for F, G in {T - 1, N} and for F alone, against today's
-    # route in embedded coordinates and the relation-lattice oracle; then
-    # a G = V[:, t] outside ker F on each pivot g_t ≠ 0, which must raise,
-    # and (p^E/g_t)·V[:, t], which lies inside
+    # ker F / im G for F, G in {T - 1, N}, and ker F alone by duality,
+    # against today's route in embedded coordinates and the relation-lattice
+    # oracle; then a G = V[:, t] outside ker F on each pivot g_t ≠ 0, which
+    # must raise, and (p^E/g_t)·V[:, t], which lies inside
     rng = random.Random(2027)
     seen = {"zero pivot": 0, "unit pivot": 0, "raised on a unit pivot": 0, "raised on another pivot": 0}
     for p in (3, 5, 7):
         for m in (p, p * p, 2):
             zero = FinitePModule(p, ())
-            assert _ker_mod_im(zero, [], []) == _ker_mod_im(zero, []) == ()
+            assert _ker_mod_im(zero, [], []) == zero.kernel([]) == zero.cokernel([]) == ()
             assert tate_h0(zero, "tau", m) == tate_hm1(zero, "tau", m) == fixed_points(zero, "tau") == zero
             for kind in ("trivial", "scalar", "cycle", "mixed", "mixed"):
                 module = _sweep_module(rng, p, m, kind)
@@ -322,13 +324,14 @@ def test_tate_sweep_against_embedded_kernel_and_full_elimination():
                 k, q = len(factors), p**E
                 shift = minus_identity(module.action("tau"))
                 norm = norm_matrix_by_repeated_products(module, "tau", m)
-                for F, G in ((shift, norm), (norm, shift), (shift, None), (norm, None)):
+                for F, G in ((shift, norm), (norm, shift)):
+                    preimage = preimage_gens_with_relations(factors, F, p, E)
                     got = _ker_mod_im(module, F, G)
                     assert got == ker_mod_im_by_embedded_kernel(module, F, G)
-                    images = image_gens_with_relations(factors, G if G is not None else [[0] * k] * k)
-                    assert got == subquotient_by_full_elimination(
-                        preimage_gens_with_relations(factors, F, p, E), images, p, E
-                    )
+                    assert got == subquotient_by_full_elimination(preimage, image_gens_with_relations(factors, G), p, E)
+                    kernel = module.kernel(F)
+                    assert kernel == ker_mod_im_by_embedded_kernel(module, F, None)
+                    assert kernel == subquotient_by_full_elimination(preimage, relation_columns(factors), p, E)
                     DF = [[q // qi * x for x in row] for qi, row in zip(factors, F)]
                     diag, Vc = smith_normal_form_mod_prime_power(DF, p, E)
                     seen["zero pivot"] += 0 in diag
@@ -345,12 +348,49 @@ def test_tate_sweep_against_embedded_kernel_and_full_elimination():
                         assert _ker_mod_im(module, F, inside) == ker_mod_im_by_embedded_kernel(module, F, inside)
                 assert tate_h0(module, "tau", m).invariant_factors == _ker_mod_im(module, shift, norm)
                 assert tate_hm1(module, "tau", m).invariant_factors == _ker_mod_im(module, norm, shift)
-                assert fixed_points(module, "tau").invariant_factors == _ker_mod_im(module, shift)
+                assert fixed_points(module, "tau").invariant_factors == module.kernel(shift)
     assert min(seen.values()) >= 10
 
 
-def test_tate_operations_take_two_engine_calls_and_build_no_v(monkeypatch):
-    # ker F / im G is one SNF of D·F handing out V^-1 plus one cokernel_mod
+def test_kernel_and_cokernel_match_full_elimination_on_mixed_factors():
+    # ker F as the cokernel of the dual F^∨, and A/F·A, on k = 0..5
+    # generators of orders p..p^4: random compatible F, some with zeroed
+    # columns, some automorphisms, entries shifted by multiples of q_i;
+    # |ker F| = |A/F·A| on a finite module
+    rng = random.Random(61)
+    seen = {"ker F = 0": 0, "ker F = A": 0, "0 < ker F < A": 0}
+    for p in (3, 5, 7):
+        for case in range(60):
+            k = case % 6
+            factors = tuple(sorted((p ** rng.randint(1, 4) for _ in range(k)), reverse=True))
+            module = FinitePModule(p, factors)
+            E = module.exponent
+            if case % 4 == 0:
+                F = _random_automorphism(rng, factors)[0]
+            else:
+                F = _random_action(rng, factors)
+                for j in rng.sample(range(k), rng.randint(0, k)):
+                    for row in F:
+                        row[j] = 0
+            F = [[x + qi * rng.randrange(-2, 3) for x in row] for qi, row in zip(factors, F)]
+            kernel = module.kernel(F)
+            assert kernel == ker_mod_im_by_embedded_kernel(module, F, None)
+            stacked = [row + relation for row, relation in zip(F, relation_columns(factors))]
+            cokernel = module.cokernel(F)
+            assert cokernel == cokernel_by_full_elimination(stacked, p, E)
+            assert prod(kernel) == prod(cokernel)
+            if k:
+                preimage = preimage_gens_with_relations(factors, F, p, E)
+                assert kernel == subquotient_by_full_elimination(preimage, relation_columns(factors), p, E)
+                seen["ker F = 0" if not kernel else "ker F = A" if kernel == factors else "0 < ker F < A"] += 1
+            else:
+                assert kernel == cokernel == ()
+    assert min(seen.values()) >= 10
+
+
+def test_tate_operations_pin_their_engine_calls_and_build_no_v(monkeypatch):
+    # ker F / im G is one SNF of D·F handing out V^-1 plus one cokernel_mod;
+    # fixed points, minus parts and coinvariants are one cokernel_mod each
     import anticyclo.cohomology as cohomology
     import anticyclo.snf as snf
 
@@ -367,10 +407,14 @@ def test_tate_operations_take_two_engine_calls_and_build_no_v(monkeypatch):
     modules = [_block_module(rng, (3, 5)[case % 2]) for case in range(4)]
     modules += [_random_module_with_cyclic_action(rng, 3, 5)[0] for _ in range(4)]
     modules.append(FinitePModule(3, ()))
+    operations = (
+        (tate_h0, "tau", 2), (tate_hm1, "tau", 2), (herbrand_check, "tau", 4),
+        (fixed_points, "tau", 1), (minus_part, "J", 1), (coinvariants, "tau", 1),
+    )
     for module in modules:
-        for operation, calls in ((tate_h0, 2), (tate_hm1, 2), (herbrand_check, 4), (fixed_points, 2)):
+        for operation, action, calls in operations:
             tracks.clear()
-            operation(module, "tau")
+            operation(module, action)
             assert len(tracks) == calls
             assert "V" not in tracks
 
@@ -424,6 +468,33 @@ def test_minus_part_examples_and_idempotence():
     part = minus_part(mixed)
     assert part.invariant_factors == (3,)
     assert minus_part(part).invariant_factors == (3,)
+
+
+def test_minus_part_when_j_mixes_generators_of_different_orders():
+    # J moves a generator into a summand of another order, so A⁻ is no
+    # coordinate summand: on Z/9 ⊕ Z/3 with J = [[1, 3], [0, -1]], A⁻ is
+    # generated by (3, 1) and A⁺ = Z/9; the enumeration oracle agrees
+    for factors, J, expected in (
+        ((9, 3), [[1, 3], [0, -1]], (3,)),
+        ((9, 3), [[1, 0], [1, -1]], (3,)),
+        ((27, 3), [[-1, 9], [0, 1]], (27,)),
+        ((27, 9, 3), [[1, 3, 9], [0, -1, 0], [0, 0, -1]], (9, 3)),
+    ):
+        module = FinitePModule(3, factors, actions={"J": J})
+        assert minus_part(module).invariant_factors == expected == _oracle_minus_part(module)
+    # P·diag(±1)·P^-1 for automorphisms P of modules with distinct orders
+    rng = random.Random(17)
+    for case in range(30):
+        p = (3, 5)[case % 2]
+        factors = ((27, 9, 3), (9, 3, 3), (27, 3))[case % 3] if p == 3 else ((25, 5), (25, 5, 5))[case % 2]
+        k = len(factors)
+        signs = [rng.choice((1, -1)) for _ in range(k)]
+        P, P_inv = _random_automorphism(rng, factors)
+        J = _mat_mul(_mat_mul(P, [[signs[i] if i == j else 0 for j in range(k)] for i in range(k)]), P_inv)
+        module = FinitePModule(p, factors, actions={"J": J})
+        part = minus_part(module)
+        assert part.invariant_factors == _oracle_minus_part(module)
+        assert part.size() == prod(q for q, s in zip(factors, signs) if s == -1)
 
 
 def test_minus_part_checks_undeclared_involutions():

@@ -181,6 +181,11 @@ def test_search_guard():
         G.enumerate_automorphisms()
     with pytest.raises(SearchSpaceError):
         G.find_inverting_automorphism()
+    # the order is named as a power, also where its decimal string would
+    # exceed the interpreter's 4300-digit limit
+    for p, u in ((3, 6), (3, 9011), (1000003, 715)):
+        with pytest.raises(SearchSpaceError, match=rf"\({p}\^{u + 2}\)\^2 candidate pairs"):
+            MetacyclicGroup(p, u).find_inverting_automorphism()
 
 
 def test_constructor_validation():
