@@ -60,22 +60,11 @@ class FinitePModule:
         factors = tuple(int(q) for q in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "exponent", max(p_power_exponents(factors, self.p), default=0))
-        k = len(factors)
         normalized = {}
         for name, matrix in self.actions.items():
             rows = [list(map(int, row)) for row in matrix]
-            if len(rows) != k or any(len(r) != k for r in rows):
-                raise ValueError(f"action {name!r} must be a {k}x{k} matrix")
-            for i in range(k):
-                for j in range(k):
-                    need = factors[i] // gcd(factors[i], factors[j])
-                    if rows[i][j] % need != 0:
-                        raise ValueError(
-                            f"action {name!r} is not well defined: entry ({i},{j}) "
-                            f"must be divisible by {need}"
-                        )
-                rows[i] = [x % factors[i] for x in rows[i]]
-            normalized[name] = tuple(tuple(r) for r in rows)
+            _require_well_defined(factors, rows, f"action {name!r}")
+            normalized[name] = tuple(tuple(x % q for x in row) for row, q in zip(rows, factors))
         object.__setattr__(self, "actions", normalized)
         declared = dict(self.orders)
         if "J" in normalized and "J" not in declared:
@@ -126,9 +115,15 @@ class FinitePModule:
         return prod(self.invariant_factors)
 
     def cokernel(self, F) -> tuple[int, ...]:
-        """Invariant factors of A/F·A for an endomorphism F compatible with
-        the factors: one ``cokernel_mod`` of [F | diag(q_i)] mod p^E, whose
-        columns q_i = p^E vanish and are not written."""
+        """Invariant factors of A/F·A for an endomorphism F of A; a matrix
+        that is not well defined on A raises ValueError."""
+        _require_well_defined(self.invariant_factors, F, "matrix")
+        return self._cokernel(F)
+
+    def _cokernel(self, F) -> tuple[int, ...]:
+        """``cokernel`` without the check: one ``cokernel_mod`` of
+        [F | diag(q_i)] mod p^E, whose columns q_i = p^E vanish and are not
+        written."""
         factors, m = self.invariant_factors, self.p**self.exponent
         rows = [list(row) + [q * (i == j) for j, q in enumerate(factors) if q != m] for i, row in enumerate(F)]
         return cokernel_mod(rows, self.p, self.exponent)
@@ -141,10 +136,33 @@ class FinitePModule:
         an integer since q_i/gcd(q_i, q_j) divides F_ij.  So ker F is the
         annihilator of F^∨·A, the dual of A/F^∨·A, and a finite abelian
         group has the invariant factors of its dual (Serre, Local Fields,
-        GTM 67, ch. VIII).
+        GTM 67, ch. VIII).  F is checked once; F^∨ is then well defined.
         """
         factors = self.invariant_factors
-        return self.cokernel([[F[i][j] * qj // qi for i, qi in enumerate(factors)] for j, qj in enumerate(factors)])
+        _require_well_defined(factors, F, "matrix")
+        return self._cokernel([[F[i][j] * qj // qi for i, qi in enumerate(factors)] for j, qj in enumerate(factors)])
+
+
+def _require_well_defined(factors, rows, what: str) -> None:
+    """Raise ValueError unless ``rows`` is a k×k integer matrix that is a
+    well-defined endomorphism of ⊕ Z/q_i, k = len(factors): q_i/gcd(q_i, q_j)
+    divides F_ij for all i, j.
+
+    For p-powers that is q_i | F_ij·q_j, so row i passes exactly when
+    gcd(q_i, F_i1·q_1, ..., F_ik·q_k) = q_i, one C-level gcd.  The factors
+    descend, so q_j ≥ q_i for j ≤ i and only the columns j > i can fail;
+    the first failing (i, j) in row-major order is looked for only after
+    its row has failed.
+    """
+    k = len(factors)
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise ValueError(f"{what} must be a {k}x{k} matrix")
+    for i, (q, row) in enumerate(zip(factors, rows)):
+        if gcd(q, *map(mul, row[i + 1 :], factors[i + 1 :])) != q:
+            j = next(j for j in range(i + 1, k) if row[j] * factors[j] % q)
+            raise ValueError(
+                f"{what} is not well defined: entry ({i},{j}) must be divisible by {q // factors[j]}"
+            )
 
 
 def _image(module: FinitePModule, F) -> tuple[int, ...]:

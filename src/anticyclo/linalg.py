@@ -28,15 +28,19 @@ arithmetic mod chi_S, so neither builds M^zeta.  Third, when that kernel
 is visible mod p, or N = 1, M^zeta is built and the dense r²×r² system
 of the equation is solved.  Its solutions are kept once, mod p^N, as a
 basis whose reduction mod p is the canonical echelon basis; each
-combination of them is one candidate, tested for invertibility mod p and
-returned as it is.
+combination of them is one candidate, returned as it is once it is
+invertible mod p.  A candidate whose support mod p misses a whole row or
+a whole column is singular, and is skipped before any determinant: the
+support of a combination lies in the union of the supports of the
+vectors it uses, read as one row and one column bitmask per vector.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import gcd
-from operator import mul
+from operator import mul, or_
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
@@ -306,6 +310,26 @@ def _rref_basis(gens, p: int, m: int):
     return [vec for _, vec in sorted(basis)]
 
 
+def _support_masks(basis, r: int, p: int):
+    """(row masks, column masks) of the r×r matrices of ``basis``
+    (column-major r²-vectors): bit i of a row mask is set when row i has
+    an entry ≢ 0 mod p, and likewise for columns.  A combination of the
+    vectors whose coefficients are ≢ 0 mod p only on a set S has support
+    inside the union over S, so a row or a column missing from the OR of
+    their masks vanishes mod p and the combination is singular mod p."""
+    row_masks, col_masks = [], []
+    for vec in basis:
+        rm = cm = 0
+        for k, x in enumerate(vec):
+            if x % p:
+                j, i = divmod(k, r)
+                rm |= 1 << i
+                cm |= 1 << j
+        row_masks.append(rm)
+        col_masks.append(cm)
+    return row_masks, col_masks
+
+
 def _kernel_space(M: PadicMatrix, B: PadicMatrix):
     """Mod-p visible part of {D : B·D ≡ D·M mod p^N}, from the dense
     r²×r² system D -> B·D - D·M.
@@ -424,13 +448,21 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     otherwise, and always for N = 1, it is read from the dense r²×r²
     kernel of D -> M^zeta·D - D·M (``_kernel_space``),
     as vectors mod p^N reducing to the canonical RREF basis mod p.  Each
-    combo of them is one candidate, tested for invertibility mod p and
-    returned as it is.  Scaling by a unit keeps invertibility, so only the
+    combo of them is one candidate, returned as it is once it is
+    invertible mod p.  Scaling by a unit keeps invertibility, so only the
     (p^k - 1)/(p - 1) combos whose first nonzero coordinate is 1 need a
     look; scanned in lexicographic order they give the lexicographically
     least invertible combo.  The determinant is a form of degree r in the
     combo, so when it is not identically zero a uniform combo is
     invertible with probability at least 1 - r/p (Schwartz-Zippel).
+
+    Before its determinant, a combo is skipped when the OR of the row
+    masks, or of the column masks, of the basis vectors it uses
+    (``_support_masks``) is not all r bits: a row or a column of D then
+    vanishes mod p, so D is singular.  The zero combo has empty masks.
+    Only singular combos are skipped, so the stream, its order and the
+    witness returned (still the lexicographically least invertible combo
+    of a scan) are those of a search that tests every combo.
 
     Combos are tried in one stream: the projective scan alone when
     k <= EXHAUSTIVE_KERNEL_DIM and it has at most SAMPLE_TRIALS points;
@@ -472,9 +504,14 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
         combos = itertools.chain(samples(), projective_scan())
     m = M.modulus
     cols = list(zip(*basis))
+    row_masks, col_masks = _support_masks(basis, r, p)
+    full = (1 << r) - 1
     for combo in combos:
-        if not any(combo):
-            continue
+        if (
+            reduce(or_, itertools.compress(row_masks, combo), 0) != full
+            or reduce(or_, itertools.compress(col_masks, combo), 0) != full
+        ):
+            continue  # a row or a column of D vanishes mod p: D is singular
         rows = _unvec([sum(map(mul, combo, col)) % m for col in cols], r)
         if det_nonzero_mod(rows, p, 1):
             D = PadicMatrix(p, M.precision, rows)

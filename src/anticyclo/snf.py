@@ -14,14 +14,18 @@ keeps each vector once, mod p^N.
 
 Each pivot is an entry of least valuation in the active block, found
 from C-level gcds with p^N rather than from one valuation per entry.
-Only the rows below a pivot are eliminated, and the matrix itself takes
-no column operations: once its column is cleared, the pivot row is never
-read again, so they could only zero entries nobody looks at.  Column
-operations are applied to V alone, and callers that read only the pivots
-skip V entirely.  A caller that needs coordinates adapted to the pivots
-(the Tate groups ker F / im G) can take the rows of V^-1 instead: they
-are the pivot rows over their pivots, so they cost no column operation.
-``kernel_mod`` keeps V, whose columns are the kernel generators.
+The engine keeps a list of active rows, in input order, and a list of
+active columns.  Only the active rows are eliminated, and the matrix
+itself takes no column operations: once its column is cleared, the
+pivot row is never read again, so they could only zero entries nobody
+looks at.  A finished pivot row leaves its list, and the last active
+column moves into the pivot column's slot, so no row or column is ever
+swapped.  Column operations are applied to V alone, and callers that
+read only the pivots skip V entirely.  A caller that needs coordinates
+adapted to the pivots (the Tate groups ker F / im G) can take the rows
+of V^-1 instead: they are the pivot rows over their pivots, so they cost
+no column operation.  ``kernel_mod`` keeps V, whose columns are the
+kernel generators.
 """
 
 from __future__ import annotations
@@ -57,47 +61,48 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track: str | No
     coefficient blowup of integer SNF.  This is the elimination engine
     behind every other function here.
 
-    Step t takes the least valuation v of the active block (rows and
-    columns >= t) as v_p(gcd(p^N, *entries)), by C-level gcds row by row,
-    and pivots on the first entry in row-major order with valuation v:
-    the first row whose gcd is p^v, then its first entry not divisible by
-    p^(v+1).  The scan stops at the first row whose gcd is 1, since no
-    later row can have a smaller one.  Row operations clear the column
-    below the pivot.  Rows above are finished pivot rows, which nothing
-    reads again.
+    Step t takes the least valuation v of the active block as
+    v_p(gcd(p^N, *entries)), by C-level gcds row by row, and pivots on
+    the first row in active-list order whose gcd is p^v, at its first
+    active column whose entry is not divisible by p^(v+1).  The scan
+    stops at the first row whose gcd is 1, since no later row can have a
+    smaller one.  The pivot row leaves the active list; row operations
+    clear the pivot column in the rows that stay, and the last active
+    column then moves into the pivot column's slot.  A row holds only
+    its active columns, so nothing is swapped and no zero prefix is
+    copied.
 
-    M gets no column operations.  After the row pass, column t is zero
-    off the pivot, so a column operation on M would only zero an entry
-    of the finished row t, and the active block would not change.  The
-    column operations go to V alone, kept as a list of columns so that
-    each one rewrites a single list.  The pivot row is not rescaled
-    either: multiplying the row multipliers by the inverse of the pivot's
-    unit part gives the same rows mod p^N.
+    M gets no column operations.  After the row pass, the pivot column
+    is zero off the pivot, so a column operation on M would only zero an
+    entry of the finished pivot row, and the active block would not
+    change.  The column operations go to V alone, kept as a list of
+    columns indexed by input column, so that each one rewrites a single
+    list.  The pivot row is not rescaled either: multiplying the row
+    multipliers by the inverse of the pivot's unit part gives the same
+    rows mod p^N.  diag lists the pivots in order, then one 0 per column
+    that never held a pivot; "V" lists its columns in the same order.
 
-    V is built from nothing but a column swap and the operations
-    V[:, j] -= q_j·V[:, t] (j > t, q_j the entry j of the pivot row over
-    the pivot) at each step t.  Undone in reverse, these leave row t of
-    V^-1 equal to e_t + sum_j q_j·e_j in the column order of step t: the
-    pivot row over its pivot, moved to the input's columns by the swaps
-    so far.  Past the last pivot, row t is the unit vector of the input
-    column at position t.  So "V^-1" costs one pass over each pivot row
-    and no column operation at all.
+    V is built from nothing but the operations V[:, j] -= q_j·V[:, c]
+    (j active, c the pivot column, q_j the entry j of the pivot row over
+    the pivot) at each step.  Undone in reverse, these leave row c of
+    V^-1 equal to e_c + sum_j q_j·e_j: the pivot row over its pivot,
+    written straight into input coordinates.  A column that never held
+    a pivot keeps its unit row.  So "V^-1" costs one pass over each
+    pivot row and no column operation at all.
     """
     m = p**precision
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [[x % m for x in row] for row in A]
-    Vc = identity_matrix(cols) if track == "V" else None  # the columns of V
+    cols = len(A[0]) if A else 0
+    live = [[x % m for x in row] for row in A]  # the active rows, in input order
+    at = list(range(cols))  # at[s]: the input column held in slot s
+    Vc = identity_matrix(cols) if track == "V" else None  # V's columns, by input column
     inverse = track == "V^-1"
-    at = list(range(cols)) if inverse else None  # at[j]: the input column now at position j
-    Vr = []  # the rows of V^-1
-    diag = [0] * cols
-    for t in range(min(rows, cols)):
-        # columns < t are zero in every row >= t, so whole rows can be read;
-        # g = p^v, v the least valuation, is p^N when all vanish
-        g, bi = m, t
-        for i in range(t, rows):
-            r = gcd(m, *M[i])
+    order, diag, Vr = [], [], []  # pivot columns, pivots, rows of V^-1
+    while live and at:
+        # pivoted slots are gone, so a whole row is read; g = p^v, v the
+        # least valuation, is p^N when every entry vanishes
+        g, bi = m, 0
+        for i, row in enumerate(live):
+            r = gcd(m, *row)
             if r < g:
                 g, bi = r, i
                 if r == 1:
@@ -105,43 +110,43 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track: str | No
         if g == m:
             break
         gp = g * p
-        bj = next(j for j, x in enumerate(M[bi]) if x % gp)
-        M[t], M[bi] = M[bi], M[t]
-        if bj != t:
-            for row in M[t:]:
-                row[t], row[bj] = row[bj], row[t]
-            if Vc is not None:
-                Vc[t], Vc[bj] = Vc[bj], Vc[t]
-            elif inverse:
-                at[t], at[bj] = at[bj], at[t]
-        pivot_row = M[t]
-        scale = pow(pivot_row[t] // g, -1, m)  # scaled, the pivot is exactly g
-        zeros = [0] * (t + 1)  # columns <= t of every row below, once cleared
-        tail = pivot_row[t + 1 :]
-        for i in range(t + 1, rows):
-            row = M[i]
-            if row[t]:
-                q = row[t] // g * scale
-                M[i] = zeros + [(a - q * b) % m for a, b in zip(row[t + 1 :], tail)]
-        diag[t] = g
+        pivot_row = live.pop(bi)
+        s = next(j for j, x in enumerate(pivot_row) if x % gp)
+        scale = pow(pivot_row[s] // g, -1, m)  # scaled, the pivot is exactly g
+        c = at[s]
+        at[s] = at[-1]
+        at.pop()
+        pivot_row[s] = pivot_row[-1]
+        pivot_row.pop()
+        for i, row in enumerate(live):
+            a = row[s]
+            row[s] = row[-1]
+            row.pop()
+            if a:
+                q = a // g * scale
+                live[i] = [(x - q * y) % m for x, y in zip(row, pivot_row)]
+        order.append(c)
+        diag.append(g)
         if Vc is not None:
-            vt = Vc[t]
-            for j in range(t + 1, cols):
-                if pivot_row[j]:
-                    q = pivot_row[j] * scale % m // g
-                    Vc[j] = [(a - q * b) % m for a, b in zip(Vc[j], vt)]
+            vc = Vc[c]
+            for j, x in zip(at, pivot_row):
+                if x:
+                    q = x * scale % m // g
+                    Vc[j] = [(a - q * b) % m for a, b in zip(Vc[j], vc)]
         elif inverse:
             vr = [0] * cols
-            for j, x in zip(at[t:], pivot_row[t:]):
+            vr[c] = 1
+            for j, x in zip(at, pivot_row):
                 vr[j] = x * scale % m // g
             Vr.append(vr)
+    diag += [0] * len(at)
     if inverse:
-        for j in at[len(Vr) :]:
+        for j in at:
             vr = [0] * cols
             vr[j] = 1
             Vr.append(vr)
         return diag, Vr
-    return diag, Vc
+    return diag, None if Vc is None else [Vc[j] for j in order + at]
 
 
 def kernel_mod(A, p: int, precision: int):

@@ -142,7 +142,11 @@ def snf_by_full_elimination(A, p: int, precision: int):
 
     Every pivot scans the valuation of every active entry, and every
     elimination clears the pivot column in all rows and the pivot row in
-    all columns of M, as well as in V.
+    all columns of M, as well as in V.  Pivots follow the engine's rule:
+    the first entry of least valuation, scanning the active rows in input
+    order and, in each, the active columns in list order, where a pivot's
+    column is dropped by moving the last active column into its place.
+    V lists its columns in pivot order, then the never-pivoted ones.
     """
     from anticyclo.snf import identity_matrix
 
@@ -152,13 +156,13 @@ def snf_by_full_elimination(A, p: int, precision: int):
     cols = len(A[0]) if rows else 0
     M = [[x % m for x in row] for row in A]
     V = identity_matrix(cols)
-
-    t = 0
-    while t < min(rows, cols):
+    live_rows, live_cols = list(range(rows)), list(range(cols))
+    diag, order = [], []
+    while live_rows and live_cols:
         best = None
         best_v = None
-        for i in range(t, rows):
-            for j in range(t, cols):
+        for i in live_rows:
+            for j in live_cols:
                 if M[i][j]:
                     v = valuation(M[i][j], p)
                     if best_v is None or v < best_v:
@@ -169,28 +173,28 @@ def snf_by_full_elimination(A, p: int, precision: int):
         if best is None:
             break
         bi, bj = best
-        M[t], M[bi] = M[bi], M[t]
-        if bj != t:
-            for r in range(rows):
-                M[r][t], M[r][bj] = M[r][bj], M[r][t]
-            for r in range(cols):
-                V[r][t], V[r][bj] = V[r][bj], V[r][t]
-        scale = pow(M[t][t] // p**best_v, -1, m)
-        M[t] = [x * scale % m for x in M[t]]  # pivot becomes exactly p^v
+        scale = pow(M[bi][bj] // p**best_v, -1, m)
+        M[bi] = [x * scale % m for x in M[bi]]  # pivot becomes exactly p^v
         for i in range(rows):
-            if i != t and M[i][t]:
-                q = M[i][t] // p**best_v
-                M[i] = [(a - q * b) % m for a, b in zip(M[i], M[t])]
+            if i != bi and M[i][bj]:
+                q = M[i][bj] // p**best_v
+                M[i] = [(a - q * b) % m for a, b in zip(M[i], M[bi])]
         for j in range(cols):
-            if j != t and M[t][j]:
-                q = M[t][j] // p**best_v
+            if j != bj and M[bi][j]:
+                q = M[bi][j] // p**best_v
                 for r in range(rows):
-                    M[r][j] = (M[r][j] - q * M[r][t]) % m
+                    M[r][j] = (M[r][j] - q * M[r][bj]) % m
                 for r in range(cols):
-                    V[r][j] = (V[r][j] - q * V[r][t]) % m
-        t += 1
-    diag = [M[i][i] if i < rows and i < cols else 0 for i in range(cols)]
-    return diag, V
+                    V[r][j] = (V[r][j] - q * V[r][bj]) % m
+        live_rows.remove(bi)
+        s = live_cols.index(bj)
+        live_cols[s] = live_cols[-1]
+        live_cols.pop()
+        diag.append(M[bi][bj])
+        order.append(bj)
+    order += live_cols
+    diag += [0] * len(live_cols)
+    return diag, [[row[j] for j in order] for row in V]
 
 
 def kernel_by_full_elimination(A, p: int, precision: int):

@@ -16,7 +16,7 @@ from anticyclo.cohomology import (
     theorem2_cyclic_obstruction,
 )
 from anticyclo.iwasawa import coinvariants
-from anticyclo.snf import minus_identity, smith_normal_form_mod_prime_power
+from anticyclo.snf import cokernel_mod, minus_identity, smith_normal_form_mod_prime_power
 
 from conftest import (
     add_elements,
@@ -386,6 +386,31 @@ def test_kernel_and_cokernel_match_full_elimination_on_mixed_factors():
             else:
                 assert kernel == cokernel == ()
     assert min(seen.values()) >= 10
+
+
+def test_kernel_and_cokernel_reject_matrices_not_well_defined(monkeypatch):
+    # On Z/9 ⊕ Z/3 the entry (0, 1) of [[1, 1], [0, 1]] sends the Z/3
+    # generator to a generator of Z/9, which is not a homomorphism; both
+    # methods raise before any engine call, naming the first bad entry in
+    # row-major order as the constructor does, and a wrong shape raises too
+    module = FinitePModule(3, (9, 3))
+    engine = []
+    monkeypatch.setattr("anticyclo.cohomology.cokernel_mod", lambda *args: engine.append(args) or cokernel_mod(*args))
+    for method in (module.kernel, module.cokernel):
+        with pytest.raises(ValueError, match=r"matrix is not well defined: entry \(0,1\) must be divisible by 3"):
+            method([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="2x2 matrix"):
+            method([[1, 0]])
+    big = FinitePModule(5, (125, 25, 5))
+    with pytest.raises(ValueError, match=r"entry \(0,2\) must be divisible by 25"):
+        big.cokernel([[1, 5, 5], [0, 1, 1], [0, 0, 1]])
+    with pytest.raises(ValueError, match=r"entry \(1,2\) must be divisible by 5"):
+        big.kernel([[1, 5, 25], [0, 1, 1], [0, 0, 1]])
+    assert engine == []
+    # the transposed direction and multiples of q_i/q_j are well defined
+    F = [[1, 3], [1, 1]]
+    assert module.kernel(F) == ker_mod_im_by_embedded_kernel(module, F, None)
+    assert len(engine) == 1
 
 
 def test_tate_operations_pin_their_engine_calls_and_build_no_v(monkeypatch):

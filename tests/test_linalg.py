@@ -13,6 +13,7 @@ from anticyclo.linalg import (
     _no_visible_solution,
     _shift_charpoly,
     _spectra_disjoint_mod_p,
+    _support_masks,
     charpoly,
     intertwiner_solve,
     mat_pow_zeta,
@@ -703,3 +704,72 @@ def test_random_unipotent_matrix_needs_headroom():
         random_unipotent_matrix(3, 4, 4, random.Random(0))
     with pytest.raises(PrecisionError):
         random_unipotent_matrix(3, 3, 3, random.Random(0))
+
+
+def _record_determinant_tests(monkeypatch, verdict=None):
+    """Record each candidate the intertwiner search hands to
+    ``det_nonzero_mod``; with a ``verdict``, answer it without computing."""
+    calls = []
+
+    def recorded(rows, p, precision):
+        calls.append(rows)
+        return det_nonzero_mod(rows, p, precision) if verdict is None else verdict
+
+    monkeypatch.setattr(linalg, "det_nonzero_mod", recorded)
+    return calls
+
+
+def test_support_test_skips_only_singular_candidates(oracle_cases, monkeypatch):
+    # With every determinant answered "singular" and no samples, the search
+    # walks the whole projective scan; a combo whose D never reaches the
+    # determinant was skipped by its support, and must be singular mod p
+    cases = [(M, zeta) for M, zeta, _ in oracle_cases] + list(_path_cases(random.Random(31)))
+    monkeypatch.setattr(linalg, "SAMPLE_TRIALS", 0)
+    calls = _record_determinant_tests(monkeypatch, verdict=False)
+    skipped = reached = 0
+    for M, zeta in cases:
+        p, r = M.p, M.dim
+        basis = _kernel_space(M, mat_pow_zeta(M, zeta))
+        if not basis or (p ** len(basis) - 1) // (p - 1) > 2000:
+            continue
+        calls.clear()
+        assert intertwiner_solve(M, zeta).status == "none"
+        tested = {tuple(tuple(x % p for x in row) for row in rows) for rows in calls}
+        assert len(tested) == len(calls)
+        for lead in range(len(basis)):
+            for tail in product(range(p), repeat=len(basis) - 1 - lead):
+                combo = (0,) * lead + (1,) + tail
+                vec = [sum(c * x for c, x in zip(combo, col)) % p for col in zip(*basis)]
+                D = tuple(tuple(vec[j * r + i] for j in range(r)) for i in range(r))
+                if D in tested:
+                    reached += 1
+                    continue
+                skipped += 1
+                assert charpoly_by_expansion(D, p)[0] == 0, (M, zeta, combo)
+    assert skipped >= 1000 and reached >= 1000
+
+
+def test_support_masks_read_entries_mod_p():
+    # column-major 2×2 vectors: entry (i, j) at 2j + i; an entry that is
+    # nonzero mod p^N but ≡ 0 mod p sets no bit
+    vectors = [[1, 3, 0, 10], [0, 9, 3, 0], [0, 1, 0, 0]]
+    assert _support_masks(vectors, 2, 3) == ([0b11, 0b00, 0b10], [0b11, 0b00, 0b01])
+
+
+@pytest.mark.parametrize(
+    "p, N, s, generator, kernel_dim",
+    [(3, 8, 3, None, 6), (5, 6, 1, 2, 4)],
+    ids=["p3-zeta-1-r6", "p5-zeta-t2-r4"],
+)
+def test_orbit_controls_reach_one_determinant(p, N, s, generator, kernel_dim, monkeypatch):
+    # The lemma2-campaign orbit controls at p = 3, zeta = -1, N = 8, s = 3
+    # and p = 5, zeta = t2, N = 6, r = 4: every projective point before the
+    # witness leaves a row or a column of D zero mod p, so the search runs
+    # one determinant where a scan of every point ran 243 and 63
+    zeta = -1 if generator is None else teichmuller(generator, p, N)
+    M, _ = orbit_block_construct(p, N, s, zeta)
+    assert _kernel_dim(M, zeta) == kernel_dim
+    calls = _record_determinant_tests(monkeypatch)
+    result = intertwiner_solve(M, zeta, seed=3)
+    assert result.status == "witness" and is_invertible(result.witness)
+    assert len(calls) == 1

@@ -204,20 +204,38 @@ def test_all_lists_exactly_what_the_package_imports():
     assert sorted(anticyclo.__all__) == sorted(imported)
 
 
+def _literal_assignment(path: Path, name: str):
+    """The literal value assigned to ``name`` at the top of ``path``, read
+    with ``ast`` so that the file is neither imported nor run."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    values = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == name for target in node.targets)
+    ]
+    assert len(values) == 1, f"{name} not found once in {path.name}"
+    return values[0]
+
+
 def test_every_traced_benchmark_name_resolves():
-    # A per-layer metric ``layer.func.metric`` in BENCHMARK.json reads the
-    # tracer's span of ``anticyclo.<layer>.func`` (a ``MetacyclicGroup``
-    # method for ``metacyclic``); a deleted or renamed function would read
-    # 0 there, so only the names already known to be stranded may fail.
+    # A per-layer metric ``layer.func.metric`` reads the tracer's span of
+    # ``anticyclo.<layer>.func`` (a ``MetacyclicGroup`` method for
+    # ``metacyclic``); a deleted or renamed function would read 0 there,
+    # so only the names already known to be stranded may fail.  Three
+    # tables name them: BENCHMARK.json's ``per_layer``, the bench script's
+    # ``PER_LAYER``, which must list the same names, and the names its
+    # tests expect each workload to exercise.
     from anticyclo.metacyclic import MetacyclicGroup
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    traced = {
-        tuple(parts[:2])
-        for metric in benchmark["per_layer"]
-        if len(parts := metric["name"].split(".")) == 3
-    }
-    assert len(traced) > 20, "no traced names found in BENCHMARK.json"
+    declared = [metric["name"] for metric in benchmark["per_layer"]]
+    per_layer = [name for name, _, _ in _literal_assignment(ROOT / "perfbench" / "run.py", "PER_LAYER")]
+    assert per_layer == declared
+    exercised = _literal_assignment(ROOT / "perfbench" / "test_perfbench.py", "EXERCISED")
+    assert set(exercised) == {workload["name"] for workload in benchmark["workloads"]}
+    names = declared + [name for names in exercised.values() for name in names]
+    traced = {tuple(parts[:2]) for name in names if len(parts := name.split(".")) == 3}
+    assert len(traced) > 20, "no traced names found"
     unresolved = {
         f"{layer}.{func}"
         for layer, func in traced
