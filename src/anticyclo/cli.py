@@ -21,6 +21,7 @@ import math
 import re
 import sys
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -265,21 +266,19 @@ def cmd_growth(args, report: Report) -> int:
     module = parse_module_spec(args.module, args.p)
     lam, mu = invariants_of(module)
     digits = sys.get_int_max_str_digits()
+    n_top = args.n_max
     if mu and digits:
-        # every exponent is printed, and the last one is about mu·p^n_max
-        bound = 10**digits
-        n_fit = max(0, int((digits - math.log10(mu)) / math.log10(args.p)))  # off by at most one
-        while mu * args.p ** (n_fit + 1) < bound:
-            n_fit += 1
-        while n_fit >= 0 and mu * args.p**n_fit >= bound:
-            n_fit -= 1
-        if args.n_max > n_fit:
-            raise ValueError(
-                f"--n-max {args.n_max} is above {n_fit}, the last layer whose mu-part exponent "
-                f"sum(mu)·{args.p}^n prints within the interpreter's {digits}-digit limit; "
-                f"pass --n-max {n_fit} or less"
-            )
-    exponents = layer_exponents(module, args.n_max)
+        # e_n >= mu·p^n passes 10^digits within two layers of this estimate
+        n_top = min(n_top, max(0, int((digits - math.log10(mu)) / math.log10(args.p))) + 2)
+    exponents = layer_exponents(module, n_top)
+    # every exponent is printed, and they never decrease: the printable ones are a prefix
+    n_fit = bisect_left(exponents, 10**digits) - 1 if digits else n_top
+    if args.n_max > n_fit:
+        raise ValueError(
+            f"--n-max {args.n_max} is above {n_fit}, the last layer whose exponent e_n "
+            f"prints within the interpreter's {digits}-digit limit; "
+            f"pass --n-max {n_fit} or less"
+        )
     for n, e in enumerate(exponents):
         report.add(verdict="info", n=n, exponent=e)
     # below layer K + 2 the fit may fail or disagree with the structure

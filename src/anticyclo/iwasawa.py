@@ -21,7 +21,6 @@ of the characteristic polynomial of (generator - 1) is a multiple of d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Optional, Sequence, Union
 
 from .cohomology import FinitePModule
@@ -35,7 +34,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, PadicInt, require_odd_prime, teichmuller, valuation
-from .poly import poly_mod_monic
+from .poly import binomial_row, cyclotomic_factor, poly_mod_monic
 from .snf import cokernel_mod, det_nonzero_mod, minus_identity, smith_normal_form_mod_prime_power
 
 #: Largest degree of a polynomial factor whose layer exponents are
@@ -47,16 +46,12 @@ from .snf import cokernel_mod, det_nonzero_mod, minus_identity, smith_normal_for
 MAX_POLY_DEGREE = 400
 
 
-# ----------------------------------------------------------------------
-# integer polynomials (ascending coefficient lists)
-# ----------------------------------------------------------------------
-
 def omega_n(p: int, n: int) -> list[int]:
     """(1 + T)^(p^n) - 1, the level-n kernel polynomial (ascending coeffs)."""
     if n < 0:
         raise ValueError("layer index must be non-negative")
     q = p**n
-    return [comb(q, k) if k else 0 for k in range(q + 1)]
+    return [0] + binomial_row(q, q + 1)[1:]
 
 
 # ----------------------------------------------------------------------
@@ -98,11 +93,13 @@ def invariants_of(module: ElementaryLambdaModule) -> tuple[int, int]:
     return lam, mu
 
 
-def _cyclotomic_factor(p: int, k: int) -> list[int]:
-    """Phi_{p^k}(1 + T) for k >= 1, the degree-phi(p^k) irreducible factor
-    of omega_n for each 1 <= k <= n."""
-    q = p ** (k - 1)
-    return [sum(comb(i * q, j) for i in range(p)) for j in range((p - 1) * q + 1)]
+def _last_level(deg: int, p: int) -> int:
+    """The last level k with deg Phi_{p^k}(1 + T) = phi(p^k) <= deg, or 0
+    when there is none: levels 1..k are those whose terms need an SNF."""
+    k = 0
+    while (p - 1) * p**k <= deg:
+        k += 1
+    return k
 
 
 def _level_terms(g, p: int):
@@ -123,9 +120,8 @@ def _level_terms(g, p: int):
     """
     deg = len(g) - 1
     yield valuation(g[0], p) if g[0] else None
-    k = 1
-    while (p - 1) * p ** (k - 1) <= deg:  # deg Phi_{p^k}(1 + T) = φ(p^k)
-        phi = _cyclotomic_factor(p, k)
+    for k in range(1, _last_level(deg, p) + 1):
+        phi = cyclotomic_factor(p, k)
         if not any(poly_mod_monic(g, phi)):
             yield None
         else:
@@ -137,7 +133,6 @@ def _level_terms(g, p: int):
             while not all(diag := smith_normal_form_mod_prime_power(rows, p, K, None)[0]):
                 K *= 2
             yield sum(valuation(pivot, p) for pivot in diag)  # each pivot is exactly p^v
-        k += 1
 
 
 def _not_finite(g, n: int) -> ValueError:
@@ -185,11 +180,7 @@ def stable_level(module: ElementaryLambdaModule) -> int:
     computes; every later level adds deg g for each g.  So
     ``fit_invariants`` succeeds on layers 0..n_max once n_max >= K + 2
     (and n_max >= 3, its minimum)."""
-    deg = max((len(g) - 1 for g in module.poly_parts), default=0)
-    k = 0
-    while (module.p - 1) * module.p**k <= deg:
-        k += 1
-    return k
+    return _last_level(max((len(g) - 1 for g in module.poly_parts), default=0), module.p)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, pow_one_unit, require_parameters
-from .poly import poly_mod_monic
+from .poly import binomial_row, coprime_mod_p, poly_mod_monic
 from .snf import cokernel_mod, det_nonzero_mod, identity_matrix, kernel_mod, mat_mul, minus_identity
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
@@ -216,21 +216,8 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
     PadicMatrix is built at the end.
     """
     _require_zeta_power(M, zeta)
-    coeffs = _zeta_binomials(zeta, M.p, M.precision)
+    coeffs = [c % M.modulus for c in binomial_row(int(zeta), M.precision)]
     return PadicMatrix(M.p, M.precision, _poly_at(coeffs, minus_identity(M.rows), M.modulus))
-
-
-def _zeta_binomials(zeta: PadicExponent, p: int, precision: int) -> list[int]:
-    """C(zeta, k) mod p^N for k < N, zeta read as its canonical residue
-    when it is a PadicInt: each from the one before, by the exact
-    division C(e, k) = C(e, k-1)·(e - k + 1)/k over Z."""
-    e = int(zeta)
-    m = p**precision
-    c, out = 1, [1]
-    for k in range(1, precision):
-        c = c * (e - k + 1) // k
-        out.append(c % m)
-    return out
 
 
 def _require_zeta_power(M: PadicMatrix, zeta: PadicExponent) -> None:
@@ -350,27 +337,6 @@ def _kernel_space(M: PadicMatrix, B: PadicMatrix):
     return _rref_basis(unit_gens, M.p, M.modulus)
 
 
-def _coprime_mod_p(f, g, p: int) -> bool:
-    """Whether the polynomials f and g (ascending coefficients, not both
-    ≡ 0) have no common factor over F_p: Euclid's remainder sequence
-    ends in a nonzero constant."""
-
-    def trim(a):
-        a = [x % p for x in a]
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    f, g = trim(f), trim(g)
-    while g:
-        u = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c, k = f[-1] * u, len(f) - len(g)
-            f = trim([x - c * g[i - k] if i >= k else x for i, x in enumerate(f)])
-        f, g = g, f
-    return len(f) == 1
-
-
 def _shift_charpoly(M: PadicMatrix):
     """(S, chi_S mod p^(N-1)) for S = (M - I)/p, N >= 2: the shift and
     the one characteristic polynomial that both tests of
@@ -392,7 +358,7 @@ def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
     """
     z = int(zeta)
     r = len(chi) - 1
-    return _coprime_mod_p(chi, [c * pow(z, r - i, p) for i, c in enumerate(chi)], p)
+    return coprime_mod_p(chi, [c * pow(z, r - i, p) for i, c in enumerate(chi)], p)
 
 
 def _no_visible_solution(chi, S, zeta: PadicExponent, p: int, precision: int) -> bool:
@@ -422,7 +388,8 @@ def _chi_at_zeta_shift(chi, S, zeta: PadicExponent, p: int, precision: int):
     equals chi_S(S') mod p^(N-1) entry by entry.
     """
     m1 = p ** (precision - 1)
-    f = [0] + [c * p**k for k, c in enumerate(_zeta_binomials(zeta, p, precision)[1:])]
+    row = binomial_row(int(zeta), precision)
+    f = [0] + [c % (m1 * p) * p**k for k, c in enumerate(row[1:])]
     f = [x % m1 for x in poly_mod_monic(f, chi)]
     h = [1]
     for a in reversed(chi[:-1]):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import NotInvertibleError
+from .poly import binomial_row
 
 
 #: Strong probable-prime tests to the first 13 prime bases are exact below
@@ -168,7 +169,8 @@ def teichmuller(a: int, p: int, precision: int) -> PadicInt:
 
 
 def binom(e: PadicExponent, k: int, *, p: int | None = None, precision: int | None = None) -> PadicInt:
-    """Binomial coefficient e(e-1)...(e-k+1)/k! reduced mod p^N.
+    """Binomial coefficient e(e-1)...(e-k+1)/k! reduced mod p^N: entry k
+    of ``poly.binomial_row``.
 
     Always integral: binomial coefficients of p-adic integers are p-adic
     integers.  For a plain-int exponent the value is exact.  For a
@@ -186,11 +188,7 @@ def binom(e: PadicExponent, k: int, *, p: int | None = None, precision: int | No
         if p is None or precision is None:
             raise ValueError("a plain integer exponent needs explicit p and precision")
         rep = e
-    num = 1
-    for i in range(k):
-        num *= rep - i
-    # k consecutive integers are divisible by k!, so this division is exact.
-    return PadicInt(p, precision, num // math.factorial(k))
+    return PadicInt(p, precision, binomial_row(rep, k + 1)[k])
 
 
 def pow_one_unit(u: PadicInt, e: PadicExponent) -> PadicInt:

@@ -1,8 +1,28 @@
 """Integer polynomials as ascending coefficient lists: entry i multiplies
-T^i.  The one home of the polynomial helpers that several modules share.
+T^i.  The one home of the polynomial helpers that several modules share:
+the binomial row of (1 + T)^e, which carries omega_n, Phi_{p^k}(1 + T),
+the binomial coefficients of ``padic`` and the series of M^zeta; the
+remainder by a monic polynomial; and coprimality over F_p.
 """
 
 from __future__ import annotations
+
+
+def binomial_row(e: int, count: int) -> list[int]:
+    """C(e, 0), ..., C(e, count - 1), the first count coefficients of
+    (1 + T)^e over Z for any integer e: each from the one before by the
+    exact division C(e, k + 1) = C(e, k)·(e - k)/(k + 1)."""
+    row = [1]
+    for k in range(count - 1):
+        row.append(row[k] * (e - k) // (k + 1))
+    return row[:count]
+
+
+def cyclotomic_factor(p: int, k: int) -> list[int]:
+    """Phi_{p^k}(1 + T) = sum_(i<p) (1 + T)^(i·p^(k-1)) for k >= 1, the
+    degree-phi(p^k) irreducible factor of omega_n for each 1 <= k <= n."""
+    q = p ** (k - 1)
+    return [sum(col) for col in zip(*(binomial_row(i * q, (p - 1) * q + 1) for i in range(p)))]
 
 
 def poly_mod_monic(a, g):
@@ -16,3 +36,24 @@ def poly_mod_monic(a, g):
             for j in range(dg + 1):
                 a[i - dg + j] -= c * g[j]
     return a[:dg]
+
+
+def coprime_mod_p(f, g, p: int) -> bool:
+    """Whether the polynomials f and g (ascending coefficients, not both
+    ≡ 0) have no common factor over F_p: Euclid's remainder sequence
+    ends in a nonzero constant."""
+
+    def trim(a):
+        a = [x % p for x in a]
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    f, g = trim(f), trim(g)
+    while g:
+        u = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c, k = f[-1] * u, len(f) - len(g)
+            f = trim([x - c * g[i - k] if i >= k else x for i, x in enumerate(f)])
+        f, g = g, f
+    return len(f) == 1

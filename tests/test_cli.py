@@ -627,6 +627,17 @@ def test_growth_refuses_a_mu_part_exponent_beyond_the_int_digit_limit():
     assert "--n-max 9013" in over.stderr and "--n-max 9012 or less" in over.stderr
 
 
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_growth_refuses_a_lambda_part_that_carries_an_exponent_past_the_int_digit_limit(fmt):
+    # mu·3^3 = 10^640 - 10 prints within a 640-digit limit, but
+    # e_3 = mu·3^3 + v_3(3^10) + 3 = 10^640 + 3 has 641 digits
+    mu = (10**640 - 1) // 27
+    argv = ["--format", fmt, "growth", "--p", "3", "--module", f"p^{mu},T+59049", "--n-max", "3"]
+    over = run_process(argv, PYTHONINTMAXSTRDIGITS="640")
+    assert over.returncode == 2 and over.stdout == ""
+    assert "--n-max 3 is above 2" in over.stderr and "--n-max 2 or less" in over.stderr
+
+
 def write_shift_model(path, precision, shift):
     """A d = 1 model file (zeta = 1, D = I, no t_block) with M = I + shift."""
     r = len(shift)

@@ -163,6 +163,24 @@ def test_the_odd_prime_check_lives_in_padic():
     assert found == []
 
 
+def test_binomial_coefficients_live_in_poly():
+    # The coefficients of (1 + T)^e come from ``poly.binomial_row``; no
+    # other module names ``comb`` or ``factorial`` to compute its own.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in {"comb", "factorial"})
+            or (isinstance(node, ast.Attribute) and node.attr in {"comb", "factorial"})
+            or (isinstance(node, ast.alias) and node.name in {"comb", "factorial"})
+        ]
+    assert found == []
+
+
 def test_no_except_tuple_names_a_class_beside_its_base():
     # ``except (A, B)`` with B a base of A catches exactly what ``except B``
     # does; naming A as well reads as a case that B does not cover.
