@@ -20,7 +20,9 @@ substitution): each row of T is one integer with w-bit digits,
 w = bit_length(m·k·q_1²), so a row of power·T is one C-level sum and
 the norm sum stays packed until the end.  Each step reduces the power
 mod the q_i, which keeps the digits below k·q_1² and the cost linear
-in m.
+in m.  The powers behind the order checks multiply on the same packed
+rows, with w = bit_length(k·q_1²), and ``_pack`` packs the rows for
+every one of these products.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
 from .padic import p_power_exponents, require_odd_prime
-from .snf import cokernel_mod, identity_matrix, mat_mul, minus_identity, smith_normal_form_mod_prime_power
+from .snf import cokernel_mod, identity_matrix, minus_identity, smith_normal_form_mod_prime_power
 
 
 @dataclass(frozen=True)
@@ -85,17 +87,37 @@ class FinitePModule:
             [x % q for x in row] for row, q in zip(rows, self.invariant_factors)
         ]
 
+    def _product(self, A, B):
+        """A·B reduced mod the q_i, for A and B with reduced entries.
+
+        The rows of B are packed into integers of w-bit digits,
+        w = bit_length(k·q_1²), so row i of A·B is one C-level sum of
+        them scaled by row i of A, unpacked mod q_i: an entry is a sum of
+        k products below q_1², and no digit carries into the next.  The
+        zero module has no q_1 and gets [].
+        """
+        factors = self.invariant_factors
+        if not factors:
+            return []
+        w = (len(factors) * factors[0] ** 2).bit_length()
+        mask = (1 << w) - 1
+        shifts = range(0, w * len(factors), w)
+        packed = _pack(B, shifts)
+        rows = (sum(map(mul, row, packed)) for row in A)
+        return [[(y >> s & mask) % q for s in shifts] for y, q in zip(rows, factors)]
+
     def _matrix_power(self, matrix, m):
         """matrix^m for m >= 1 (m = 0 would return the matrix itself; the
         constructor rejects it first) by the left-to-right binary chain:
         one squaring per bit after the leading one and one product per
         further set bit, floor(log2 m) + popcount(m) - 1 products, so 1
-        for m = 2, 2 for m = 3 and 3 for m = 5."""
+        for m = 2, 2 for m = 3 and 3 for m = 5.  The matrix must be
+        reduced, as every action is."""
         acc = matrix
         for bit in bin(m)[3:]:
-            acc = self._reduce(mat_mul(acc, acc))
+            acc = self._product(acc, acc)
             if bit == "1":
-                acc = self._reduce(mat_mul(acc, matrix))
+                acc = self._product(acc, matrix)
         return acc
 
     def _is_identity(self, rows):
@@ -165,6 +187,13 @@ def _require_well_defined(factors, rows, what: str) -> None:
             )
 
 
+def _pack(rows, shifts) -> list[int]:
+    """Each row as one integer, entry j in the digit at bit shifts[j]
+    (Kronecker substitution); the caller picks a digit width that no sum
+    it forms carries out of."""
+    return [sum(map(lshift, row, shifts)) for row in rows]
+
+
 def _image(module: FinitePModule, F) -> tuple[int, ...]:
     """Invariant factors of F·A: the columns of D·F span its image in
     (Z/p^E)^k, one p^E/d for each pivot d ≠ 0 of one pivot-only local SNF."""
@@ -211,7 +240,7 @@ def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
     w = (k * m * m).bit_length()
     mask = (1 << w) - 1
     shifts = [w * j for j in range(k)]
-    packed = [sum(map(lshift, [x % m for x in row], shifts)) for row in G]
+    packed = _pack([[x % m for x in row] for row in G], shifts)
     rows = []
     for g, vr in zip(diag, Vr):
         y = sum(map(mul, vr, packed))
@@ -259,7 +288,7 @@ def _norm_matrix(module: FinitePModule, name: str, m: int | None):
     w = (m * len(T) * factors[0] ** 2).bit_length()
     mask = (1 << w) - 1
     shifts = range(0, w * len(T), w)
-    packed = [sum(map(lshift, row, shifts)) for row in T]
+    packed = _pack(T, shifts)
     acc = [1 << s for s in shifts]
     rows, power = packed, T
     for _ in range(m - 1):

@@ -369,7 +369,8 @@ def t_multiplicity(M: PadicMatrix, certified_t_block: Optional[int] = None) -> i
         return s_obs
     raise PrecisionError(
         f"indistinguishable from zero at precision N={M.precision} - raise N: "
-        f"{s_obs} trailing coefficients vanish without structural certification"
+        f"{s_obs} trailing coefficients vanish without structural certification; "
+        f"no N certifies a T-block hidden by a change of basis, declaring t_block = {s_obs} does"
     )
 
 

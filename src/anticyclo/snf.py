@@ -14,6 +14,8 @@ keeps each vector once, mod p^N.
 
 Each pivot is an entry of least valuation in the active block, found
 from C-level gcds with p^N rather than from one valuation per entry.
+Each row's gcd is read once and cached until a row operation changes
+the row, so a step reads only the rows changed since their last read.
 The engine keeps a list of active rows, in input order, and a list of
 active columns.  Only the active rows are eliminated, and the matrix
 itself takes no column operations: once its column is cleared, the
@@ -62,15 +64,21 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track: str | No
     behind every other function here.
 
     Step t takes the least valuation v of the active block as
-    v_p(gcd(p^N, *entries)), by C-level gcds row by row, and pivots on
-    the first row in active-list order whose gcd is p^v, at its first
-    active column whose entry is not divisible by p^(v+1).  The scan
+    v_p(gcd(p^N, *entries)) and pivots on the first row in active-list
+    order whose gcd is p^v, at its first active column whose entry is
+    not divisible by p^(v+1); that column exists, since p^v < p^N is
+    the row's own gcd.  Row gcds are cached: gs[i] holds
+    gcd(p^N, *live[i]) once it has been read and 0 until then, a safe
+    mark since the gcd is at least 1.  The scan walks gs in active-list
+    order, reads only the unread entries by one C-level gcd each, and
     stops at the first row whose gcd is 1, since no later row can have a
-    smaller one.  The pivot row leaves the active list; row operations
-    clear the pivot column in the rows that stay, and the last active
-    column then moves into the pivot column's slot.  A row holds only
-    its active columns, so nothing is swapped and no zero prefix is
-    copied.
+    smaller one.  The pivot row leaves the active list and its entry
+    leaves gs; row operations clear the pivot column in the rows that
+    stay, and the last active column then moves into the pivot column's
+    slot.  A row whose entry in the pivot column is 0 only loses that 0,
+    so its gcd stands; a row that is eliminated is marked unread.  A row
+    holds only its active columns, so nothing is swapped and no zero
+    prefix is copied.
 
     M gets no column operations.  After the row pass, the pivot column
     is zero off the pivot, so a column operation on M would only zero an
@@ -97,12 +105,14 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track: str | No
     Vc = identity_matrix(cols) if track == "V" else None  # V's columns, by input column
     inverse = track == "V^-1"
     order, diag, Vr = [], [], []  # pivot columns, pivots, rows of V^-1
+    gs = [0] * len(live)  # gs[i]: gcd(p^N, *live[i]) once read, 0 until then
     while live and at:
         # pivoted slots are gone, so a whole row is read; g = p^v, v the
         # least valuation, is p^N when every entry vanishes
         g, bi = m, 0
-        for i, row in enumerate(live):
-            r = gcd(m, *row)
+        for i, r in enumerate(gs):
+            if not r:
+                r = gs[i] = gcd(m, *live[i])
             if r < g:
                 g, bi = r, i
                 if r == 1:
@@ -111,7 +121,10 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track: str | No
             break
         gp = g * p
         pivot_row = live.pop(bi)
-        s = next(j for j, x in enumerate(pivot_row) if x % gp)
+        gs.pop(bi)
+        s = 0
+        while not pivot_row[s] % gp:  # ends: g is the row's own gcd, g < p^N
+            s += 1
         scale = pow(pivot_row[s] // g, -1, m)  # scaled, the pivot is exactly g
         c = at[s]
         at[s] = at[-1]
@@ -122,9 +135,10 @@ def smith_normal_form_mod_prime_power(A, p: int, precision: int, track: str | No
             a = row[s]
             row[s] = row[-1]
             row.pop()
-            if a:
+            if a:  # a row with a 0 here keeps its gcd
                 q = a // g * scale
                 live[i] = [(x - q * y) % m for x, y in zip(row, pivot_row)]
+                gs[i] = 0
         order.append(c)
         diag.append(g)
         if Vc is not None:

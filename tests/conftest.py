@@ -197,6 +197,44 @@ def snf_by_full_elimination(A, p: int, precision: int):
     return diag, [[row[j] for j in order] for row in V]
 
 
+def rescanning_gcd_reads(A, p: int, precision: int):
+    """(diag, reads): the engine's pivots, found the way it found them
+    before its rows' gcds were cached.  Every step reads gcd(p^N, row)
+    afresh for each active row in input order, up to the first unit, so
+    ``reads`` counts the gcds an uncached scan takes.  The pivot rule and
+    the column slots are the engine's; M stays full size and only the
+    active rows are eliminated."""
+    from math import gcd
+
+    m = p**precision
+    M = [[x % m for x in row] for row in A]
+    live_rows, live_cols = list(range(len(A))), list(range(len(A[0]) if A else 0))
+    diag, reads = [], 0
+    while live_rows and live_cols:
+        g, bi = m, None
+        for i in live_rows:
+            reads += 1
+            r = gcd(m, *(M[i][j] for j in live_cols))
+            if r < g:
+                g, bi = r, i
+                if r == 1:
+                    break
+        if bi is None:
+            break
+        s = next(s for s, j in enumerate(live_cols) if M[bi][j] % (g * p))
+        c = live_cols[s]
+        scale = pow(M[bi][c] // g, -1, m)
+        live_rows.remove(bi)
+        for i in live_rows:
+            if M[i][c]:
+                q = M[i][c] // g * scale
+                M[i] = [(x - q * y) % m for x, y in zip(M[i], M[bi])]
+        live_cols[s] = live_cols[-1]
+        live_cols.pop()
+        diag.append(g)
+    return diag + [0] * len(live_cols), reads
+
+
 def kernel_by_full_elimination(A, p: int, precision: int):
     """``kernel_mod``, read from ``snf_by_full_elimination``."""
     m = p**precision
@@ -775,5 +813,6 @@ def t_multiplicity_by_subset_scan(M):
             return s_obs
     raise PrecisionError(
         f"indistinguishable from zero at precision N={M.precision} - raise N: "
-        f"{s_obs} trailing coefficients vanish without structural certification"
+        f"{s_obs} trailing coefficients vanish without structural certification; "
+        f"no N certifies a T-block hidden by a change of basis, declaring t_block = {s_obs} does"
     )

@@ -656,6 +656,20 @@ def test_audit_parity_refuses_an_uncertified_24_dimensional_model_promptly(tmp_p
     assert "raise N" in result.stderr
 
 
+def test_audit_parity_names_t_block_for_a_block_hidden_by_a_change_of_basis(tmp_path):
+    # M = P·diag(1, 4)·P^-1 with P = [[1, 1], [1, 2]]: the T-block is real
+    # but conjugated, so raising N cannot help and declaring it does
+    path = write_shift_model(tmp_path / "m.json", 4, [[-3, 3], [-6, 6]])
+    result = run_process(["--format", "machine", "--no-timestamps", "audit-parity", str(path)])
+    assert result.returncode == 2 and result.stdout == ""
+    assert "raise N" in result.stderr and "declaring t_block = 1 does" in result.stderr
+    model = json.loads(path.read_text())
+    path.write_text(json.dumps({**model, "t_block": 1}))
+    result = run_process(["--format", "machine", "--no-timestamps", "audit-parity", str(path)])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[1])["verdict"] == "ok"
+
+
 def test_audit_parity_certifies_a_24_dimensional_model_structurally(tmp_path):
     # loops at the even coordinates, c -> c + 1 for even c, and a chain
     # through the odd coordinates: the sink peel removes all 12 odd ones

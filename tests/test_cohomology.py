@@ -53,12 +53,11 @@ def test_construction_validation():
 
 
 def test_matrix_power_is_the_binary_chain(monkeypatch):
-    # left-to-right binary powering: floor(log2 m) + popcount(m) - 1 products
-    import anticyclo.cohomology as cohomology
-
+    # left-to-right binary powering: floor(log2 m) + popcount(m) - 1
+    # packed products
     products = []
-    multiply = cohomology.mat_mul
-    monkeypatch.setattr(cohomology, "mat_mul", lambda A, B: products.append(1) or multiply(A, B))
+    multiply = FinitePModule._product
+    monkeypatch.setattr(FinitePModule, "_product", lambda self, A, B: products.append(1) or multiply(self, A, B))
     rng = random.Random(13)
     factors = (27, 9, 9, 3)
     module = FinitePModule(3, factors)
@@ -70,6 +69,21 @@ def test_matrix_power_is_the_binary_chain(monkeypatch):
             assert module._matrix_power(A, m) == repeated
             assert len(products) == m.bit_length() + bin(m).count("1") - 2
             repeated = module._reduce(_mat_mul(repeated, A))
+
+
+def test_packed_product_matches_the_plain_product():
+    # digits of w = bit_length(k·q_1²) bits hold every entry of A·B for
+    # reduced A and B, also for the largest entries and a large prime
+    rng = random.Random(29)
+    for p, top in ((3, 6), (5, 4), (7, 3), (1000003, 3)):
+        for _ in range(20):
+            exps = sorted((rng.randint(1, top) for _ in range(rng.randint(1, 5))), reverse=True)
+            factors = tuple(p**e for e in exps)
+            module = FinitePModule(p, factors)
+            A, B = _random_action(rng, factors), _random_action(rng, factors)
+            assert module._product(A, B) == module._reduce(_mat_mul(A, B))
+        largest = [[q - 1 for _ in factors] for q in factors]
+        assert module._product(largest, largest) == module._reduce(_mat_mul(largest, largest))
 
 
 def test_declared_orders_are_verified_at_construction(monkeypatch):
@@ -469,6 +483,10 @@ def test_zero_module_flows_through_the_engine():
         assert operation(zero, "any") == zero
     with pytest.raises(ValueError, match="no action named 'any'"):
         FinitePModule(3, (3,)).action("any")
+    # a declared order is checked by packed products, which the zero
+    # module, with no largest factor, answers with the empty matrix
+    assert zero._product([], []) == []
+    assert FinitePModule(3, (), actions={"tau": []}, orders={"tau": 5}).orders == {"tau": 5}
 
 
 def test_empty_kernels_give_trivial_groups():

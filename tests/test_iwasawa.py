@@ -438,6 +438,18 @@ def test_t_multiplicity_demands_precision_for_fake_zeros():
         t_multiplicity(hidden)
 
 
+def test_t_multiplicity_advises_declaring_a_block_that_a_change_of_basis_hides():
+    # M = P·diag(1, 4)·P^-1 for P = [[1, 1], [1, 2]]: M - I = [[-3, 3], [-6, 6]]
+    # has charpoly T(T - 3), a true T-block, but every entry is nonzero, so
+    # no peel certifies it at any N; declaring t_block = 1 does
+    for N in (4, 8, 16):
+        M = PadicMatrix(3, N, [[-2, 3], [-6, 7]])
+        with pytest.raises(PrecisionError, match="raise N") as raised:
+            t_multiplicity(M)
+        assert "declaring t_block = 1 does" in str(raised.value)
+        assert t_multiplicity(M, 1) == 1
+
+
 def _scan_outcome(f, M):
     try:
         return f(M)

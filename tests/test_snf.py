@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -22,6 +22,7 @@ from conftest import (
     int_valuation,
     kernel_by_full_elimination,
     padic_det,
+    rescanning_gcd_reads,
     snf_by_full_elimination,
 )
 
@@ -207,16 +208,19 @@ def test_lean_elimination_matches_full_elimination():
         N = rng.randint(1, 5)
         m = p**N
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-        kind = rng.choice(["uniform", "planted", "divisible"])
+        kind = rng.choice(["uniform", "planted", "divisible", "blocks"])
 
         def entry():
             if kind == "uniform":
                 return rng.randrange(-m, m)
-            if kind == "planted":  # high valuations, many ties for the pivot
+            if kind in ("planted", "blocks"):  # high valuations, many ties for the pivot
                 return rng.choice([0, rng.randrange(m) * p ** rng.randint(0, N)])
             return p * rng.randrange(m)  # every entry ≡ 0 mod p
 
         A = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if kind == "blocks":  # block-diagonal: most rows hold a 0 in the pivot column
+            nb = rng.randint(1, 3)
+            A = [[x if i * nb // rows == j * nb // cols else 0 for j, x in enumerate(row)] for i, row in enumerate(A)]
         if rows and cols and rng.random() < 0.2:
             A[rng.randrange(rows)] = [0] * cols
         if rows and cols and rng.random() < 0.2:
@@ -241,9 +245,61 @@ def test_lean_elimination_matches_full_elimination():
             zero_lines.add(("row", not all(map(any, A))))
             zero_lines.add(("column", not all(map(any, zip(*A)))))
     assert shapes == {"empty", "wide", "tall", "square"}
-    assert kinds == {(big, kind) for big in (False, True) for kind in ("uniform", "planted", "divisible")}
+    assert kinds == {(big, kind) for big in (False, True) for kind in ("uniform", "planted", "divisible", "blocks")}
     assert {("row", True), ("column", True)} <= zero_lines
     # A k×0 and a 0×0 matrix: no pivots, and V is the empty identity
     assert smith_normal_form_mod_prime_power([[], []], 3, 2) == snf_by_full_elimination([[], []], 3, 2) == ([], [])
     assert smith_normal_form_mod_prime_power([], 3, 2) == snf_by_full_elimination([], 3, 2) == ([], [])
     assert smith_normal_form_mod_prime_power([[], []], 3, 2, "V^-1") == smith_normal_form_mod_prime_power([], 3, 2, "V^-1") == ([], [])
+
+
+def _block_diagonal(blocks):
+    n = sum(map(len, blocks))
+    A = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            A[at + i][at : at + len(row)] = row
+        at += len(block)
+    return A
+
+
+def test_cached_row_gcds_read_less_for_the_same_pivots(monkeypatch):
+    # a row's gcd with p^N is read once and again only after a row
+    # operation changed it, so the engine takes fewer gcds than a scan
+    # that rereads every active row at every step, for the same pivots
+    import anticyclo.snf as snf
+
+    reads = []
+    monkeypatch.setattr(snf, "gcd", lambda *args: reads.append(1) or gcd(*args))
+
+    def engine_reads(A, p, N):
+        reads.clear()
+        diag, _ = smith_normal_form_mod_prime_power(A, p, N, None)
+        return diag, len(reads)
+
+    # most rows of a block-diagonal matrix hold a 0 in the pivot column
+    blocks = _block_diagonal([[[9, 27], [27, 18]], [[3, 6], [9, 3]], [[27, 0], [9, 54]], [[1, 3], [3, 2]]])
+    # the shape of a Tate cokernel: [F | diag(q_i)] on 12 generators
+    factors = (81, 81, 27, 27, 27, 9, 9, 9, 3, 3, 3, 3)
+    tate = [
+        [3 ** ((i + j) % 3) * (i - j + 1) for j in range(12)] + [q * (i == j) for j, q in enumerate(factors)]
+        for i in range(12)
+    ]
+    for A, pinned in ((blocks, (11, 35)), (tate, (24, 58))):
+        diag, count = engine_reads(A, 3, 4)
+        rescanned_diag, rescanned = rescanning_gcd_reads(A, 3, 4)
+        assert diag == rescanned_diag
+        assert (count, rescanned) == pinned
+        assert count < rescanned
+    # and never more, on any shape
+    rng = random.Random(43)
+    for _ in range(300):
+        p = rng.choice([3, 5])
+        N = rng.randint(1, 4)
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        A = [[rng.choice([0, rng.randrange(p**N) * p ** rng.randint(0, N)]) for _ in range(cols)] for _ in range(rows)]
+        diag, count = engine_reads(A, p, N)
+        rescanned_diag, rescanned = rescanning_gcd_reads(A, p, N)
+        assert diag == rescanned_diag
+        assert count <= rescanned

@@ -181,6 +181,20 @@ def test_binomial_coefficients_live_in_poly():
     assert found == []
 
 
+def test_kronecker_packing_lives_in_one_helper():
+    # Rows are packed into integers of w-bit digits by ``cohomology._pack``
+    # alone; no other function of ``cohomology`` names ``lshift`` to pack
+    # its own.
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
+    packers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(isinstance(node, ast.Name) and node.id == "lshift" for node in ast.walk(function))
+    ]
+    assert packers == ["_pack"]
+
+
 def test_no_except_tuple_names_a_class_beside_its_base():
     # ``except (A, B)`` with B a base of A catches exactly what ``except B``
     # does; naming A as well reads as a case that B does not cover.
