@@ -15,21 +15,25 @@ engine hands out from its pivot rows, plus one ``cokernel_mod``; no V
 and no second SNF is built.  No number-field data appears anywhere:
 class groups enter as plain invariant-factor lists.
 
-The norm 1 + T + ... + T^(m-1) is built on packed rows (Kronecker
-substitution): each row of T is one integer with w-bit digits,
-w = bit_length(m·k·q_1²), so a row of power·T is one C-level sum and
-the norm sum stays packed until the end.  Each step reduces the power
-mod the q_i, which keeps the digits below k·q_1² and the cost linear
-in m.  The powers behind the order checks multiply on the same packed
-rows, with w = bit_length(k·q_1²), and ``_pack`` packs the rows for
-every one of these products.
+The norm N = 1 + T + ... + T^(m-1) and T^m come together from one
+doubling chain, N_2j = N_j·(1 + T^j) and T^2j = (T^j)², with one step
+N_j+1 = N_j + T^j, T^j+1 = T^j·T per further set bit of m: O(log m)
+products on packed rows (Kronecker substitution), each row of the right
+factor one integer with w-bit digits, w = bit_length(k·q_1²), so a row
+of a product is one C-level sum; ``_pack`` packs the rows for every one
+of these products.  The constructor runs the chain once for each
+declared order, which certifies T^m = 1 and stores N, so the Tate
+groups of a declared order read their norm with no product; any other
+m runs the chain again and is checked on the call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import gcd, prod
 from operator import add, lshift, mul
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .metacyclic import GeneratorImages, MetacyclicGroup
@@ -48,37 +52,52 @@ class FinitePModule:
     actions: name -> k×k integer matrix; column j lists the coordinates of
     the image of generator j.  Every action matrix must be compatible with
     the factors, and any declared order is verified at construction;
-    an action named "J" is required to be an involution.
+    an action named "J" is required to be an involution.  Both are kept
+    as read-only mappings, the actions reduced mod the q_i.
+    norms: (name, m) -> the reduced norm 1 + T + ... + T^(m-1) of each
+    declared order m, as row tuples, built by the chain that verifies
+    T^m = 1 (``_norm_and_power``); derived data, so neither ``==`` nor
+    ``repr`` reads it.
     """
 
     p: int
     invariant_factors: tuple[int, ...]
-    actions: dict = field(default_factory=dict)
-    orders: dict = field(default_factory=dict)
+    actions: Mapping = field(default_factory=dict)
+    orders: Mapping = field(default_factory=dict)
     exponent: int = field(init=False, repr=False, compare=False)
+    norms: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_odd_prime(self.p)
-        factors = tuple(int(q) for q in self.invariant_factors)
+        factors = tuple(map(int, self.invariant_factors))
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "exponent", max(p_power_exponents(factors, self.p), default=0))
         normalized = {}
         for name, matrix in self.actions.items():
             rows = [list(map(int, row)) for row in matrix]
             _require_well_defined(factors, rows, f"action {name!r}")
-            normalized[name] = tuple(tuple(x % q for x in row) for row, q in zip(rows, factors))
-        object.__setattr__(self, "actions", normalized)
+            normalized[name] = tuple(map(tuple, self._reduce(rows)))
+        object.__setattr__(self, "actions", MappingProxyType(normalized))
         declared = dict(self.orders)
         if "J" in normalized and "J" not in declared:
             declared["J"] = 2
+        norms = {}
         for name, m in declared.items():
             if name not in normalized:
                 raise ValueError(f"declared order for unknown action {name!r}")
             if m < 1:
                 raise ValueError("declared orders must be positive")
-            if not self._is_identity(self._matrix_power(normalized[name], m)):
+            norm, power = self._norm_and_power(normalized[name], m)
+            if not self._is_identity(power):
                 raise ValueError(f"action {name!r} does not have order dividing {m}")
-        object.__setattr__(self, "orders", declared)
+            norms[name, m] = tuple(map(tuple, norm))
+        object.__setattr__(self, "orders", MappingProxyType(declared))
+        object.__setattr__(self, "norms", MappingProxyType(norms))
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle; the module is rebuilt, and
+        # checked again, from plain dicts
+        return type(self), (self.p, self.invariant_factors, dict(self.actions), dict(self.orders))
 
     # -- small matrix helpers working mod the invariant factors ----------
 
@@ -87,42 +106,82 @@ class FinitePModule:
             [x % q for x in row] for row, q in zip(rows, self.invariant_factors)
         ]
 
-    def _product(self, A, B):
-        """A·B reduced mod the q_i, for A and B with reduced entries.
+    def _shifts(self):
+        """Digit offsets 0, w, 2w, ... of a packed row (Kronecker
+        substitution), w = bit_length(k·q_1²); the module must not be zero."""
+        factors = self.invariant_factors
+        w = (len(factors) * factors[0] ** 2).bit_length()
+        return range(0, w * len(factors), w)
 
-        The rows of B are packed into integers of w-bit digits,
-        w = bit_length(k·q_1²), so row i of A·B is one C-level sum of
-        them scaled by row i of A, unpacked mod q_i: an entry is a sum of
-        k products below q_1², and no digit carries into the next.  The
-        zero module has no q_1 and gets [].
+    def _product(self, A, packed):
+        """A·B reduced mod the q_i, for reduced A and the rows of B, entries
+        in [0, q_1], packed as ``_pack(B, self._shifts())``.
+
+        Row i of A·B is one C-level sum of the packed rows scaled by row i
+        of A, unpacked mod q_i: an entry is a sum of k products below
+        q_1², and no digit carries into the next.  A caller that
+        multiplies by one B twice packs it once.
         """
         factors = self.invariant_factors
-        if not factors:
-            return []
-        w = (len(factors) * factors[0] ** 2).bit_length()
-        mask = (1 << w) - 1
-        shifts = range(0, w * len(factors), w)
-        packed = _pack(B, shifts)
+        shifts = self._shifts()
+        mask = (1 << shifts.step) - 1
         rows = (sum(map(mul, row, packed)) for row in A)
         return [[(y >> s & mask) % q for s in shifts] for y, q in zip(rows, factors)]
 
-    def _matrix_power(self, matrix, m):
-        """matrix^m for m >= 1 (m = 0 would return the matrix itself; the
-        constructor rejects it first) by the left-to-right binary chain:
-        one squaring per bit after the leading one and one product per
-        further set bit, floor(log2 m) + popcount(m) - 1 products, so 1
-        for m = 2, 2 for m = 3 and 3 for m = 5.  The matrix must be
-        reduced, as every action is."""
-        acc = matrix
+    def _norm_and_power(self, T, m):
+        """(N_m, T^m) with N_m = 1 + T + ... + T^(m-1), for m >= 1 and
+        reduced rows T; both results are reduced.
+
+        A doubling chain over the bits of m after the leading one, from
+        (N_1, P_1) = (1, T): N_2j = N_j·(1 + P_j) and P_2j = P_j², then on
+        a set bit N_j+1 = N_j + P_j and P_j+1 = P_j·T.  N_2 = 1 + T is T
+        with its diagonal raised by 1 and takes no product, so m >= 2
+        costs 2·bit_length(m) + popcount(m) - 4 packed products: 1 for
+        m = 2, 2 for m = 3 and 4 for m = 5.  N_j and P_j are polynomials
+        in T and commute, so both products of a doubling multiply by the
+        one packing of P_j, the rows of 1 + P_j being those of P_j plus 1
+        in digit i; T is packed once, at the first step.
+
+        A chain that meets P_j = 1 stops there: T then has order dividing
+        j, so T^m = T^r and N_m = (m // j)·N_j + N_r for r = m mod j < j,
+        and r takes a chain of its own (N_0 = 0, T^0 = 1).  N_1 = 1 is
+        built only when it is returned.  m = 0 would give (1, T); every
+        caller rejects it first.
+        """
+        factors = self.invariant_factors
+        norm, power, j = None, T, 1
         for bit in bin(m)[3:]:
-            acc = self._product(acc, acc)
+            if self._is_identity(power):
+                break
+            if j == 1:
+                shifts = self._shifts()
+                packed = packed_T = _pack(T, shifts)
+                norm = [list(row) for row in T]
+                for i, (row, q) in enumerate(zip(norm, factors)):
+                    row[i] = (row[i] + 1) % q
+            else:
+                packed = _pack(power, shifts)
+                norm = self._product(norm, [x + (1 << s) for x, s in zip(packed, shifts)])
+            power = self._product(power, packed)
+            j *= 2
             if bit == "1":
-                acc = self._product(acc, matrix)
-        return acc
+                norm = [[x % q for x in map(add, a, b)] for a, b, q in zip(norm, power, factors)]
+                power = self._product(power, packed_T)
+                j += 1
+        if j == 1:
+            norm = identity_matrix(len(factors))
+        if j == m:
+            return norm, power
+        reps, r = divmod(m, j)
+        rest, power = self._norm_and_power(T, r) if r else ([[0] * len(factors) for _ in factors], power)
+        return [[(reps * x + y) % q for x, y in zip(a, b)] for a, b, q in zip(norm, rest, factors)], power
 
     def _is_identity(self, rows):
-        # every factor is at least p > 1, so the identity is already reduced
-        return self._reduce(rows) == identity_matrix(len(self.invariant_factors))
+        """Whether reduced k×k rows are the identity: entries lie in
+        [0, q_i), so row i is e_i exactly when its entry i is 1 and its
+        sum is 1.  No identity is built, and a non-identity usually fails
+        on its first row."""
+        return all(row[i] == 1 and sum(row) == 1 for i, row in enumerate(rows))
 
     def action(self, name: str):
         """The matrix of the named action; on the zero module, [] for any
@@ -160,8 +219,12 @@ class FinitePModule:
         group has the invariant factors of its dual (Serre, Local Fields,
         GTM 67, ch. VIII).  F is checked once; F^∨ is then well defined.
         """
+        _require_well_defined(self.invariant_factors, F, "matrix")
+        return self._kernel(F)
+
+    def _kernel(self, F) -> tuple[int, ...]:
+        """``kernel`` without the check, for an F known to be well defined."""
         factors = self.invariant_factors
-        _require_well_defined(factors, F, "matrix")
         return self._cokernel([[F[i][j] * qj // qi for i, qi in enumerate(factors)] for j, qj in enumerate(factors)])
 
 
@@ -226,7 +289,7 @@ def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
 
     Row t of V^-1·G is one C-level sum of the rows of G packed into
     integers of w-bit digits (Kronecker substitution, as in
-    ``_norm_matrix``), with G first reduced into [0, p^E) and
+    ``FinitePModule._product``), with G first reduced into [0, p^E) and
     w = bit_length(k·p^2E), so no digit carries into the next.  Row t of
     V^-1·diag(q_i) is row t of V^-1 scaled by the q_i.
     """
@@ -261,48 +324,37 @@ def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
 
 
 def _norm_matrix(module: FinitePModule, name: str, m: int | None):
-    """1 + T + ... + T^(m-1); the loop ends on T^m, which must be 1.
+    """1 + T + ... + T^(m-1) for the named action T, where T^m must be 1.
 
-    m defaults to the order the module declares for T.  Each row of T is
-    packed into one integer, entry j in the w-bit digit j (Kronecker
-    substitution), so row i of power·T is one C-level sum of the packed
-    rows of T scaled by the entries of row i of power.  Entries lie in
-    [0, q_i), so a digit of a product row is below k·q_1² and a digit of
-    the norm sum, kept packed over the m - 1 steps and unpacked once, is
-    below m·k·q_1² < 2^w: no digit carries into the next.  Each step
-    unpacks the product row and reduces it mod q_i, so the scalars of the
-    next step stay below q_1 and the cost stays linear in m.  The T^m = 1
-    check runs on every call, whatever order the module declares.  The
-    zero module gets [] before any order is read or checked.
+    m defaults to the order the module declares for T.  For that order
+    the norm was built, and T^m = 1 verified, once at construction
+    (``FinitePModule.norms``), and a copy of it is returned with no
+    product.  Any other m runs the doubling chain of
+    ``FinitePModule._norm_and_power``, O(log m) packed products, and
+    raises unless T^m = 1.  The zero module gets [] before any order is
+    read or checked.
     """
     if not module.invariant_factors:
         return []
+    declared = module.orders.get(name)
     if m is None:
-        m = module.orders.get(name)
+        m = declared
         if m is None:
             raise ValueError(f"order of {name!r} neither declared nor given")
+    if m == declared:
+        return [list(row) for row in module.norms[name, m]]
     if m < 1:
         raise ValueError(f"order of {name!r} must be positive, got {m}")
-    T = module.action(name)
-    factors = module.invariant_factors
-    w = (m * len(T) * factors[0] ** 2).bit_length()
-    mask = (1 << w) - 1
-    shifts = range(0, w * len(T), w)
-    packed = _pack(T, shifts)
-    acc = [1 << s for s in shifts]
-    rows, power = packed, T
-    for _ in range(m - 1):
-        acc = list(map(add, acc, rows))
-        rows = [sum(map(mul, row, packed)) for row in power]
-        power = [[(x >> s & mask) % q for s in shifts] for x, q in zip(rows, factors)]
-    if power != identity_matrix(len(T)):  # power is reduced, and so is the identity
+    norm, power = module._norm_and_power(module.action(name), m)
+    if not module._is_identity(power):
         raise ValueError(f"action {name!r} does not satisfy {name}^{m} = identity")
-    return [[(x >> s & mask) % q for s in shifts] for x, q in zip(acc, factors)]
+    return norm
 
 
 def fixed_points(module: FinitePModule, action: str = "tau") -> FinitePModule:
-    """Kernel of (action - 1), as a bare structure (no actions carried)."""
-    return FinitePModule(module.p, module.kernel(minus_identity(module.action(action))))
+    """Kernel of (action - 1), as a bare structure (no actions carried);
+    the action was checked at construction, so T - 1 is well defined."""
+    return FinitePModule(module.p, module._kernel(minus_identity(module.action(action))))
 
 
 def norm_image(module: FinitePModule, action: str = "tau", m: int | None = None) -> FinitePModule:
@@ -327,16 +379,21 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
     """A⁻ = A/(1 + J)·A for an involution J: p is odd, so 2 is invertible,
     A = A⁺ ⊕ A⁻ with A^± = (1 ± J)/2·A, and (1 + J)·A = A⁺.
 
-    J^2 = 1 is checked here, with one product, only when the module does
-    not declare an order of J dividing 2: a declared order (2 by default
-    for an action named "J") was verified at construction.  The result
-    carries J = -identity, so taking the minus part twice is the identity
-    on structures; building it checks (-1)^2 = 1 with one product.
+    1 + J is the norm of J over 2 terms.  A module that declares order 2
+    for J (the default for an action named "J") stored it at
+    construction, where J^2 = 1 was verified; otherwise one doubling step
+    of ``FinitePModule._norm_and_power`` gives 1 + J and, with at most
+    one product, J^2, which must be 1.  The result carries J = -identity, so
+    taking the minus part twice is the identity on structures; building
+    it checks (-1)^2 = 1 with one product.
     """
-    J = module.action(action)
-    if module.orders.get(action) not in (1, 2) and not module._is_identity(module._matrix_power(J, 2)):
-        raise ValueError(f"action {action!r} is not an involution")
-    invs = module.cokernel([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(J)])
+    if module.orders.get(action) == 2:
+        plus = module.norms[action, 2]
+    else:
+        plus, square = module._norm_and_power(module.action(action), 2)
+        if not module._is_identity(square):
+            raise ValueError(f"action {action!r} is not an involution")
+    invs = module._cokernel(plus)
     kk = len(invs)
     minus_action = {"J": [[-1 if i == j else 0 for j in range(kk)] for i in range(kk)]} if kk else {}
     return FinitePModule(module.p, invs, actions=minus_action)

@@ -402,7 +402,8 @@ def coinvariants(
     """X/(action - 1)X as an invariant-factor list.
 
     For a FinitePModule the named action is used, read mod p^E with p^E
-    the largest invariant factor.  For a GammaModel the generator matrix
+    the largest invariant factor; it was checked at construction, so
+    action - 1 is well defined and skips the check of ``cokernel``.  For a GammaModel the generator matrix
     acts on (Z/p^N)^r; the quotient is only reported when it is
     certifiably finite at precision (no factor hits p^N).
     """
@@ -414,4 +415,4 @@ def coinvariants(
                 "raise precision: coinvariants are not certifiably finite at this N"
             )
         return FinitePModule(M.p, invs)
-    return FinitePModule(module.p, module.cokernel(minus_identity(module.action(action))))
+    return FinitePModule(module.p, module._cokernel(minus_identity(module.action(action))))

@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import gcd, prod
 
@@ -7,6 +8,7 @@ from anticyclo.cohomology import (
     FinitePModule,
     _ker_mod_im,
     _norm_matrix,
+    _pack,
     fixed_points,
     herbrand_check,
     minus_part,
@@ -52,23 +54,73 @@ def test_construction_validation():
         FinitePModule(3, (9,), actions={"J": [[4]]})
 
 
-def test_matrix_power_is_the_binary_chain(monkeypatch):
-    # left-to-right binary powering: floor(log2 m) + popcount(m) - 1
-    # packed products
+def _norm_and_power_by_repeated_products(module, T, m):
+    """(1 + T + ... + T^(m-1), T^m) by m dense products, each reduced."""
+    factors = module.invariant_factors
+    k = len(factors)
+    norm = [[0] * k for _ in range(k)]
+    power = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(m):
+        norm = [[(a + b) % q for a, b in zip(ra, rb)] for ra, rb, q in zip(norm, power, factors)]
+        power = module._reduce(_mat_mul(power, T))
+    return norm, power
+
+
+def _chain_products(m):
+    # 2 per bit after the leading one, less 1 for N_2 = 1 + T, and 1 per
+    # further set bit
+    return max(0, 2 * m.bit_length() + bin(m).count("1") - 4)
+
+
+def _count_products(monkeypatch):
     products = []
     multiply = FinitePModule._product
     monkeypatch.setattr(FinitePModule, "_product", lambda self, A, B: products.append(1) or multiply(self, A, B))
+    return products
+
+
+def test_norm_and_power_is_the_doubling_chain(monkeypatch):
+    # on a singular T, which no power brings back to 1, the chain makes
+    # exactly 2·bit_length(m) + popcount(m) - 4 packed products and gives
+    # the norm and power of m dense products
+    products = _count_products(monkeypatch)
     rng = random.Random(13)
-    factors = (27, 9, 9, 3)
-    module = FinitePModule(3, factors)
-    for _ in range(12):
-        A = _random_action(rng, factors)
-        repeated = A
-        for m in range(1, 10):
-            products.clear()
-            assert module._matrix_power(A, m) == repeated
-            assert len(products) == m.bit_length() + bin(m).count("1") - 2
-            repeated = module._reduce(_mat_mul(repeated, A))
+    for p, factors, top in ((3, (27, 9, 9, 3), 5), (5, (25, 5, 5), 3)):
+        module = FinitePModule(p, factors)
+        orders = sorted(set(range(1, 41)) | {e * p**j for j in range(1, top + 1) for e in (1, 2)})
+        for _ in range(3):
+            T = _random_action(rng, factors)
+            for row in T:
+                row[0] = 0
+            for m in orders:
+                products.clear()
+                assert module._norm_and_power(T, m) == _norm_and_power_by_repeated_products(module, T, m)
+                assert len(products) == _chain_products(m)
+    # an action of finite order: where T^m = 1 the norm is the oracle's;
+    # a chain that meets P_j = 1 on its way stops early, never later
+    for p in (3, 5):
+        for order in (p, p * p, 2):
+            module = _sweep_module(rng, p, order, "mixed")
+            T = module.action("tau")
+            for m in range(1, 41):
+                products.clear()
+                norm, power = module._norm_and_power(T, m)
+                assert len(products) <= _chain_products(m)
+                assert (norm, power) == _norm_and_power_by_repeated_products(module, T, m)
+                if m % order == 0:
+                    assert norm == norm_matrix_by_repeated_products(module, "tau", m)
+                    assert module._is_identity(power)
+    # T = -1 meets P_2 = 1 at once: an explicit m = 3^12 costs one product
+    # and is rejected, since T^m = -1, while m = 2·3^12 gives N = 0
+    minus = FinitePModule(3, (3**9, 3**9, 3**4), actions={"tau": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]})
+    for m in (3**12, 2 * 3**12):
+        products.clear()
+        if m % 2:
+            with pytest.raises(ValueError, match="does not satisfy"):
+                _norm_matrix(minus, "tau", m)
+        else:
+            assert _norm_matrix(minus, "tau", m) == [[0] * 3] * 3
+        assert 0 < len(products) <= 2 * m.bit_length()
 
 
 def test_packed_product_matches_the_plain_product():
@@ -81,9 +133,10 @@ def test_packed_product_matches_the_plain_product():
             factors = tuple(p**e for e in exps)
             module = FinitePModule(p, factors)
             A, B = _random_action(rng, factors), _random_action(rng, factors)
-            assert module._product(A, B) == module._reduce(_mat_mul(A, B))
+            assert module._product(A, _pack(B, module._shifts())) == module._reduce(_mat_mul(A, B))
         largest = [[q - 1 for _ in factors] for q in factors]
-        assert module._product(largest, largest) == module._reduce(_mat_mul(largest, largest))
+        packed = _pack(largest, module._shifts())
+        assert module._product(largest, packed) == module._reduce(_mat_mul(largest, largest))
 
 
 def test_declared_orders_are_verified_at_construction(monkeypatch):
@@ -93,12 +146,11 @@ def test_declared_orders_are_verified_at_construction(monkeypatch):
     with pytest.raises(ValueError, match="does not have order dividing 3"):
         FinitePModule(3, factors, actions={"tau": swap}, orders={"tau": 3})
     assert FinitePModule(3, factors, actions={"tau": swap}, orders={"tau": 4}).orders == {"tau": 4}
-    # an order of 0 is rejected before any power is taken
-    powers = []
-    monkeypatch.setattr(FinitePModule, "_matrix_power", lambda self, matrix, m: powers.append(m))
+    # an order of 0 is rejected before any product is taken
+    products = _count_products(monkeypatch)
     with pytest.raises(ValueError, match="must be positive"):
         FinitePModule(3, factors, actions={"tau": swap}, orders={"tau": 0})
-    assert powers == []
+    assert products == []
 
 
 def test_fixed_points_examples():
@@ -151,6 +203,65 @@ def test_order_is_checked_on_every_call():
         assert tate_hm1(undeclared, "tau", p * p).invariant_factors == (p,)
         assert herbrand_check(undeclared, "tau", p * p)
         assert norm_image(declared, "tau").invariant_factors == (p,)
+
+
+def test_declared_norms_are_built_once_at_construction(monkeypatch):
+    # the norm of each declared order is stored, reduced, as row tuples;
+    # the Tate operations read it with no product, and the stored norm
+    # cannot go stale, since actions and orders are read-only
+    rng = random.Random(19)
+    modules = [_block_module(rng, (3, 5)[case % 2]) for case in range(4)]
+    modules += [_random_module_with_cyclic_action(rng, 3, 5)[0] for _ in range(4)]
+    products = _count_products(monkeypatch)
+    for module in modules:
+        m = module.orders["tau"]
+        assert set(module.norms) == {("tau", m), ("J", 2)}
+        stored = module.norms["tau", m]
+        assert all(type(row) is tuple for row in stored)
+        assert [list(row) for row in stored] == norm_matrix_by_repeated_products(module, "tau", m)
+        products.clear()
+        norm_image(module, "tau")
+        tate_h0(module, "tau")
+        tate_hm1(module, "tau", m)
+        herbrand_check(module, "tau")
+        assert products == []
+        with pytest.raises(TypeError):
+            module.actions["tau"] = module.actions["J"]
+        with pytest.raises(TypeError):
+            module.orders["tau"] = 1
+        with pytest.raises(TypeError):
+            module.norms["tau", m] = ()
+        # norms is derived data: neither == nor repr reads it
+        twin = FinitePModule(module.p, module.invariant_factors, actions=dict(module.actions), orders=dict(module.orders))
+        object.__setattr__(twin, "norms", {})
+        assert twin == module
+        assert "norms" not in repr(module) and repr(twin) == repr(module)
+        # a pickled module is rebuilt, with its norms
+        clone = pickle.loads(pickle.dumps(module))
+        assert clone == module and clone.norms == module.norms
+
+
+def test_checked_actions_skip_the_public_matrix_check(monkeypatch):
+    # T - 1 and J + 1 come from actions checked at construction, so fixed
+    # points, coinvariants and minus parts reach the engine without a
+    # second check; the public kernel and cokernel still check a matrix
+    import anticyclo.cohomology as cohomology
+
+    checks = []
+    check = cohomology._require_well_defined
+    monkeypatch.setattr(cohomology, "_require_well_defined", lambda *args: checks.append(args[2]) or check(*args))
+    module = FinitePModule(3, (9, 3), actions={"tau": [[1, 0], [1, 1]], "J": [[1, 3], [0, -1]]})
+    assert checks == ["action 'tau'", "action 'J'"]
+    for operation, action in ((fixed_points, "tau"), (coinvariants, "tau"), (minus_part, "J")):
+        checks.clear()
+        result = operation(module, action)
+        # only the result's own action, J = -1 on a minus part, is checked
+        assert checks == (["action 'J'"] if result.actions else [])
+    for method in (module.kernel, module.cokernel):
+        checks.clear()
+        with pytest.raises(ValueError, match=r"matrix is not well defined: entry \(0,1\) must be divisible by 3"):
+            method([[1, 1], [0, 1]])
+        assert checks == ["matrix"]
 
 
 def test_herbrand_check_builds_one_norm_matrix(monkeypatch):
@@ -483,9 +594,10 @@ def test_zero_module_flows_through_the_engine():
         assert operation(zero, "any") == zero
     with pytest.raises(ValueError, match="no action named 'any'"):
         FinitePModule(3, (3,)).action("any")
-    # a declared order is checked by packed products, which the zero
-    # module, with no largest factor, answers with the empty matrix
-    assert zero._product([], []) == []
+    # a declared order is certified by the doubling chain, which finds the
+    # empty matrix to be the identity before any product, so the zero
+    # module, with no largest factor to pack by, takes none
+    assert zero._norm_and_power([], 5) == ([], [])
     assert FinitePModule(3, (), actions={"tau": []}, orders={"tau": 5}).orders == {"tau": 5}
 
 
@@ -554,10 +666,9 @@ def test_minus_part_checks_undeclared_involutions():
 
 def test_minus_part_trusts_a_declared_order_two(monkeypatch):
     # an involution declared of order 2 under another name gives the
-    # oracle's minus part, with one J^2 check fewer than an undeclared one
+    # oracle's minus part, with one chain (the J^2 check) fewer than an
+    # undeclared one
     rng = random.Random(41)
-    powers = []
-    power = FinitePModule._matrix_power
     for case in range(30):
         p = (3, 5)[case % 2]
         module, _ = _random_module_with_cyclic_action(rng, p, 5 if p == 3 else 3, distinct=case % 2 == 1)
@@ -566,12 +677,14 @@ def test_minus_part_trusts_a_declared_order_two(monkeypatch):
         undeclared = FinitePModule(p, module.invariant_factors, actions={"sigma": J})
         expected = _oracle_minus_part(declared)
         with monkeypatch.context() as patch:
-            patch.setattr(FinitePModule, "_matrix_power", lambda *args: powers.append(1) or power(*args))
+            chains = []
+            chain = FinitePModule._norm_and_power
+            patch.setattr(FinitePModule, "_norm_and_power", lambda *args: chains.append(1) or chain(*args))
             counts = []
             for source in (declared, undeclared):
-                powers.clear()
+                chains.clear()
                 assert minus_part(source, "sigma").invariant_factors == expected
-                counts.append(len(powers))
+                counts.append(len(chains))
         assert counts[1] == counts[0] + 1
 
 
