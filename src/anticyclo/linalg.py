@@ -16,23 +16,25 @@ and the 1-eigenspace of M vanishes at precision, the dimension of M is a
 multiple of the order of zeta (``rank_divisibility_check``).  Writing
 M = I + p·S and M^zeta = I + p·S', the solutions are the X with
 S'·X ≡ X·S mod p^(N-1), and S' ≡ zeta·S mod p.  Three stages decide it,
-each only when the one before is silent.  First: when S mod p and
-zeta·S mod p have disjoint spectra (their characteristic polynomials
-are coprime over F_p), no solution is nonzero mod p (Sylvester, C. R.
-Acad. Sci. Paris 99, 1884).  Second, every column of a solution lies in
-the kernel of chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod
-p leaves no solution but 0 mod p.  Both read only S and one chi_S mod
-p^(N-1), the first through its reduction mod p; the second reads
-chi_S(S') as h(S) for a polynomial h of degree < r, found by polynomial
-arithmetic mod chi_S, so neither builds M^zeta.  Third, when that kernel
-is visible mod p, or N = 1, M^zeta is built and the dense r²×r² system
-of the equation is solved.  Its solutions are kept once, mod p^N, as a
-basis whose reduction mod p is the canonical echelon basis; each
-combination of them is one candidate, returned as it is once it is
-invertible mod p.  A candidate whose support mod p misses a whole row or
-a whole column is singular, and is skipped before any determinant: the
-support of a combination lies in the union of the supports of the
-vectors it uses, read as one row and one column bitmask per vector.
+each only when the one before is silent.  First, a similarity
+invariant: an invertible solution makes S mod p and zeta·S mod p
+similar over F_p, so when their characteristic polynomials differ there
+is none.  Second, every column of a solution lies in the kernel of
+chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves no
+solution but 0 mod p.  Both read only S and one chi_S mod p^(N-1), the
+first through its reduction mod p; the second reads chi_S(S') as h(S)
+for a polynomial h of degree < r, found by polynomial arithmetic mod
+chi_S, so neither builds M^zeta.  Third, when that kernel is visible mod
+p, or N = 1, M^zeta is built and the dense r²×r² system of the equation
+is solved.  Its solutions are kept once, mod p^N, as a basis whose
+reduction mod p is the canonical echelon basis; each combination of
+them is one candidate, returned as it is once it is invertible mod p.
+A candidate whose support mod p misses a whole row or a whole column is
+singular, and is skipped before any determinant: the support of a
+combination lies in the union of the supports of the vectors it uses,
+read as one row and one column bitmask per vector.  When the union over
+the whole basis already misses a row or a column, every candidate is
+singular and the answer is "none" with no search.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotInvertibleError, PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, pow_one_unit, require_parameters
-from .poly import binomial_row, coprime_mod_p, poly_mod_monic
+from .poly import binomial_row, poly_mod_monic
 from .snf import cokernel_mod, det_nonzero_mod, identity_matrix, kernel_mod, mat_mul, minus_identity
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
@@ -345,20 +347,23 @@ def _shift_charpoly(M: PadicMatrix):
     return S, charpoly(S, M.modulus // M.p)
 
 
-def _spectra_disjoint_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
-    """True when S̄ and zeta·S̄ share no eigenvalue over the algebraic
-    closure of F_p, S̄ = (M - I)/p mod p, given chi = chi_S mod p^(N-1)
-    for N >= 2 (``_shift_charpoly``); its reduction mod p is chi_S̄.
+def _charpoly_twist_differs_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
+    """True when S̄ and zeta·S̄ have different characteristic polynomials
+    over F_p, S̄ = (M - I)/p mod p, given chi = chi_S mod p^(N-1) for
+    N >= 2 (``_shift_charpoly``); its reduction mod p is chi_S̄.
 
     For N >= 2, (M^zeta - I)/p = sum_(k>=1) C(zeta,k)·p^(k-1)·S^k ≡ zeta·S̄
-    mod p, so every solution X of M^zeta·X ≡ X·M mod p^N reduces to an X̄
-    with zeta·S̄·X̄ = X̄·S̄.  With f = chi_S̄, g_i = f_i·zeta^(r-i) is the
-    characteristic polynomial of zeta·S̄; gcd(f, g) = 1 means disjoint
-    spectra, hence X̄ = 0 (Sylvester), and conversely.
+    mod p, so an invertible D with M^zeta·D ≡ D·M mod p^N reduces to an
+    invertible D̄ with zeta·S̄ = D̄·S̄·D̄^-1: S̄ and zeta·S̄ are similar over
+    F_p and share their characteristic polynomial.  With f = chi_S̄ that
+    of zeta·S̄ is g_i = f_i·zeta^(r-i), so f ≠ g, that is spectra that
+    differ when counted with multiplicity, certifies that no invertible D
+    exists.  Disjoint spectra force f ≠ g, so this decides every case
+    that the coprimality of f and g decides, in O(r).
     """
     z = int(zeta)
     r = len(chi) - 1
-    return coprime_mod_p(chi, [c * pow(z, r - i, p) for i, c in enumerate(chi)], p)
+    return any(c * (1 - pow(z, r - i, p)) % p for i, c in enumerate(chi))
 
 
 def _no_visible_solution(chi, S, zeta: PadicExponent, p: int, precision: int) -> bool:
@@ -409,8 +414,9 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     module, of dimension k, contains an invertible matrix.  Three stages
     read that reduction, in order, and for N >= 2 the first two share one
     S = (M-I)/p and one chi_S mod p^(N-1) (``_shift_charpoly``) and never
-    build M^zeta.  It is 0 when S mod p and zeta·S mod p have disjoint
-    spectra (``_spectra_disjoint_mod_p``); it is 0 when the r×r kernel of
+    build M^zeta.  It holds no invertible matrix when S mod p and
+    zeta·S mod p have different characteristic polynomials
+    (``_charpoly_twist_differs_mod_p``); it is 0 when the r×r kernel of
     chi_S(S') mod p^(N-1) is ≡ 0 mod p (``_no_visible_solution``);
     otherwise, and always for N = 1, it is read from the dense r²×r²
     kernel of D -> M^zeta·D - D·M (``_kernel_space``),
@@ -429,14 +435,18 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     vanishes mod p, so D is singular.  The zero combo has empty masks.
     Only singular combos are skipped, so the stream, its order and the
     witness returned (still the lexicographically least invertible combo
-    of a scan) are those of a search that tests every combo.
+    of a scan) are those of a search that tests every combo.  When the OR
+    over the whole basis misses a bit, every combo is singular and "none"
+    is returned before any combo is drawn, whatever k is; an empty basis
+    (k = 0) has empty masks and is one such case.
 
     Combos are tried in one stream: the projective scan alone when
     k <= EXHAUSTIVE_KERNEL_DIM and it has at most SAMPLE_TRIALS points;
     SAMPLE_TRIALS seeded samples then the projective scan when
-    k <= EXHAUSTIVE_KERNEL_DIM; the samples alone otherwise.  "none" is
-    returned only after a complete projective scan, and a sample-only
-    search that finds nothing returns "undetermined".
+    k <= EXHAUSTIVE_KERNEL_DIM; the samples alone otherwise.  After the
+    stages, "none" is returned only from the union of the masks or after
+    a complete projective scan, and a sample-only search that finds
+    nothing returns "undetermined".
     """
     _require_zeta_power(M, zeta)
     r = M.dim
@@ -444,13 +454,15 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     # N = 1: M = I, neither test can fire, and the dense system decides
     if M.precision > 1:
         S, chi = _shift_charpoly(M)
-        if _spectra_disjoint_mod_p(chi, zeta, p) or _no_visible_solution(chi, S, zeta, p, M.precision):
+        if _charpoly_twist_differs_mod_p(chi, zeta, p) or _no_visible_solution(chi, S, zeta, p, M.precision):
             return IntertwinerResult("none")
     B = mat_pow_zeta(M, zeta)
     basis = _kernel_space(M, B)
+    row_masks, col_masks = _support_masks(basis, r, p)
+    full = (1 << r) - 1
+    if reduce(or_, row_masks, 0) != full or reduce(or_, col_masks, 0) != full:
+        return IntertwinerResult("none")  # a row or a column of every combo vanishes mod p
     dim = len(basis)
-    if dim == 0:
-        return IntertwinerResult("none")
 
     def samples():
         rng = Random(seed)
@@ -471,8 +483,6 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
         combos = itertools.chain(samples(), projective_scan())
     m = M.modulus
     cols = list(zip(*basis))
-    row_masks, col_masks = _support_masks(basis, r, p)
-    full = (1 << r) - 1
     for combo in combos:
         if (
             reduce(or_, itertools.compress(row_masks, combo), 0) != full

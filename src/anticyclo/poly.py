@@ -1,8 +1,8 @@
 """Integer polynomials as ascending coefficient lists: entry i multiplies
 T^i.  The one home of the polynomial helpers that several modules share:
 the binomial row of (1 + T)^e, which carries omega_n, Phi_{p^k}(1 + T),
-the binomial coefficients of ``padic`` and the series of M^zeta; the
-remainder by a monic polynomial; and coprimality over F_p.
+the binomial coefficients of ``padic`` and the series of M^zeta; and
+the remainder by a monic polynomial.
 """
 
 from __future__ import annotations
@@ -36,24 +36,3 @@ def poly_mod_monic(a, g):
             for j in range(dg + 1):
                 a[i - dg + j] -= c * g[j]
     return a[:dg]
-
-
-def coprime_mod_p(f, g, p: int) -> bool:
-    """Whether the polynomials f and g (ascending coefficients, not both
-    ≡ 0) have no common factor over F_p: Euclid's remainder sequence
-    ends in a nonzero constant."""
-
-    def trim(a):
-        a = [x % p for x in a]
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    f, g = trim(f), trim(g)
-    while g:
-        u = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c, k = f[-1] * u, len(f) - len(g)
-            f = trim([x - c * g[i - k] if i >= k else x for i, x in enumerate(f)])
-        f, g = g, f
-    return len(f) == 1

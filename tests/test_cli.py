@@ -276,6 +276,20 @@ def test_audit_parity_rejects_a_d_other_than_the_order_of_zeta(tmp_path, capsys)
     assert "model invariant violated: exponent does not have order 4" in capsys.readouterr().err
 
 
+def test_audit_parity_names_a_model_without_an_invertible_intertwiner(tmp_path, capsys):
+    # diag(4, 4, 4, 4^-1, 4^-1) at p = 3, N = 6 with no D: chi_S̄ and its
+    # twist by zeta = -1 differ, so the solver certifies "none" and the
+    # model is refused for not realizing the exponent; a sample-only
+    # search over its 12-dimensional kernel could only say "undetermined"
+    lam = [4, 4, 4, pow(4, -1, 3**6), pow(4, -1, 3**6)]
+    rows = [[x if i == j else 0 for j in range(5)] for i, x in enumerate(lam)]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"p": 3, "precision": 6, "d": 2, "zeta": -1, "M": rows}))
+    code, out = run(["audit-parity", str(model)])
+    assert code == 2 and out == ""
+    assert "model invariant violated: no invertible intertwiner exists" in capsys.readouterr().err
+
+
 def test_audit_parity_rejects_malformed_file(tmp_path):
     bad = tmp_path / "nonsense.json"
     bad.write_text("{\"p\": 3}")

@@ -1,18 +1,20 @@
 import random
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
 from anticyclo import linalg
-from anticyclo.errors import NotInvertibleError, PrecisionError
+from anticyclo.errors import NotInvertibleError, PrecisionError, UndeterminedError
 from anticyclo.linalg import (
     EXHAUSTIVE_KERNEL_DIM,
     PadicMatrix,
+    _charpoly_twist_differs_mod_p,
     _chi_at_zeta_shift,
     _kernel_space,
     _no_visible_solution,
     _shift_charpoly,
-    _spectra_disjoint_mod_p,
     _support_masks,
     charpoly,
     intertwiner_solve,
@@ -529,7 +531,7 @@ def test_no_visible_solution_is_sound(monkeypatch):
             certified += 1
             assert _kernel_space(M, B) == []
     monkeypatch.setattr(linalg, "_no_visible_solution", lambda chi, S, zeta, p, precision: False)
-    monkeypatch.setattr(linalg, "_spectra_disjoint_mod_p", lambda chi, zeta, p: False)
+    monkeypatch.setattr(linalg, "_charpoly_twist_differs_mod_p", lambda chi, zeta, p: False)
     assert statuses == [intertwiner_solve(M, zeta, seed=1).status for M, zeta in cases]
     assert (certified, len(cases)) == (30, 111)
     assert statuses.count("witness") >= 10 and "none" in statuses
@@ -568,40 +570,84 @@ def test_campaign_builds_m_zeta_only_for_the_dense_system(monkeypatch, capsys):
     assert 0 < len(dense) < 3 * 40
 
 
-def test_spectra_test_is_sound():
-    # whenever S̄ and zeta·S̄ have disjoint spectra, the r×r certificate
-    # holds and the dense system sees no solution mod p
-    fired = 0
+def test_spectra_test_is_sound(monkeypatch):
+    # whenever S̄ and zeta·S̄ have different characteristic polynomials,
+    # the dense system alone (both r×r stages switched off) finds no
+    # invertible solution; it fires on the 23 cases whose spectra are
+    # disjoint and on 6 more
     cases = list(_path_cases(random.Random(17)))
+    fired = []
     for M, zeta in cases:
-        S, chi = _shift_charpoly(M)
-        if _spectra_disjoint_mod_p(chi, zeta, M.p):
-            fired += 1
+        if _charpoly_twist_differs_mod_p(_shift_charpoly(M)[1], zeta, M.p):
             assert zeta != 1
-            assert _no_visible_solution(chi, S, zeta, M.p, M.precision)
-            assert _kernel_space(M, mat_pow_zeta(M, zeta)) == []
-    assert (fired, len(cases)) == (23, 111)
+            fired.append((M, zeta))
+    assert (len(fired), len(cases)) == (29, 111)
+    monkeypatch.setattr(linalg, "_no_visible_solution", lambda chi, S, zeta, p, precision: False)
+    monkeypatch.setattr(linalg, "_charpoly_twist_differs_mod_p", lambda chi, zeta, p: False)
+    for M, zeta in fired:
+        assert intertwiner_solve(M, zeta, seed=1).status == "none"
     # at N = 1, M = I: S̄ = 0, chi_S̄ = T^2 and the test cannot fire
     for p, generator in ((3, 2), (5, 2), (7, 3)):
         chi = charpoly([[0, 0], [0, 0]], p)
         for zeta in (-1, teichmuller(generator, p, 1)):
-            assert not _spectra_disjoint_mod_p(chi, zeta, p)
+            assert not _charpoly_twist_differs_mod_p(chi, zeta, p)
+
+
+def _spectra_coprime_by_sympy(sympy, chi, z, p):
+    """Whether chi and its twist by z, the characteristic polynomials of
+    S̄ and z·S̄, are coprime over GF(p), by sympy's gcd."""
+    r = len(chi) - 1
+    twist = [c * z ** (r - i) for i, c in enumerate(chi)]
+    T = sympy.Symbol("T")
+    f, g = (sympy.Poly(list(reversed(a)), T, modulus=p) for a in (chi, twist))
+    return sympy.gcd(f, g).degree() == 0
 
 
 @pytest.mark.parametrize("z", [-1, 1])
 def test_spectra_test_matches_the_mod_p_oracle(z):
-    # every S̄ in M_r(F_3), r <= 2: the test fires exactly when X̄ = 0 is
-    # the only solution of z·S̄·X̄ = X̄·S̄
+    # every S̄ in M_r(F_3), r <= 2: the test fires exactly when no
+    # solution X̄ of z·S̄·X̄ = X̄·S̄ is invertible (over F_p, a 2×2 S̄ and
+    # z·S̄ with one characteristic polynomial are similar), and it fires
+    # wherever sympy finds the two polynomials coprime over GF(p); at
+    # z = -1 the polynomials agree only when the odd coefficients vanish,
+    # S̄ = 0 for r = 1 and trace 0 for r = 2, so 2 + 54 of 84 fire
+    sympy = pytest.importorskip("sympy")
     p = 3
-    fired = 0
+    fired = coprime = 0
     for r in (1, 2):
         for entries in product(range(p), repeat=r * r):
             S = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
             M = PadicMatrix.identity(p, 3, r) + PadicMatrix(p, 3, S).scale(p)
-            only_zero = len(sylvester_solutions_mod_p(S, z, p)) == 1
-            assert _spectra_disjoint_mod_p(_shift_charpoly(M)[1], z, p) == only_zero
-            fired += only_zero
-    assert fired == (0 if z == 1 else 32)
+            chi = _shift_charpoly(M)[1]
+            no_invertible = not any(charpoly_by_expansion(X, p)[0] for X in sylvester_solutions_mod_p(S, z, p))
+            fires = _charpoly_twist_differs_mod_p(chi, z, p)
+            assert fires == no_invertible, S
+            if _spectra_coprime_by_sympy(sympy, chi, z, p):
+                coprime += 1
+                assert fires, S
+            fired += fires
+    assert (fired, coprime) == ((0, 0) if z == 1 else (56, 32))
+
+
+def test_spectra_test_fires_wherever_the_spectra_are_coprime():
+    # random S̄ up to 5×5 at p = 3, 5, 7 and zeta = -1 or a generator:
+    # coprime chi_S̄ and chi_(zeta·S̄) over GF(p) (sympy's gcd) always make
+    # the test fire, and some pairs that share a factor fire as well
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    coprime = shared = 0
+    for p, generator in ((3, 2), (5, 2), (7, 3)):
+        for _ in range(150):
+            r = rng.randrange(1, 6)
+            zeta = rng.choice([-1, teichmuller(generator, p, 2)])
+            S = [[rng.choice([0, rng.randrange(p)]) for _ in range(r)] for _ in range(r)]
+            chi = charpoly(S, p)
+            if _spectra_coprime_by_sympy(sympy, chi, int(zeta), p):
+                coprime += 1
+                assert _charpoly_twist_differs_mod_p(chi, zeta, p), (p, S, zeta)
+            elif _charpoly_twist_differs_mod_p(chi, zeta, p):
+                shared += 1
+    assert coprime >= 50 and shared >= 50
 
 
 def test_intertwiner_guards_run_before_the_spectra_test():
@@ -611,11 +657,11 @@ def test_intertwiner_guards_run_before_the_spectra_test():
     S = PadicMatrix(p, N, [[1, 1], [0, 1]]).scale(p)
     M = PadicMatrix.identity(p, N, 2) + S
     not_pro_p = M + PadicMatrix(p, N, [[0, 1], [0, 0]])
-    assert _spectra_disjoint_mod_p(_shift_charpoly(not_pro_p)[1], -1, p)
+    assert _charpoly_twist_differs_mod_p(_shift_charpoly(not_pro_p)[1], -1, p)
     with pytest.raises(ValueError, match="pro-p"):
         intertwiner_solve(not_pro_p, -1)
     zeta = teichmuller(4, p, N - 1)
-    assert _spectra_disjoint_mod_p(_shift_charpoly(M)[1], zeta, p)
+    assert _charpoly_twist_differs_mod_p(_shift_charpoly(M)[1], zeta, p)
     with pytest.raises(ValueError, match="mixed p-adic parameters"):
         intertwiner_solve(M, zeta)
 
@@ -670,7 +716,7 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     minus_S = PadicMatrix(p, 1, S).scale(-1)
     assert cokernel_mod(evaluate_charpoly(charpoly(S, p), minus_S).rows, p, 1) == ()
     shift, chi = _shift_charpoly(M)
-    assert _spectra_disjoint_mod_p(chi, -1, p)
+    assert _charpoly_twist_differs_mod_p(chi, -1, p)
     assert _no_visible_solution(chi, shift, -1, p, N)
     calls = _count_dense_calls(monkeypatch)
     powers = []
@@ -697,6 +743,55 @@ def test_intertwiner_above_gate_without_samples_is_undetermined(monkeypatch):
     assert _kernel_dim(M, 1) == 9 > EXHAUSTIVE_KERNEL_DIM
     monkeypatch.setattr(linalg, "SAMPLE_TRIALS", 0)
     assert intertwiner_solve(M, 1).status == "undetermined"
+
+
+def test_support_union_certifies_none_above_the_gate(monkeypatch):
+    # M = I + 3^4·E11 at p = 3, N = 5: S̄ = 0 passes both r×r stages and
+    # the kernel has dimension 9, but no basis vector touches row or
+    # column 0 mod p, so every combo is singular: "none" with no
+    # determinant, where a sample-only search returned "undetermined"
+    p, N, r = 3, 5, 4
+    M = PadicMatrix.identity(p, N, r) + PadicMatrix(p, N, [[p**4, 0, 0, 0]] + [[0] * r] * (r - 1))
+    basis = _kernel_space(M, mat_pow_zeta(M, -1))
+    assert len(basis) == 9 > EXHAUSTIVE_KERNEL_DIM
+    row_masks, col_masks = _support_masks(basis, r, p)
+    assert reduce(or_, row_masks) == reduce(or_, col_masks) == 0b1110
+    calls = _record_determinant_tests(monkeypatch)
+    assert intertwiner_solve(M, -1).status == "none"
+    assert calls == []
+
+
+def test_similarity_invariant_certifies_none_above_the_gate(monkeypatch):
+    # M = I + 3·E44 at p = 3, N = 4: chi_S̄ = T^3·(T - 1) and
+    # chi_(-S̄) = T^3·(T + 1) share T^3, so coprimality of the spectra
+    # said nothing and the dense kernel of dimension 9 left a sample-only
+    # search; the polynomials differ, so "none" comes with no dense system
+    p, N, r = 3, 4, 4
+    M = PadicMatrix.identity(p, N, r) + PadicMatrix(p, N, [[0] * r] * (r - 1) + [[0, 0, 0, p]])
+    assert _kernel_dim(M, -1) == 9 > EXHAUSTIVE_KERNEL_DIM
+    dense = _count_dense_calls(monkeypatch)
+    assert intertwiner_solve(M, -1).status == "none"
+    assert dense == []
+    # det(M - I) ≡ 0 mod p^N, so the rank check refuses M before solving
+    with pytest.raises(PrecisionError):
+        rank_divisibility_check(M, -1)
+    # M = diag(4, 4, 4, 4^-1, 4^-1) at N = 6: det(M - I) has valuation 5,
+    # the kernel has dimension 12 (maps between the two eigenspaces) and
+    # touches every row and column, and chi_S̄ = (T - 1)^3·(T + 1)^2 is not
+    # its twist; the rank check is "consistent" where it raised
+    # UndeterminedError
+    N = 6
+    lam = [4, 4, 4, pow(4, -1, p**N), pow(4, -1, p**N)]
+    M = PadicMatrix(p, N, [[x if i == j else 0 for j in range(5)] for i, x in enumerate(lam)])
+    assert _kernel_dim(M, -1) == 12
+    dense.clear()
+    assert intertwiner_solve(M, -1).status == "none"
+    assert rank_divisibility_check(M, -1) == "consistent"
+    assert dense == []
+    monkeypatch.setattr(linalg, "_charpoly_twist_differs_mod_p", lambda chi, zeta, p: False)
+    assert intertwiner_solve(M, -1).status == "undetermined"
+    with pytest.raises(UndeterminedError):
+        rank_divisibility_check(M, -1)
 
 
 def test_random_unipotent_matrix_needs_headroom():

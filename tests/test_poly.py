@@ -1,10 +1,9 @@
-import random
 from math import comb
 
 import pytest
 
 from anticyclo.iwasawa import omega_n
-from anticyclo.poly import binomial_row, coprime_mod_p, cyclotomic_factor
+from anticyclo.poly import binomial_row, cyclotomic_factor
 
 from conftest import cyclotomic_at_one_plus_t
 
@@ -42,22 +41,3 @@ def test_cyclotomic_factor_times_the_last_omega_is_the_next_omega(p):
         assert phi == cyclotomic_at_one_plus_t(p, k)
         assert len(phi) - 1 == (p - 1) * p ** (k - 1)
         assert poly_mul(phi, omega_n(p, k - 1)) == omega_n(p, k)
-
-
-def test_coprime_mod_p_agrees_with_sympy_gcd_over_gf_p():
-    sympy = pytest.importorskip("sympy")
-    T = sympy.Symbol("T")
-    rng = random.Random(11)
-    for p in (3, 5, 7):
-        for _ in range(150):
-            f = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(1, 6))]
-            g = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(1, 6))]
-            if rng.random() < 0.3:  # plant a common factor T + a
-                a = rng.randrange(p)
-                f, g = poly_mul(f, [a, 1]), poly_mul(g, [a, 1])
-            if not any(c % p for c in f + g):
-                continue  # both ≡ 0: outside the contract
-            F = sympy.Poly(list(reversed(f)), T, modulus=p)
-            G = sympy.Poly(list(reversed(g)), T, modulus=p)
-            assert coprime_mod_p(f, g, p) == (sympy.gcd(F, G).degree() == 0), (p, f, g)
-
