@@ -6,9 +6,13 @@ Z/p^N has zero divisors, so the characteristic polynomial is computed
 without dividing by a non-unit (Hessenberg reduction on pivots of least
 valuation) and inverses go through Cayley-Hamilton with a unit constant
 term.  Kernels and the determinant tests of ``det_nonzero_mod``
-(det(M - I) ≢ 0 mod p^N, a candidate intertwiner invertible mod p) read
-the local-ring Smith normal form, which pivots on an entry of least
-valuation and so never divides by a non-unit.
+(det(M - I) ≢ 0 mod p^N in ``rank_divisibility_check``, a candidate
+intertwiner invertible mod p) read the local-ring Smith normal form,
+which pivots on an entry of least valuation and so never divides by a
+non-unit.  The sampler ``random_unipotent_matrix`` runs no such test: it
+reads det U from the constant term of chi_U, the characteristic
+polynomial that ``intertwiner_solve`` needs anyway, and hands the pair
+(U, chi_U) to the solve on the matrix it returns.
 
 The headline decision procedure is ``intertwiner_solve``: whether an
 *invertible* D intertwines M with its zeta-th power.  When one exists
@@ -66,6 +70,11 @@ SAMPLE_TRIALS = 512
 
 class PadicMatrix:
     """Square matrix with entries in Z/p^N, stored as canonical residues."""
+
+    #: (S, chi_S mod p^(N-1)) with M = I + p·S, kept by ``_shift_charpoly``
+    #: or seeded by ``random_unipotent_matrix``; arithmetic never copies it,
+    #: and ==, hash and repr do not read it.
+    _shift = None
 
     def __init__(self, p: int, precision: int, rows: Sequence[Sequence[int]]):
         r = len(rows)
@@ -217,15 +226,17 @@ def mat_pow_zeta(M: PadicMatrix, zeta: PadicExponent) -> PadicMatrix:
     Horner's rule over plain integer rows (``_poly_at``), and one
     PadicMatrix is built at the end.
     """
-    _require_zeta_power(M, zeta)
+    shift = minus_identity(M.rows)
+    _require_zeta_power(M, zeta, not any(x % M.p for row in shift for x in row))
     coeffs = [c % M.modulus for c in binomial_row(int(zeta), M.precision)]
-    return PadicMatrix(M.p, M.precision, _poly_at(coeffs, minus_identity(M.rows), M.modulus))
+    return PadicMatrix(M.p, M.precision, _poly_at(coeffs, shift, M.modulus))
 
 
-def _require_zeta_power(M: PadicMatrix, zeta: PadicExponent) -> None:
-    """Raise ValueError unless M^zeta is defined: M ≡ I mod p, and a
-    p-adic zeta at M's (p, N)."""
-    if any(x % M.p for row in minus_identity(M.rows) for x in row):
+def _require_zeta_power(M: PadicMatrix, zeta: PadicExponent, pro_p: bool) -> None:
+    """Raise ValueError unless M^zeta is defined: M ≡ I mod p, which the
+    caller read as ``pro_p`` from the M - I it builds anyway, and a p-adic
+    zeta at M's (p, N)."""
+    if not pro_p:
         raise ValueError("not a pro-p automorphism: matrix must be ≡ I mod p")
     if isinstance(zeta, PadicInt) and (zeta.p, zeta.precision) != (M.p, M.precision):
         raise ValueError("exponent and matrix have mixed p-adic parameters")
@@ -342,9 +353,22 @@ def _kernel_space(M: PadicMatrix, B: PadicMatrix):
 def _shift_charpoly(M: PadicMatrix):
     """(S, chi_S mod p^(N-1)) for S = (M - I)/p, N >= 2: the shift and
     the one characteristic polynomial that both tests of
-    ``intertwiner_solve`` read."""
-    S = [[x // M.p for x in row] for row in minus_identity(M.rows)]
-    return S, charpoly(S, M.modulus // M.p)
+    ``intertwiner_solve`` read.
+
+    The pair is kept on M.  ``random_unipotent_matrix`` seeds it from the
+    U of M = I + p·U, whose chi_U its determinant test read.  Otherwise S
+    comes from one divmod per entry of M - I, and the pair is kept only
+    when every remainder is 0, so a kept pair (``M._shift``) certifies
+    M ≡ I mod p; a matrix ≢ I mod p gets the rounded-down shift's pair.
+    """
+    if M._shift is None:
+        quot = [[divmod(x - (i == j), M.p) for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+        S = [[q for q, _ in row] for row in quot]
+        pair = S, charpoly(S, M.modulus // M.p)
+        if any(rem for row in quot for _, rem in row):
+            return pair
+        M._shift = pair
+    return M._shift
 
 
 def _charpoly_twist_differs_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
@@ -413,8 +437,8 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     An invertible solution exists iff the reduction mod p of the solution
     module, of dimension k, contains an invertible matrix.  Three stages
     read that reduction, in order, and for N >= 2 the first two share one
-    S = (M-I)/p and one chi_S mod p^(N-1) (``_shift_charpoly``) and never
-    build M^zeta.  It holds no invertible matrix when S mod p and
+    S = (M-I)/p and one chi_S mod p^(N-1) (``_shift_charpoly``, kept on M
+    and already there on a sampled M) and never build M^zeta.  It holds no invertible matrix when S mod p and
     zeta·S mod p have different characteristic polynomials
     (``_charpoly_twist_differs_mod_p``); it is 0 when the r×r kernel of
     chi_S(S') mod p^(N-1) is ≡ 0 mod p (``_no_visible_solution``);
@@ -448,12 +472,13 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     a complete projective scan, and a sample-only search that finds
     nothing returns "undetermined".
     """
-    _require_zeta_power(M, zeta)
     r = M.dim
     p = M.p
-    # N = 1: M = I, neither test can fire, and the dense system decides
+    # N = 1: M = I, neither test can fire, and the dense system decides;
+    # mat_pow_zeta checks M and zeta there
     if M.precision > 1:
         S, chi = _shift_charpoly(M)
+        _require_zeta_power(M, zeta, M._shift is not None)
         if _charpoly_twist_differs_mod_p(chi, zeta, p) or _no_visible_solution(chi, S, zeta, p, M.precision):
             return IntertwinerResult("none")
     B = mat_pow_zeta(M, zeta)
@@ -569,10 +594,16 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
     """Random M ≡ I mod p with det(M - I) nonzero at precision.
 
     Rejection-samples the p·(uniform) shift until the determinant of the
-    shift survives mod p^N; deterministic given the Random instance.
+    shift survives mod p^N; deterministic given the Random instance, with
+    dim² draws from range(p^(N-1)) per attempt, in row-major order.
     Every entry of M - I has valuation >= 1, so det(M - I) has valuation
     >= dim and the requirement is only satisfiable when N > dim.  (p, N)
     is checked first, so no p < 3 reaches the sampling loop.
+
+    The determinant is read from chi_U mod p^(N-1), whose constant term
+    is (-1)^dim·det U: ``intertwiner_solve`` reads the same chi_U
+    (``_shift_charpoly``), so the returned M keeps the pair (U, chi_U)
+    and the solve computes no characteristic polynomial of its own.
     """
     require_parameters(p, precision)
     if precision <= dim:
@@ -580,9 +611,13 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
             f"raise precision: det(M - I) always vanishes mod p^{precision} "
             f"for {dim}x{dim} matrices ≡ I mod p"
         )
-    # det(p·U) = p^dim·det U, so it survives mod p^N iff det U does mod p^(N-dim)
+    # det(p·U) = p^dim·det U, so it survives mod p^N iff det U does mod
+    # p^(N-dim), which divides the modulus p^(N-1) of chi_U
+    m1 = p ** (precision - 1)
     while True:
-        U = [[rng.randrange(p ** (precision - 1)) for _ in range(dim)] for _ in range(dim)]
-        if det_nonzero_mod(U, p, precision - dim):
-            rows = [[p * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(U)]
-            return PadicMatrix(p, precision, rows)
+        U = [[rng.randrange(m1) for _ in range(dim)] for _ in range(dim)]
+        chi = charpoly(U, m1)
+        if chi[0] % p ** (precision - dim):
+            M = PadicMatrix(p, precision, [[p * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(U)])
+            M._shift = U, chi
+            return M

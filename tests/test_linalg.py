@@ -483,28 +483,35 @@ def test_chi_at_zeta_shift_matches_the_power_route():
 
 def test_random_unipotent_matrix_criterion_matches_the_full_determinant():
     # det(p·U) ≢ 0 mod p^N iff det U ≢ 0 mod p^(N-r): the sampler tests U
-    # at the lower precision, and draws and accepts as the full test would
+    # at the lower precision, through chi_U(0) = ±det U mod p^(N-1), and
+    # draws and accepts as the full test would
     rng = random.Random(31)
-    verdicts = set()
+    verdicts, chi_verdicts = set(), set()
     for p in (3, 5, 7):
-        for r in range(1, 5):
+        for r in range(1, 7):
             for N in range(r + 1, r + 4):
                 for _ in range(20):
                     U = [[rng.choice([0, rng.randrange(p ** (N - 1))]) for _ in range(r)] for _ in range(r)]
                     full = det_nonzero_mod([[p * x for x in row] for row in U], p, N)
                     assert det_nonzero_mod(U, p, N - r) == full
+                    assert (charpoly(U, p ** (N - 1))[0] % p ** (N - r) != 0) == full
                     verdicts.add(full)
                 seed = rng.randrange(10**6)
                 draws = random.Random(seed)
                 while True:
                     U = [[draws.randrange(p ** (N - 1)) for _ in range(r)] for _ in range(r)]
+                    # the sampler's test, chi_U(0) = ±det U mod p^(N-1),
+                    # agrees with the determinant on every draw
+                    by_chi = charpoly(U, p ** (N - 1))[0] % p ** (N - r) != 0
+                    assert by_chi == det_nonzero_mod(U, p, N - r)
+                    chi_verdicts.add(by_chi)
                     if det_nonzero_mod([[p * x for x in row] for row in U], p, N):
                         break
                 expected = PadicMatrix(p, N, [[p * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(U)])
                 sampler = random.Random(seed)
                 assert random_unipotent_matrix(p, N, r, sampler) == expected
                 assert sampler.getstate() == draws.getstate()
-    assert verdicts == {True, False}
+    assert verdicts == chi_verdicts == {True, False}
 
 
 def _count_dense_calls(monkeypatch):
@@ -537,19 +544,127 @@ def test_no_visible_solution_is_sound(monkeypatch):
     assert statuses.count("witness") >= 10 and "none" in statuses
 
 
-def test_intertwiner_runs_charpoly_once(monkeypatch):
-    # both tests read one chi_S mod p^(N-1); N = 1 computes none and goes
-    # straight to the dense system
+class _CountingRandom(random.Random):
+    """A Random that records the arguments and value of each randrange."""
+
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.draws.append((args, value))
+        return value
+
+
+def test_one_charpoly_per_sampler_draw(monkeypatch, capsys):
+    # the sampler's determinant test is chi_U(0), and the solve of a
+    # sampled M reads that chi_U: a fixed lemma2-campaign runs one
+    # charpoly per draw, sampler and solver together, plus one per orbit
+    # control (a matrix built from rows)
+    from anticyclo import cli
+    from anticyclo.cli import main
+
     runs = []
     monkeypatch.setattr(linalg, "charpoly", lambda A, m: runs.append(m) or charpoly(A, m))
-    for M, zeta in _path_cases(random.Random(17)):
+    rngs = []
+    monkeypatch.setattr(cli, "Random", lambda seed: rngs.append(_CountingRandom(seed)) or rngs[-1])
+    argv = ["lemma2-campaign", "--p", "3", "--zeta", "-1", "--precision", "5", "--r", "2", "3", "4",
+            "--trials", "40", "--seed", "2", "--format", "machine", "--no-timestamps"]
+    assert main(argv) == 0
+    controls = capsys.readouterr().out.count("constructed orbit control")
+    draws = sum(len(rng.draws) // r**2 for rng, r in zip(rngs, [2] * 40 + [3] * 40 + [4] * 40))
+    assert controls == 2 and len(rngs) == 120 and draws > 120
+    assert len(runs) == draws + controls
+    # the solver runs none on a sampled M, and exactly one, at p^(N-1), on
+    # the same matrix built from rows; N = 1 runs none
+    cases = list(_path_cases(random.Random(17)))
+    rng = random.Random(5)
+    for p in (3, 5, 7):
+        for r in range(1, 7):
+            cases.append((random_unipotent_matrix(p, r + 2, r, rng), -1))
+    sampled = 0
+    for M, zeta in cases:
+        if M._shift is not None:
+            sampled += 1
+            runs.clear()
+            intertwiner_solve(M, zeta, seed=1)
+            assert runs == []
         runs.clear()
-        intertwiner_solve(M, zeta, seed=1)
+        intertwiner_solve(PadicMatrix(M.p, M.precision, M.rows), zeta, seed=1)
         assert runs == [M.modulus // M.p]
+    assert sampled >= 40
     calls = _count_dense_calls(monkeypatch)
     runs.clear()
     assert intertwiner_solve(PadicMatrix.identity(5, 1, 2), -1).status == "witness"
     assert runs == [] and len(calls) == 1
+
+
+def _sampled_grid(seed):
+    """(p, N, r, M) sampled at p in {3, 5, 7}, r = 1..6, N = r+1..r+3."""
+    rng = random.Random(seed)
+    for p in (3, 5, 7):
+        for r in range(1, 7):
+            for N in range(r + 1, r + 4):
+                yield p, N, r, random_unipotent_matrix(p, N, r, rng)
+
+
+def test_sampled_pair_equals_the_fresh_pair():
+    # the (U, chi_U) a sampled M keeps is the pair computed from its rows
+    for p, N, r, M in _sampled_grid(37):
+        fresh = PadicMatrix(p, N, M.rows)
+        assert fresh._shift is None and M._shift is not None
+        assert M._shift == _shift_charpoly(fresh)
+        assert fresh._shift == M._shift  # kept on the fresh matrix too
+        assert (M == fresh, hash(M), repr(M)) == (True, hash(fresh), repr(fresh))
+
+
+def test_arithmetic_carries_no_stored_pair():
+    rng = random.Random(43)
+    for p, N, r, A in _sampled_grid(47):
+        B = random_unipotent_matrix(p, N, r, rng)
+        results = (A + B, A @ B, A - B, A.scale(1), A.inverse(), PadicMatrix.block_diag([A, B]))
+        assert all(C._shift is None for C in results)
+        assert (A @ B).rows == (PadicMatrix(p, N, A.rows) @ PadicMatrix(p, N, B.rows)).rows
+
+
+def test_a_matrix_not_congruent_to_i_keeps_no_pair():
+    # only a pair whose shift is exact is kept: it certifies M ≡ I mod p
+    p, N = 5, 4
+    not_pro_p = PadicMatrix(p, N, [[6, 6], [0, 6]])
+    S, chi = _shift_charpoly(not_pro_p)
+    assert S == [[1, 1], [0, 1]] and not_pro_p._shift is None
+    with pytest.raises(ValueError, match="pro-p"):
+        intertwiner_solve(not_pro_p, -1)
+    with pytest.raises(ValueError, match="pro-p"):
+        intertwiner_solve(PadicMatrix(p, N, [[0, 0], [0, 1]]), -1)
+    # the pro-p check comes before the mixed-parameter check, at N = 1 too
+    for M in (not_pro_p, PadicMatrix(p, 1, [[1, 1], [0, 1]])):
+        with pytest.raises(ValueError, match="pro-p"):
+            intertwiner_solve(M, teichmuller(2, p, M.precision + 1))
+
+
+def test_sampler_draws_r_squared_values_per_attempt_in_row_major_order():
+    # a stream guard: each attempt draws r² values from range(p^(N-1)),
+    # row by row, and only the last attempt is accepted, so a faster
+    # sampler cannot change the campaign's matrices silently
+    attempts = 0
+    for p in (3, 5, 7):
+        for r in range(1, 7):
+            for N in range(r + 1, r + 4):
+                rng = _CountingRandom(p * 1000 + r * 10 + N)
+                M = random_unipotent_matrix(p, N, r, rng)
+                assert len(rng.draws) % (r * r) == 0
+                assert {args for args, _ in rng.draws} == {(p ** (N - 1),)}
+                values = [v for _, v in rng.draws]
+                blocks = [values[k:k + r * r] for k in range(0, len(values), r * r)]
+                for k, block in enumerate(blocks):
+                    U = [block[i * r:(i + 1) * r] for i in range(r)]
+                    assert det_nonzero_mod(U, p, N - r) == (k == len(blocks) - 1)
+                shift = [[x // p for x in row] for row in (M - PadicMatrix.identity(p, N, r)).rows]
+                assert shift == U
+                attempts += len(blocks)
+    assert attempts > 54
 
 
 def test_campaign_builds_m_zeta_only_for_the_dense_system(monkeypatch, capsys):
