@@ -5,18 +5,21 @@ ever silently coerced, so a run either proves a congruence or fails
 loudly.
 """
 
-from anticyclo import PadicInt, PadicMatrix, binom, inv, mat_pow_zeta, pow_one_unit, teichmuller, val
+from anticyclo import PadicInt, PadicMatrix, mat_pow_zeta, pow_one_unit, teichmuller
+from anticyclo.padic import valuation
+from anticyclo.poly import binomial_row
 
 p, N = 3, 3
 print(f"working in Z/{p}^{N} = Z/{p**N}")
 
-x = PadicInt(p, N, 18)
-print(f"val(18) = {val(x)}   (18 = 2*3^2)")
-print(f"val(5)  = {val(PadicInt(p, N, 5))}   (a unit)")
-print(f"val(0)  = {val(PadicInt(p, N, 0))}   (only 'at least N' is knowable)")
+print(f"valuation(18) = {valuation(18, p)}   (18 = 2*3^2)")
+print(f"valuation(5)  = {valuation(5, p)}   (a unit)")
+try:
+    valuation(0, p)
+except ValueError as exc:
+    print(f"valuation(0) refused: {exc}   (a residue 0 mod {p**N} only says 'at least N')")
 
-u = PadicInt(p, N, 2)
-print(f"\ninverse of 2 mod 27: {inv(u).residue}   (2*14 = 28 = 1 mod 27)")
+print(f"\ninverse of 2 mod 27: {pow(2, -1, p**N)}   (2*14 = 28 = 1 mod 27)")
 
 # Teichmuller representatives: the torsion part of the units
 for a in range(1, 5):
@@ -39,6 +42,7 @@ print(f"\n(1+{p}^{u_exp})^r mod {p**(u_exp+1)} for r = 0..8:")
 print(" ", [pow_one_unit(base, r).residue for r in range(9)])
 print("  1 + r*p^u:", [(1 + r * p**u_exp) % p ** (u_exp + 1) for r in range(9)])
 
+# the coefficients of (1 + T)^e that the series of mat_pow_zeta sums
 print("\nbinomial coefficients of p-adic arguments stay integral:")
-print(f"  C(-1, 3) mod 25 = {binom(-1, 3, p=5, precision=2).residue}  (i.e. -1)")
-print(f"  C(zeta, 2) mod 25 = {binom(zeta, 2).residue}  (7*6/2 = 21)")
+print(f"  C(-1, 3) mod 25 = {binomial_row(-1, 4)[3] % 25}  (i.e. -1)")
+print(f"  C(zeta, 2) mod 25 = {binomial_row(int(zeta), 3)[2] % 25}  (7*6/2 = 21)")

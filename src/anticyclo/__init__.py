@@ -35,8 +35,6 @@ from .iwasawa import (
     fit_invariants,
     invariants_of,
     layer_exponents,
-    layer_size_exponent,
-    omega_n,
     parity_audit,
     t_multiplicity,
 )
@@ -52,25 +50,17 @@ from .linalg import (
     zeta_order,
 )
 from .metacyclic import GeneratorImages, HomCheck, MetacyclicGroup
-from .padic import (
-    PadicExponent,
-    PadicInt,
-    binom,
-    inv,
-    pow_one_unit,
-    teichmuller,
-    val,
-)
+from .padic import PadicExponent, PadicInt, pow_one_unit, teichmuller
 from .records import ClassGroupRecord, RecordParseError, check_records, parse_record
 
 __all__ = [
-    "PadicInt", "PadicExponent", "val", "inv", "teichmuller", "pow_one_unit", "binom",
+    "PadicInt", "PadicExponent", "teichmuller", "pow_one_unit",
     "MetacyclicGroup", "GeneratorImages", "HomCheck",
     "PadicMatrix", "charpoly", "mat_pow_zeta", "intertwiner_solve",
     "IntertwinerResult", "orbit_block_construct", "rank_divisibility_check",
     "random_unipotent_matrix", "zeta_order",
-    "ElementaryLambdaModule", "IwasawaInvariants", "GammaModel", "omega_n",
-    "layer_exponents", "layer_size_exponent", "invariants_of", "fit_invariants",
+    "ElementaryLambdaModule", "IwasawaInvariants", "GammaModel",
+    "layer_exponents", "invariants_of", "fit_invariants",
     "coinvariants",
     "t_multiplicity", "parity_audit", "build_gamma_model",
     "FinitePModule", "fixed_points", "norm_image", "tate_h0", "tate_hm1",

@@ -357,6 +357,7 @@ def _load_model_file(path) -> GammaModel:
 
 def cmd_audit_parity(args, report: Report) -> int:
     model = _load_model_file(args.model)
+    report.precision = model.M.precision  # the model's, not the unused --precision
     verdict = parity_audit(model)
     report.add(
         verdict="ok" if verdict == "consistent" else "violation",

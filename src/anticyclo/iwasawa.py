@@ -34,7 +34,7 @@ from .linalg import (
     zeta_order,
 )
 from .padic import PadicExponent, PadicInt, require_odd_prime, teichmuller, valuation
-from .poly import binomial_row, cyclotomic_factor, poly_mod_monic
+from .poly import cyclotomic_factor, poly_mod_monic
 from .snf import cokernel_mod, det_nonzero_mod, minus_identity, smith_normal_form_mod_prime_power
 
 #: Largest degree of a polynomial factor whose layer exponents are
@@ -44,14 +44,6 @@ from .snf import cokernel_mod, det_nonzero_mod, minus_identity, smith_normal_for
 #: Intel Xeon, T^500 + 3 206 s (level 6 joins at phi(3^6) = 486), and
 #: T^10000 + 3 runs out of memory.
 MAX_POLY_DEGREE = 400
-
-
-def omega_n(p: int, n: int) -> list[int]:
-    """(1 + T)^(p^n) - 1, the level-n kernel polynomial (ascending coeffs)."""
-    if n < 0:
-        raise ValueError("layer index must be non-negative")
-    q = p**n
-    return [0] + binomial_row(q, q + 1)[1:]
 
 
 # ----------------------------------------------------------------------
@@ -167,11 +159,6 @@ def layer_exponents(module: ElementaryLambdaModule, n_max: int) -> list[int]:
         exponents.append(mu_pn + e)
         mu_pn *= p
     return exponents
-
-
-def layer_size_exponent(module: ElementaryLambdaModule, n: int) -> int:
-    """e_n with |E/omega_n·E| = p^(e_n): entry n of ``layer_exponents``."""
-    return layer_exponents(module, n)[n]
 
 
 def stable_level(module: ElementaryLambdaModule) -> int:

@@ -4,8 +4,7 @@ M^zeta · D = D · M.
 
 Z/p^N has zero divisors, so the characteristic polynomial is computed
 without dividing by a non-unit (Hessenberg reduction on pivots of least
-valuation) and inverses go through Cayley-Hamilton with a unit constant
-term.  Kernels and the determinant tests of ``det_nonzero_mod``
+valuation).  Kernels and the determinant tests of ``det_nonzero_mod``
 (det(M - I) ≢ 0 mod p^N in ``rank_divisibility_check``, a candidate
 intertwiner invertible mod p) read the local-ring Smith normal form,
 which pivots on an entry of least valuation and so never divides by a
@@ -50,7 +49,7 @@ from operator import mul, or_
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import NotInvertibleError, PrecisionError, UndeterminedError
+from .errors import PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, pow_one_unit, require_parameters
 from .poly import binomial_row, poly_mod_monic
 from .snf import cokernel_mod, det_nonzero_mod, identity_matrix, kernel_mod, mat_mul, minus_identity
@@ -72,7 +71,7 @@ class PadicMatrix:
     """Square matrix with entries in Z/p^N, stored as canonical residues."""
 
     #: (S, chi_S mod p^(N-1)) with M = I + p·S, kept by ``_shift_charpoly``
-    #: or seeded by ``random_unipotent_matrix``; arithmetic never copies it,
+    #: or seeded by ``random_unipotent_matrix``; a product never copies it,
     #: and ==, hash and repr do not read it.
     _shift = None
 
@@ -110,10 +109,6 @@ class PadicMatrix:
             offset += b.dim
         return cls(p, N, rows)
 
-    def _require_compatible(self, other: "PadicMatrix") -> None:
-        if (self.p, self.precision, self.dim) != (other.p, other.precision, other.dim):
-            raise ValueError("incompatible matrices (p, precision, or dimension differ)")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PadicMatrix)
@@ -123,41 +118,10 @@ class PadicMatrix:
     def __hash__(self):
         return hash((self.p, self.precision, self.rows))
 
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._require_compatible(other)
-        return PadicMatrix(
-            self.p,
-            self.precision,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._require_compatible(other)
-        return PadicMatrix(
-            self.p,
-            self.precision,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._require_compatible(other)
+        if (self.p, self.precision, self.dim) != (other.p, other.precision, other.dim):
+            raise ValueError("incompatible matrices (p, precision, or dimension differ)")
         return PadicMatrix(self.p, self.precision, mat_mul(self.rows, other.rows))
-
-    def scale(self, c: int) -> "PadicMatrix":
-        return PadicMatrix(self.p, self.precision, [[c * x for x in row] for row in self.rows])
-
-    def inverse(self) -> "PadicMatrix":
-        """Inverse via Cayley-Hamilton; needs a unit determinant.
-
-        sum_k c_k·M^k = 0 gives M^-1 = -c_0^-1 · sum_(k>=1) c_k·M^(k-1),
-        one Horner evaluation (``_poly_at``) with the scaled coefficients.
-        """
-        c = charpoly(self.rows, self.modulus)
-        if c[0] % self.p == 0:
-            raise NotInvertibleError("matrix is not invertible at this precision")
-        neg_c0_inv = -pow(c[0], -1, self.modulus)
-        coeffs = [neg_c0_inv * ci for ci in c[1:]]
-        return PadicMatrix(self.p, self.precision, _poly_at(coeffs, self.rows, self.modulus))
 
     def __repr__(self) -> str:
         return f"PadicMatrix({self.dim}x{self.dim} mod {self.p}^{self.precision}: {list(map(list, self.rows))})"

@@ -1,8 +1,10 @@
-"""Exact arithmetic in Z/p^N Z, viewed as precision-N truncations of Z_p.
+"""Elements of Z/p^N Z, viewed as precision-N truncations of Z_p, and the
+scalar helpers around them: the odd-prime check, v_p, Teichmuller lifts
+and p-adic powers of principal units.
 
-Every value carries its own (p, N); operations between values with
-different parameters are contract violations and raise immediately.
-Residues are canonical in [0, p^N), so equality is plain equality.
+Every value carries its own (p, N); a p-adic exponent at other
+parameters is a contract violation and raises immediately.  Residues are
+canonical in [0, p^N), so equality is plain equality.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import NotInvertibleError
-from .poly import binomial_row
 
 
 #: Strong probable-prime tests to the first 13 prime bases are exact below
@@ -79,32 +80,8 @@ class PadicInt:
     def modulus(self) -> int:
         return self.p**self.precision
 
-    def _require_compatible(self, other: "PadicInt") -> None:
-        if not isinstance(other, PadicInt):
-            raise TypeError(f"expected PadicInt, got {type(other).__name__}")
-        if (self.p, self.precision) != (other.p, other.precision):
-            raise ValueError(
-                f"mixed p-adic parameters: (p={self.p}, N={self.precision}) vs "
-                f"(p={other.p}, N={other.precision})"
-            )
-
-    def __add__(self, other: "PadicInt") -> "PadicInt":
-        self._require_compatible(other)
-        return PadicInt(self.p, self.precision, self.residue + other.residue)
-
-    def __sub__(self, other: "PadicInt") -> "PadicInt":
-        self._require_compatible(other)
-        return PadicInt(self.p, self.precision, self.residue - other.residue)
-
-    def __mul__(self, other: "PadicInt") -> "PadicInt":
-        self._require_compatible(other)
-        return PadicInt(self.p, self.precision, self.residue * other.residue)
-
-    def __neg__(self) -> "PadicInt":
-        return PadicInt(self.p, self.precision, -self.residue)
-
     def __pow__(self, exponent: int) -> "PadicInt":
-        """Integer power by repeated multiplication (negative needs a unit base)."""
+        """Integer power mod p^N (negative needs a unit base)."""
         if not isinstance(exponent, int):
             raise TypeError("use pow_one_unit for p-adic exponents")
         if exponent < 0 and not self.is_unit():
@@ -113,9 +90,6 @@ class PadicInt:
 
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
 
     def __int__(self) -> int:
         return self.residue
@@ -140,20 +114,6 @@ def valuation(x: int, p: int) -> int:
     return v
 
 
-def val(x: PadicInt):
-    """p-adic valuation of the residue; ``math.inf`` when it is 0 mod p^N.
-
-    A zero residue only certifies valuation >= N, which the infinite
-    sentinel encodes (comparisons like ``val(x) >= k`` stay meaningful).
-    """
-    return math.inf if x.residue == 0 else valuation(x.residue, x.p)
-
-
-def inv(x: PadicInt) -> PadicInt:
-    """Multiplicative inverse of a unit mod p^N."""
-    return x**-1
-
-
 def teichmuller(a: int, p: int, precision: int) -> PadicInt:
     """The unique (p-1)-st root of unity congruent to a mod p.
 
@@ -168,29 +128,6 @@ def teichmuller(a: int, p: int, precision: int) -> PadicInt:
     return PadicInt(p, precision, z)
 
 
-def binom(e: PadicExponent, k: int, *, p: int | None = None, precision: int | None = None) -> PadicInt:
-    """Binomial coefficient e(e-1)...(e-k+1)/k! reduced mod p^N: entry k
-    of ``poly.binomial_row``.
-
-    Always integral: binomial coefficients of p-adic integers are p-adic
-    integers.  For a plain-int exponent the value is exact.  For a
-    PadicInt exponent the canonical representative in [0, p^N) is used;
-    the result can deviate from the true coefficient only above precision
-    N - v_p(k!), which is harmless wherever these coefficients multiply a
-    k-th power of something divisible by p (the one-unit power series).
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if isinstance(e, PadicInt):
-        p, precision = e.p, e.precision
-        rep = e.residue
-    else:
-        if p is None or precision is None:
-            raise ValueError("a plain integer exponent needs explicit p and precision")
-        rep = e
-    return PadicInt(p, precision, binomial_row(rep, k + 1)[k])
-
-
 def pow_one_unit(u: PadicInt, e: PadicExponent) -> PadicInt:
     """Raise a principal unit (u ≡ 1 mod p) to an integer or p-adic power.
 
@@ -200,8 +137,10 @@ def pow_one_unit(u: PadicInt, e: PadicExponent) -> PadicInt:
     """
     if u.residue % u.p != 1:
         raise ValueError("base must be a principal unit (≡ 1 mod p)")
-    if isinstance(e, PadicInt):
-        u._require_compatible(e)
+    if isinstance(e, PadicInt) and (e.p, e.precision) != (u.p, u.precision):
+        raise ValueError(
+            f"mixed p-adic parameters: (p={u.p}, N={u.precision}) vs (p={e.p}, N={e.precision})"
+        )
     return PadicInt(u.p, u.precision, pow(u.residue, int(e), u.modulus))
 
 

@@ -1,8 +1,7 @@
 """Integer polynomials as ascending coefficient lists: entry i multiplies
 T^i.  The one home of the polynomial helpers that several modules share:
-the binomial row of (1 + T)^e, which carries omega_n, Phi_{p^k}(1 + T),
-the binomial coefficients of ``padic`` and the series of M^zeta; and
-the remainder by a monic polynomial.
+the binomial row of (1 + T)^e, which carries Phi_{p^k}(1 + T) and the
+series of M^zeta; and the remainder by a monic polynomial.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ arithmetic, independently of the library code paths under test.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -259,24 +259,56 @@ def cokernel_by_full_elimination(A, p: int, precision: int) -> tuple[int, ...]:
     return tuple(sorted((d or m for d in pivots if d != 1), reverse=True))
 
 
+def exact_binomial(e: int, k: int) -> int:
+    """C(e, k) = e(e-1)...(e-k+1)/k! for any integer e, by one exact
+    division of the falling product."""
+    falling = 1
+    for i in range(k):
+        falling *= e - i
+    return falling // factorial(k)
+
+
 def mat_pow_zeta_by_series(M, zeta):
     """M^zeta for M ≡ I mod p as the binomial series sum_{k<N} C(zeta,k)·(M-I)^k,
-    summed term by term in PadicMatrix arithmetic."""
+    summed term by term on integer rows, each C(zeta, k) from
+    ``exact_binomial`` at the residue of zeta."""
     from anticyclo.linalg import PadicMatrix
-    from anticyclo.padic import binom
 
-    shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
-    acc = PadicMatrix.identity(M.p, M.precision, M.dim).scale(0)
-    power = PadicMatrix.identity(M.p, M.precision, M.dim)
+    m, r = M.modulus, M.dim
+    shift = minus_identity_matrix(M).rows
+    power = [[int(i == j) for j in range(r)] for i in range(r)]
+    acc = [[0] * r for _ in range(r)]
     for k in range(M.precision):
-        c = binom(zeta, k, p=M.p, precision=M.precision)
-        acc = acc + power.scale(c.residue)
-        if k + 1 < M.precision:
-            power = power @ shift
-    return acc
+        c = exact_binomial(int(zeta), k)
+        acc = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)]
+        power = [[sum(row[l] * shift[l][j] for l in range(r)) % m for j in range(r)] for row in power]
+    return PadicMatrix(M.p, M.precision, acc)
 
 
-# -- PadicMatrix determinant, powers and charpoly evaluation -----------
+# -- PadicMatrix sums, inverse, determinant, powers and charpoly ---------
+
+def identity_plus(p: int, precision: int, A):
+    """I + A mod p^N as a PadicMatrix, for a square A of integer rows."""
+    from anticyclo.linalg import PadicMatrix
+
+    return PadicMatrix(p, precision, [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(A)])
+
+
+def minus_identity_matrix(M):
+    """M - I as a PadicMatrix."""
+    from anticyclo.linalg import PadicMatrix
+
+    return PadicMatrix(M.p, M.precision, [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(M.rows)])
+
+
+def inverse_by_sympy(M):
+    """M^-1 mod p^N by sympy's ``inv_mod``, for M invertible mod p."""
+    import sympy
+
+    from anticyclo.linalg import PadicMatrix
+
+    return PadicMatrix(M.p, M.precision, sympy.Matrix(M.rows).inv_mod(M.modulus).tolist())
+
 
 def padic_det(M):
     """det M as a PadicInt: (-1)^r times the constant coefficient of the
@@ -300,7 +332,7 @@ def matrix_power(M, e: int):
     """M^e by repeated multiplication; a negative e inverts M first."""
     from anticyclo.linalg import PadicMatrix
 
-    base = M.inverse() if e < 0 else M
+    base = inverse_by_sympy(M) if e < 0 else M
     result = PadicMatrix.identity(M.p, M.precision, M.dim)
     for _ in range(abs(e)):
         result = result @ base
@@ -308,17 +340,20 @@ def matrix_power(M, e: int):
 
 
 def evaluate_charpoly(chi, M):
-    """chi(M) by Horner's rule in PadicMatrix arithmetic, for chi the
+    """chi(M) by Horner's rule on integer rows, for chi the
     ascending coefficients of a characteristic polynomial of M's size."""
     from anticyclo.linalg import PadicMatrix
 
     if len(chi) - 1 != M.dim:
         raise ValueError("matrix does not match this characteristic polynomial")
-    identity = PadicMatrix.identity(M.p, M.precision, M.dim)
-    acc = identity.scale(0)
+    m, r = M.modulus, M.dim
+    acc = [[0] * r for _ in range(r)]
     for c in reversed(chi):
-        acc = acc @ M + identity.scale(c)
-    return acc
+        acc = [
+            [(sum(row[l] * M.rows[l][j] for l in range(r)) + c * (i == j)) % m for j in range(r)]
+            for i, row in enumerate(acc)
+        ]
+    return PadicMatrix(M.p, M.precision, acc)
 
 
 # -- Tate norm by repeated products ------------------------------------
@@ -790,10 +825,10 @@ def t_multiplicity_by_subset_scan(M):
     from math import prod
 
     from anticyclo.errors import PrecisionError
-    from anticyclo.linalg import PadicMatrix, charpoly
+    from anticyclo.linalg import charpoly
     from anticyclo.snf import cokernel_mod
 
-    shift = M - PadicMatrix.identity(M.p, M.precision, M.dim)
+    shift = minus_identity_matrix(M)
     s_obs = next(i for i, c in enumerate(charpoly(shift.rows, shift.modulus)) if c)
     if s_obs == 0:
         return 0

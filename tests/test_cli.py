@@ -258,6 +258,17 @@ def test_audit_parity_on_bundled_models():
         assert "consistent" in out
 
 
+def test_audit_parity_header_names_the_models_precision():
+    # the header names the model's N, not the --precision flag, which
+    # audit-parity does not use
+    for name in ("model_d2.json", "model_d4.json"):
+        precision = json.loads((DATA / name).read_text())["precision"]
+        for flag in ([], ["--precision", "3"]):
+            code, out = run(["--no-timestamps", *flag, "audit-parity", str(DATA / name)])
+            assert code == 0, name
+            assert out.splitlines()[0] == f"# anticyclo audit-parity (seed=0, precision={precision})"
+
+
 def test_audit_parity_rejects_corrupted_model(tmp_path):
     raw = json.loads((DATA / "model_d2.json").read_text())
     raw["D"][0][0] = (raw["D"][0][0] + 1) % 81
@@ -408,7 +419,8 @@ def test_machine_format_is_json_lines():
 
 # Exit code and sha256 of the ``--format machine --no-timestamps`` stdout
 # of each run below, recorded at commit 801795d.  A change that alters the
-# machine output on purpose updates these digests and says so.
+# machine output on purpose updates these digests and says so: "audit-parity
+# d=4" changed when the header took the model's precision (8), not --precision.
 GOLDEN_DIGESTS = {
     "lemma2-campaign p=3 zeta=-1": (0, "354c19523a524aa23ea776a1a2c76748c67ba48f0114d5afdb5e999d54c37159"),
     "lemma2-campaign p=3 zeta=1": (0, "36ce52d40f65e549f72d688819533a2e48bf7edc789bb5bd4cff725d982dc271"),
@@ -418,7 +430,7 @@ GOLDEN_DIGESTS = {
     "growth": (0, "9fb22e2e9691195e0e78c3b7bf42c2cbab024be3d9582139f20c87e52e6d9ce3"),
     "check-records": (0, "c2c35e97da705bf8c241fd067310ae55c1c9297b336e3732c55868fb61e69b25"),
     "audit-parity d=2": (0, "15afe6236c47709cf9c8ad738f64630751102e86ed9a971104826a868a320b22"),
-    "audit-parity d=4": (0, "2d6f8e074886b8652b5e4cfd5b80a460ef58a7748889b64fb2dab65c0c1cb341"),
+    "audit-parity d=4": (0, "480fc39b41d7f98bd81e821396d10756f584b2ea3eb57b81e0e5efec054f4cc1"),
     "audit-parity without D": (0, "15afe6236c47709cf9c8ad738f64630751102e86ed9a971104826a868a320b22"),
 }
 

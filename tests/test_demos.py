@@ -15,12 +15,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 #: change of any printed line fails here; a deliberate change edits the
 #: digest and says so in CHANGES.md.
 DEMO_DIGESTS = {
-    "01_exact_padic_arithmetic.py": "916f05e88495eb566d1c6e88481d48aa382cf0cd337351a7322d005dfda2b177",
+    "01_exact_padic_arithmetic.py": "c66cd2090d7b37b98269df754d9e1c434902eead6af14e3d1d941ee42d302d10",
     "02_automorphism_search.py": "95836569b962a6257ec7f7e4495f81843d75066a56c7c47f083d8241cabbd1cd",
     "03_eigenvalue_orbits.py": "5bc9ab0c57f2c797fe9c875d7a8fd3bc3895c7c8301c22cf022e49591310aa8d",
     "04_growth_invariants.py": "674606e5e5ae009ce64ea15cc2e57194c8673e5d202b8c9f008010e13d6a9859",
     "05_tate_cohomology.py": "b5eda1f085e355071e9af948f5cab85a956f44c3368855bd77b07765f8b3fde2",
-    "06_records_and_reports.py": "d2ea42005506c6fd61e48e5f900196d0d36a8dd962cb8dd6e7cbaa34f4f0036c",
+    "06_records_and_reports.py": "7ebe601c4beb4c73d83c9692ff3e51bcca24470fbbb0a547a3bdbe068d62307a",
 }
 
 

@@ -6,7 +6,7 @@ from operator import or_
 import pytest
 
 from anticyclo import linalg
-from anticyclo.errors import NotInvertibleError, PrecisionError, UndeterminedError
+from anticyclo.errors import PrecisionError, UndeterminedError
 from anticyclo.linalg import (
     EXHAUSTIVE_KERNEL_DIM,
     PadicMatrix,
@@ -24,7 +24,7 @@ from anticyclo.linalg import (
     rank_divisibility_check,
     zeta_order,
 )
-from anticyclo.padic import PadicInt, teichmuller, val
+from anticyclo.padic import PadicInt, teichmuller
 from anticyclo.snf import cokernel_mod, det_nonzero_mod
 
 from conftest import (
@@ -32,10 +32,14 @@ from conftest import (
     charpoly_by_expansion,
     enumerate_intertwiner,
     evaluate_charpoly,
+    identity_plus,
+    int_valuation,
+    inverse_by_sympy,
     is_invertible,
     is_zero_matrix,
     mat_pow_zeta_by_series,
     matrix_power,
+    minus_identity_matrix,
     no_visible_matrix_by_power,
     padic_det,
     sylvester_solutions_mod_p,
@@ -114,18 +118,22 @@ def test_charpoly_conjugation_invariance():
             D = PadicMatrix(p, precision, [[rng.randrange(27) for _ in range(n)] for _ in range(n)])
             if is_invertible(D):
                 break
-        assert charpoly((D.inverse() @ M @ D).rows, 27) == charpoly(M.rows, 27)
+        assert charpoly((inverse_by_sympy(D) @ M @ D).rows, 27) == charpoly(M.rows, 27)
 
 
 def test_inverse_and_determinant():
-    M = PadicMatrix(3, 3, [[4, 1], [3, 2]])
-    assert (M @ M.inverse()) == PadicMatrix.identity(3, 3, 2)
-    assert padic_det(M).residue == (4 * 2 - 3) % 27
+    # the inverse that src keeps is M^-1 = mat_pow_zeta(M, -1), for M ≡ I
+    # mod p; invertibility mod p is det_nonzero_mod
+    M = PadicMatrix(3, 3, [[4, 3], [6, 7]])
+    ident = PadicMatrix.identity(3, 3, 2)
+    assert M @ mat_pow_zeta(M, -1) == ident == mat_pow_zeta(M, -1) @ M
+    assert padic_det(M).residue == (4 * 7 - 3 * 6) % 27
     singular = PadicMatrix(3, 3, [[3, 0], [0, 1]])
-    with pytest.raises(NotInvertibleError):
-        singular.inverse()
-    # seeded sweep; invertibility mod p is read from the local SNF, not
-    # from the characteristic polynomial that the inverse is built from
+    assert not det_nonzero_mod(singular.rows, 3, 1)
+    with pytest.raises(ValueError, match="pro-p"):
+        mat_pow_zeta(singular, -1)
+    # seeded sweep; invertibility mod p is read from the local SNF and
+    # checked against the Berkowitz determinant of the oracle
     rng = random.Random(14)
     seen = {True: 0, False: 0}
     for p in (3, 5, 7):
@@ -138,15 +146,13 @@ def test_inverse_and_determinant():
                     if trial % 2:  # last row ≡ c·(first row) mod p: singular mod p
                         c = rng.randrange(p) if r > 1 else 0
                         rows[-1] = [(c * a + p * rng.randrange(m)) % m for a in rows[0]]
-                    K = PadicMatrix(p, N, rows)
                     invertible = cokernel_mod(rows, p, 1) == ()
                     seen[invertible] += 1
-                    if invertible:
-                        K_inv = K.inverse()
-                        assert K @ K_inv == ident == K_inv @ K
-                    else:
-                        with pytest.raises(NotInvertibleError):
-                            K.inverse()
+                    K = PadicMatrix(p, N, rows)
+                    assert det_nonzero_mod(rows, p, 1) == invertible == bool(padic_det(K).residue % p)
+                    U = identity_plus(p, N, [[p * x for x in row] for row in rows])
+                    U_inv = mat_pow_zeta(U, -1)
+                    assert U @ U_inv == ident == U_inv @ U
     assert min(seen.values()) > 100
 
 
@@ -169,7 +175,7 @@ def test_zeta_power_group_laws():
     assert mat_pow_zeta(M, 3) == matrix_power(M, 3)
     assert mat_pow_zeta(M, -2) == matrix_power(M, -2)
     zeta = teichmuller(2, 3, 4)
-    assert mat_pow_zeta(mat_pow_zeta(M, zeta), zeta) == mat_pow_zeta(M, zeta * zeta)
+    assert mat_pow_zeta(mat_pow_zeta(M, zeta), zeta) == mat_pow_zeta(M, zeta**2)
 
 
 def test_zeta_power_by_horner_matches_the_binomial_series():
@@ -324,7 +330,7 @@ def test_orbit_construct_default_seeds_with_many_orbits():
     # eigenvalue has v(lambda - 1) = 1 and det(M - I) has valuation d·s.
     for precision, s in ((8, 3), (9, 4)):
         M, _ = orbit_block_construct(3, precision, s, -1)
-        assert val(padic_det(M - PadicMatrix.identity(3, precision, M.dim))) == 2 * s
+        assert int_valuation(padic_det(minus_identity_matrix(M)).residue, 3) == 2 * s
         assert rank_divisibility_check(M, -1) == "consistent"
 
 
@@ -340,9 +346,9 @@ def test_random_unipotent_matrix_contract():
     rng = random.Random(0)
     for _ in range(50):
         M = random_unipotent_matrix(3, 4, 3, rng)
-        shift = M - PadicMatrix.identity(3, 4, 3)
+        shift = minus_identity_matrix(M)
         assert all(x % 3 == 0 for row in shift.rows for x in row)
-        assert not padic_det(shift).is_zero()
+        assert padic_det(shift).residue
 
 
 def test_randomized_rank_divisibility_campaign():
@@ -371,7 +377,7 @@ def _conjugate(M, rng):
     while True:
         P = PadicMatrix(p, N, [[rng.randrange(p**N) for _ in range(r)] for _ in range(r)])
         if is_invertible(P):
-            return P @ M @ P.inverse()
+            return P @ M @ inverse_by_sympy(P)
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +476,7 @@ def test_chi_at_zeta_shift_matches_the_power_route():
                 for zeta in (1, -1, teichmuller(generator, p, N)):
                     cases.append((random_unipotent_matrix(p, N, r, rng), zeta))
                     deep = [[p * p * rng.randrange(p**N) for _ in range(r)] for _ in range(r)]
-                    cases.append((PadicMatrix.identity(p, N, r) + PadicMatrix(p, N, deep), zeta))
+                    cases.append((identity_plus(p, N, deep), zeta))
                     d = zeta_order(zeta, p)
                     if r % d == 0:
                         M, _ = orbit_block_construct(p, N, r // d, zeta)
@@ -623,7 +629,7 @@ def test_arithmetic_carries_no_stored_pair():
     rng = random.Random(43)
     for p, N, r, A in _sampled_grid(47):
         B = random_unipotent_matrix(p, N, r, rng)
-        results = (A + B, A @ B, A - B, A.scale(1), A.inverse(), PadicMatrix.block_diag([A, B]))
+        results = (A @ B, PadicMatrix.block_diag([A, B]))
         assert all(C._shift is None for C in results)
         assert (A @ B).rows == (PadicMatrix(p, N, A.rows) @ PadicMatrix(p, N, B.rows)).rows
 
@@ -661,7 +667,7 @@ def test_sampler_draws_r_squared_values_per_attempt_in_row_major_order():
                 for k, block in enumerate(blocks):
                     U = [block[i * r:(i + 1) * r] for i in range(r)]
                     assert det_nonzero_mod(U, p, N - r) == (k == len(blocks) - 1)
-                shift = [[x // p for x in row] for row in (M - PadicMatrix.identity(p, N, r)).rows]
+                shift = [[x // p for x in row] for row in minus_identity_matrix(M).rows]
                 assert shift == U
                 attempts += len(blocks)
     assert attempts > 54
@@ -732,7 +738,7 @@ def test_spectra_test_matches_the_mod_p_oracle(z):
     for r in (1, 2):
         for entries in product(range(p), repeat=r * r):
             S = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
-            M = PadicMatrix.identity(p, 3, r) + PadicMatrix(p, 3, S).scale(p)
+            M = identity_plus(p, 3, [[p * x for x in row] for row in S])
             chi = _shift_charpoly(M)[1]
             no_invertible = not any(charpoly_by_expansion(X, p)[0] for X in sylvester_solutions_mod_p(S, z, p))
             fires = _charpoly_twist_differs_mod_p(chi, z, p)
@@ -769,9 +775,8 @@ def test_intertwiner_guards_run_before_the_spectra_test():
     # S̄ = [[1, 1], [0, 1]] mod 5 passes the mod-p test at zeta ≡ -1, yet
     # a matrix ≢ I mod p and a zeta at another precision are refused
     p, N = 5, 4
-    S = PadicMatrix(p, N, [[1, 1], [0, 1]]).scale(p)
-    M = PadicMatrix.identity(p, N, 2) + S
-    not_pro_p = M + PadicMatrix(p, N, [[0, 1], [0, 0]])
+    M = identity_plus(p, N, [[p, p], [0, p]])
+    not_pro_p = identity_plus(p, N, [[p, p + 1], [0, p]])
     assert _charpoly_twist_differs_mod_p(_shift_charpoly(not_pro_p)[1], -1, p)
     with pytest.raises(ValueError, match="pro-p"):
         intertwiner_solve(not_pro_p, -1)
@@ -808,7 +813,7 @@ def test_dense_fallback_cases(monkeypatch):
     fallbacks = [
         (PadicMatrix.identity(3, 1, 2), "witness"),  # N = 1
         # M = I + p^2·A: S ≡ 0 mod p
-        (PadicMatrix.identity(3, 4, 3) + PadicMatrix(3, 4, shift), "none"),
+        (identity_plus(3, 4, shift), "none"),
         # p = 3, s = 2: the orbits repeat the residues of S mod p
         (orbit_block_construct(3, 6, 2, -1)[0], "witness"),
         # a visible kernel: the dense system is its one basis producer
@@ -827,8 +832,8 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     # M^zeta is computed.
     p, N = 5, 4
     S = [[1, 1], [0, 1]]
-    M = PadicMatrix.identity(p, N, 2) + PadicMatrix(p, N, S).scale(p)
-    minus_S = PadicMatrix(p, 1, S).scale(-1)
+    M = identity_plus(p, N, [[p * x for x in row] for row in S])
+    minus_S = PadicMatrix(p, 1, [[-x for x in row] for row in S])
     assert cokernel_mod(evaluate_charpoly(charpoly(S, p), minus_S).rows, p, 1) == ()
     shift, chi = _shift_charpoly(M)
     assert _charpoly_twist_differs_mod_p(chi, -1, p)
@@ -866,7 +871,7 @@ def test_support_union_certifies_none_above_the_gate(monkeypatch):
     # column 0 mod p, so every combo is singular: "none" with no
     # determinant, where a sample-only search returned "undetermined"
     p, N, r = 3, 5, 4
-    M = PadicMatrix.identity(p, N, r) + PadicMatrix(p, N, [[p**4, 0, 0, 0]] + [[0] * r] * (r - 1))
+    M = identity_plus(p, N, [[p**4, 0, 0, 0]] + [[0] * r] * (r - 1))
     basis = _kernel_space(M, mat_pow_zeta(M, -1))
     assert len(basis) == 9 > EXHAUSTIVE_KERNEL_DIM
     row_masks, col_masks = _support_masks(basis, r, p)
@@ -882,7 +887,7 @@ def test_similarity_invariant_certifies_none_above_the_gate(monkeypatch):
     # said nothing and the dense kernel of dimension 9 left a sample-only
     # search; the polynomials differ, so "none" comes with no dense system
     p, N, r = 3, 4, 4
-    M = PadicMatrix.identity(p, N, r) + PadicMatrix(p, N, [[0] * r] * (r - 1) + [[0, 0, 0, p]])
+    M = identity_plus(p, N, [[0] * r] * (r - 1) + [[0, 0, 0, p]])
     assert _kernel_dim(M, -1) == 9 > EXHAUSTIVE_KERNEL_DIM
     dense = _count_dense_calls(monkeypatch)
     assert intertwiner_solve(M, -1).status == "none"

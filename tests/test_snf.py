@@ -101,7 +101,7 @@ def test_det_nonzero_mod_matches_the_berkowitz_determinant():
             A[0] = [p * x for x in A[-1]]
         elif shape == 2 and n > 1:
             A[0] = list(A[-1])
-        nonzero = not padic_det(PadicMatrix(p, N, A)).is_zero()
+        nonzero = padic_det(PadicMatrix(p, N, A)).residue != 0
         assert det_nonzero_mod(A, p, N) == nonzero
         assert det_nonzero_mod(A, p, 1) == padic_det(PadicMatrix(p, N, A)).is_unit()
         seen.add((N > 1, nonzero, m in cokernel_mod(A, p, N), det_nonzero_mod(A, p, 1)))

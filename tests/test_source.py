@@ -18,6 +18,8 @@ STRANDED_TRACED_NAMES = {
     "snf.lattice_basis",
     "snf.quotient_invariants",
     "iwasawa.validate_gamma_model",
+    "iwasawa.layer_size_exponent",
+    "padic.binom",
 }
 
 
