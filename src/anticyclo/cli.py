@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -467,7 +468,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_clock = time.perf_counter() - start
-    _emit(report, args.format, args.no_timestamps, sys.stdout)
+    try:
+        _emit(report, args.format, args.no_timestamps, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed stdout is an I/O error, not a violation; what is left in
+        # the buffer goes to the null device, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

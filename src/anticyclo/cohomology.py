@@ -19,12 +19,14 @@ The norm N = 1 + T + ... + T^(m-1) and T^m come together from one
 doubling chain, N_2j = N_j·(1 + T^j) and T^2j = (T^j)², with one step
 N_j+1 = N_j + T^j, T^j+1 = T^j·T per further set bit of m: O(log m)
 products on packed rows (Kronecker substitution), each row of the right
-factor one integer with w-bit digits, w = bit_length(k·q_1²), so a row
-of a product is one C-level sum; ``_pack`` packs the rows for every one
-of these products.  The constructor runs the chain once for each
-declared order, which certifies T^m = 1 and stores N, so the Tate
-groups of a declared order read their norm with no product; any other
-m runs the chain again and is checked on the call.
+factor one integer with w-bit digits, w = bit_length(k·p^2E), so a row
+of a product is one C-level sum; ``_pack`` packs the rows for every
+packed product, the engine's included, at that one width.  No action
+name is special: a module knows an order only when it is declared or
+passed in.  The constructor runs the chain once for each declared order,
+which certifies T^m = 1 and stores N, so the Tate groups of a declared
+order read their norm with no product; any other m, the 2 of a minus
+part included, runs the chain on the call and is checked there.
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ class FinitePModule:
     embeds the module in (Z/p^E)^k.
     actions: name -> k×k integer matrix; column j lists the coordinates of
     the image of generator j.  Every action matrix must be compatible with
-    the factors, and any declared order is verified at construction;
-    an action named "J" is required to be an involution.  Both are kept
-    as read-only mappings, the actions reduced mod the q_i.
+    the factors, and any declared order is verified at construction.
+    Both are kept as read-only mappings, the actions reduced mod the q_i.
     norms: (name, m) -> the reduced norm 1 + T + ... + T^(m-1) of each
     declared order m, as row tuples, built by the chain that verifies
     T^m = 1 (``_norm_and_power``); derived data, so neither ``==`` nor
@@ -79,8 +80,6 @@ class FinitePModule:
             normalized[name] = tuple(map(tuple, self._reduce(rows)))
         object.__setattr__(self, "actions", MappingProxyType(normalized))
         declared = dict(self.orders)
-        if "J" in normalized and "J" not in declared:
-            declared["J"] = 2
         norms = {}
         for name, m in declared.items():
             if name not in normalized:
@@ -108,18 +107,20 @@ class FinitePModule:
 
     def _shifts(self):
         """Digit offsets 0, w, 2w, ... of a packed row (Kronecker
-        substitution), w = bit_length(k·q_1²); the module must not be zero."""
-        factors = self.invariant_factors
-        w = (len(factors) * factors[0] ** 2).bit_length()
-        return range(0, w * len(factors), w)
+        substitution), w = bit_length(k·p^2E): a sum of k products of
+        entries in [0, p^E] fits in w bits.  The zero module has w = 1 and
+        no offsets."""
+        k, top = len(self.invariant_factors), self.p**self.exponent
+        w = (k * top * top).bit_length() or 1
+        return range(0, w * k, w)
 
     def _product(self, A, packed):
         """A·B reduced mod the q_i, for reduced A and the rows of B, entries
-        in [0, q_1], packed as ``_pack(B, self._shifts())``.
+        in [0, p^E], packed as ``_pack(B, self._shifts())``.
 
         Row i of A·B is one C-level sum of the packed rows scaled by row i
         of A, unpacked mod q_i: an entry is a sum of k products below
-        q_1², and no digit carries into the next.  A caller that
+        p^2E, and no digit carries into the next.  A caller that
         multiplies by one B twice packs it once.
         """
         factors = self.invariant_factors
@@ -136,24 +137,21 @@ class FinitePModule:
         (N_1, P_1) = (1, T): N_2j = N_j·(1 + P_j) and P_2j = P_j², then on
         a set bit N_j+1 = N_j + P_j and P_j+1 = P_j·T.  N_2 = 1 + T is T
         with its diagonal raised by 1 and takes no product, so m >= 2
-        costs 2·bit_length(m) + popcount(m) - 4 packed products: 1 for
-        m = 2, 2 for m = 3 and 4 for m = 5.  N_j and P_j are polynomials
-        in T and commute, so both products of a doubling multiply by the
-        one packing of P_j, the rows of 1 + P_j being those of P_j plus 1
-        in digit i; T is packed once, at the first step.
-
-        A chain that meets P_j = 1 stops there: T then has order dividing
-        j, so T^m = T^r and N_m = (m // j)·N_j + N_r for r = m mod j < j,
-        and r takes a chain of its own (N_0 = 0, T^0 = 1).  N_1 = 1 is
-        built only when it is returned.  m = 0 would give (1, T); every
-        caller rejects it first.
+        always costs 2·bit_length(m) + popcount(m) - 4 packed products:
+        1 for m = 2, 2 for m = 3 and 4 for m = 5.  N_j and P_j are
+        polynomials in T and commute, so both products of a doubling
+        multiply by the one packing of P_j, the rows of 1 + P_j being
+        those of P_j plus 1 in digit i; T is packed once, at the first
+        step.  N_1 = 1 is built only when it is returned.  The zero
+        module gives ([], []) before any packing.  m = 0 would give
+        (1, T); every caller rejects it first.
         """
         factors = self.invariant_factors
-        norm, power, j = None, T, 1
+        if not factors:
+            return [], []
+        norm, power = None, T
         for bit in bin(m)[3:]:
-            if self._is_identity(power):
-                break
-            if j == 1:
+            if norm is None:
                 shifts = self._shifts()
                 packed = packed_T = _pack(T, shifts)
                 norm = [list(row) for row in T]
@@ -163,18 +161,10 @@ class FinitePModule:
                 packed = _pack(power, shifts)
                 norm = self._product(norm, [x + (1 << s) for x, s in zip(packed, shifts)])
             power = self._product(power, packed)
-            j *= 2
             if bit == "1":
                 norm = [[x % q for x in map(add, a, b)] for a, b, q in zip(norm, power, factors)]
                 power = self._product(power, packed_T)
-                j += 1
-        if j == 1:
-            norm = identity_matrix(len(factors))
-        if j == m:
-            return norm, power
-        reps, r = divmod(m, j)
-        rest, power = self._norm_and_power(T, r) if r else ([[0] * len(factors) for _ in factors], power)
-        return [[(reps * x + y) % q for x, y in zip(a, b)] for a, b, q in zip(norm, rest, factors)], power
+        return (identity_matrix(len(factors)) if norm is None else norm), power
 
     def _is_identity(self, rows):
         """Whether reduced k×k rows are the identity: entries lie in
@@ -252,8 +242,8 @@ def _require_well_defined(factors, rows, what: str) -> None:
 
 def _pack(rows, shifts) -> list[int]:
     """Each row as one integer, entry j in the digit at bit shifts[j]
-    (Kronecker substitution); the caller picks a digit width that no sum
-    it forms carries out of."""
+    (Kronecker substitution); every caller packs at the offsets of
+    ``FinitePModule._shifts``, whose digits no sum it forms carries out of."""
     return [sum(map(lshift, row, shifts)) for row in rows]
 
 
@@ -287,22 +277,20 @@ def _ker_mod_im(module: FinitePModule, F, G) -> tuple[int, ...]:
     p^E of a zero pivot is a zero column, as is a column q_i = p^E of
     diag(q_i); none of them is written.
 
-    Row t of V^-1·G is one C-level sum of the rows of G packed into
-    integers of w-bit digits (Kronecker substitution, as in
-    ``FinitePModule._product``), with G first reduced into [0, p^E) and
-    w = bit_length(k·p^2E), so no digit carries into the next.  Row t of
-    V^-1·diag(q_i) is row t of V^-1 scaled by the q_i.
+    Row t of V^-1·G is one C-level sum of the rows of G, first reduced
+    into [0, p^E), packed at the module's digit width
+    (``FinitePModule._shifts``, as in ``FinitePModule._product``), so no
+    digit carries into the next.  Row t of V^-1·diag(q_i) is row t of
+    V^-1 scaled by the q_i.
     """
     p, E = module.p, module.exponent
     m = p**E
     factors = module.invariant_factors
-    k = len(factors)
     DF = [[m // q * x for x in row] for q, row in zip(factors, F)]
     diag, Vr = smith_normal_form_mod_prime_power(DF, p, E, "V^-1")
     relations = [(i, q) for i, q in enumerate(factors) if q != m]
-    w = (k * m * m).bit_length()
-    mask = (1 << w) - 1
-    shifts = [w * j for j in range(k)]
+    shifts = module._shifts()
+    mask = (1 << shifts.step) - 1
     packed = _pack([[x % m for x in row] for row in G], shifts)
     rows = []
     for g, vr in zip(diag, Vr):
@@ -379,20 +367,14 @@ def minus_part(module: FinitePModule, action: str = "J") -> FinitePModule:
     """A⁻ = A/(1 + J)·A for an involution J: p is odd, so 2 is invertible,
     A = A⁺ ⊕ A⁻ with A^± = (1 ± J)/2·A, and (1 + J)·A = A⁺.
 
-    1 + J is the norm of J over 2 terms.  A module that declares order 2
-    for J (the default for an action named "J") stored it at
-    construction, where J^2 = 1 was verified; otherwise one doubling step
-    of ``FinitePModule._norm_and_power`` gives 1 + J and, with at most
-    one product, J^2, which must be 1.  The result carries J = -identity, so
-    taking the minus part twice is the identity on structures; building
-    it checks (-1)^2 = 1 with one product.
+    1 + J is the norm of J over 2 terms, ``_norm_matrix(module, action,
+    2)``: the stored norm when the module declares order 2 for the
+    action, and otherwise one doubling step, one packed product, which
+    raises, naming the action, unless J^2 = 1.  The result carries
+    J = -identity with no declared order, so taking the minus part twice
+    is the identity on structures, and building the result runs no chain.
     """
-    if module.orders.get(action) == 2:
-        plus = module.norms[action, 2]
-    else:
-        plus, square = module._norm_and_power(module.action(action), 2)
-        if not module._is_identity(square):
-            raise ValueError(f"action {action!r} is not an involution")
+    plus = _norm_matrix(module, action, 2)
     invs = module._cokernel(plus)
     kk = len(invs)
     minus_action = {"J": [[-1 if i == j else 0 for j in range(kk)] for i in range(kk)]} if kk else {}

@@ -512,6 +512,28 @@ def run_process(argv, **env_vars):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit-parity", str(ROOT / "demos" / "data" / "model_d4.json")],
+    ["growth", "--p", "3", "--module", "T-3", "--n-max", "5000"],  # longer than a pipe buffer
+])
+def test_closed_stdout_exits_2_without_a_traceback(argv):
+    # the reader closes its end before the report is written: an I/O
+    # error, exit 2 with one error line, never the exit 1 of a violation
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "anticyclo.cli", "--format", "machine", "--no-timestamps", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=20)
+    finally:
+        proc.kill()
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
 def test_check_records_answers_for_a_large_prime(tmp_path):
     records = tmp_path / "large.jsonl"
     records.write_text(json.dumps({"p": 10**18 + 3, "n": 0, "inv": []}) + "\n")

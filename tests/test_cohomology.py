@@ -50,8 +50,11 @@ def test_construction_validation():
     FinitePModule(3, (9, 3), actions={"tau": [[1, 0], [1, 1]]})
     with pytest.raises(ValueError, match="order"):
         FinitePModule(3, (9,), actions={"tau": [[4]]}, orders={"tau": 2})
-    with pytest.raises(ValueError, match="involution|order"):
-        FinitePModule(3, (9,), actions={"J": [[4]]})
+    # no action name is special: a "J" of order 3 builds, and only an
+    # order declared for it is verified
+    assert FinitePModule(3, (9,), actions={"J": [[4]]}).orders == {}
+    with pytest.raises(ValueError, match="order"):
+        FinitePModule(3, (9,), actions={"J": [[4]]}, orders={"J": 2})
 
 
 def _norm_and_power_by_repeated_products(module, T, m):
@@ -96,8 +99,8 @@ def test_norm_and_power_is_the_doubling_chain(monkeypatch):
                 products.clear()
                 assert module._norm_and_power(T, m) == _norm_and_power_by_repeated_products(module, T, m)
                 assert len(products) == _chain_products(m)
-    # an action of finite order: where T^m = 1 the norm is the oracle's;
-    # a chain that meets P_j = 1 on its way stops early, never later
+    # an action of finite order takes the same chain, which never stops
+    # early; where T^m = 1 the norm is the oracle's
     for p in (3, 5):
         for order in (p, p * p, 2):
             module = _sweep_module(rng, p, order, "mixed")
@@ -105,13 +108,13 @@ def test_norm_and_power_is_the_doubling_chain(monkeypatch):
             for m in range(1, 41):
                 products.clear()
                 norm, power = module._norm_and_power(T, m)
-                assert len(products) <= _chain_products(m)
+                assert len(products) == _chain_products(m)
                 assert (norm, power) == _norm_and_power_by_repeated_products(module, T, m)
                 if m % order == 0:
                     assert norm == norm_matrix_by_repeated_products(module, "tau", m)
                     assert module._is_identity(power)
-    # T = -1 meets P_2 = 1 at once: an explicit m = 3^12 costs one product
-    # and is rejected, since T^m = -1, while m = 2·3^12 gives N = 0
+    # T = -1: an explicit m = 3^12 runs the whole chain and is rejected,
+    # since T^m = -1, while m = 2·3^12 gives N = 0
     minus = FinitePModule(3, (3**9, 3**9, 3**4), actions={"tau": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]})
     for m in (3**12, 2 * 3**12):
         products.clear()
@@ -120,7 +123,27 @@ def test_norm_and_power_is_the_doubling_chain(monkeypatch):
                 _norm_matrix(minus, "tau", m)
         else:
             assert _norm_matrix(minus, "tau", m) == [[0] * 3] * 3
-        assert 0 < len(products) <= 2 * m.bit_length()
+        assert len(products) == _chain_products(m)
+
+
+def test_norm_and_power_never_stops_early(monkeypatch):
+    # T = 1 and T = -1 are powers of 1 from the first step on, and still
+    # take the whole chain; the zero module takes no product at all
+    products = _count_products(monkeypatch)
+    factors = (27, 9, 9, 3)
+    module = FinitePModule(3, factors)
+    for sign in (1, -1):
+        T = module._reduce([[sign * (i == j) for j in range(4)] for i in range(4)])
+        for m in (*range(1, 41), 3**12):
+            products.clear()
+            norm, power = module._norm_and_power(T, m)
+            assert len(products) == _chain_products(m)
+            assert power == module._reduce([[sign**m * (i == j) for j in range(4)] for i in range(4)])
+            terms = m if sign == 1 else m % 2
+            assert norm == module._reduce([[terms * (i == j) for j in range(4)] for i in range(4)])
+    products.clear()
+    assert FinitePModule(3, ())._norm_and_power([], 3**12) == ([], [])
+    assert products == []
 
 
 def test_packed_product_matches_the_plain_product():
@@ -215,7 +238,7 @@ def test_declared_norms_are_built_once_at_construction(monkeypatch):
     products = _count_products(monkeypatch)
     for module in modules:
         m = module.orders["tau"]
-        assert set(module.norms) == {("tau", m), ("J", 2)}
+        assert set(module.norms) == {("tau", m)}
         stored = module.norms["tau", m]
         assert all(type(row) is tuple for row in stored)
         assert [list(row) for row in stored] == norm_matrix_by_repeated_products(module, "tau", m)
@@ -657,11 +680,44 @@ def test_minus_part_checks_undeclared_involutions():
     # no declared order lets minus_part skip its check
     for orders in ({"tau": 3}, {}):
         module = FinitePModule(3, (9,), actions={"tau": [[4]]}, orders=orders)
-        with pytest.raises(ValueError, match="is not an involution"):
+        with pytest.raises(ValueError, match=r"action 'tau' does not satisfy tau\^2 = identity"):
             minus_part(module, "tau")
     mixed = FinitePModule(3, (27, 9, 3), actions={"tau": [[4, 0, 0], [0, 1, 0], [0, 0, 1]]})
-    with pytest.raises(ValueError, match="is not an involution"):
+    with pytest.raises(ValueError, match=r"action 'tau' does not satisfy tau\^2 = identity"):
         minus_part(mixed, "tau")
+
+
+def test_no_action_name_is_special():
+    # an action named "J" of order 3 gets no declared order and no norm;
+    # the Tate groups of its order run on it, and only a minus part, which
+    # needs J^2 = 1, rejects it, naming the action
+    module = FinitePModule(3, (9,), actions={"J": [[4]]})
+    assert module.orders == {} and module.norms == {}
+    assert tate_h0(module, "J", 3).invariant_factors == ()
+    assert herbrand_check(module, "J", 3)
+    with pytest.raises(ValueError, match="'J'"):
+        minus_part(module)
+
+
+def test_minus_part_takes_one_product_and_its_result_none(monkeypatch):
+    # on modules shaped like the benchmark's (tau of declared order p and
+    # an undeclared J) only tau's norm is stored; 1 + J and the check
+    # J^2 = 1 cost one packed product, and the result, J = -1 with no
+    # declared order, is built with none
+    rng = random.Random(43)
+    products = _count_products(monkeypatch)
+    for case in range(4):
+        p = (3, 5)[case % 2]
+        module = _block_module(rng, p)
+        assert set(module.norms) == {("tau", p)}
+        products.clear()
+        part = minus_part(module)
+        assert len(products) == 1
+        declared = FinitePModule(p, module.invariant_factors, actions=dict(module.actions), orders={"J": 2})
+        assert part == minus_part(declared) and part.orders == {}
+        products.clear()
+        FinitePModule(p, part.invariant_factors, actions=dict(part.actions))
+        assert products == []
 
 
 def test_minus_part_trusts_a_declared_order_two(monkeypatch):
