@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import gcd, prod
-from operator import add, lshift, mul
+from operator import add, index, lshift, mul
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -54,6 +54,8 @@ class FinitePModule:
     actions: name -> k×k integer matrix; column j lists the coordinates of
     the image of generator j.  Every action matrix must be compatible with
     the factors, and any declared order is verified at construction.
+    Factors and entries are taken through ``operator.index``, so a float
+    or a string raises TypeError.
     Both are kept as read-only mappings, the actions reduced mod the q_i.
     norms: (name, m) -> the reduced norm 1 + T + ... + T^(m-1) of each
     declared order m, as row tuples, built by the chain that verifies
@@ -70,12 +72,12 @@ class FinitePModule:
 
     def __post_init__(self):
         require_odd_prime(self.p)
-        factors = tuple(map(int, self.invariant_factors))
+        factors = tuple(map(index, self.invariant_factors))
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "exponent", max(p_power_exponents(factors, self.p), default=0))
         normalized = {}
         for name, matrix in self.actions.items():
-            rows = [list(map(int, row)) for row in matrix]
+            rows = [list(map(index, row)) for row in matrix]
             _require_well_defined(factors, rows, f"action {name!r}")
             normalized[name] = tuple(map(tuple, self._reduce(rows)))
         object.__setattr__(self, "actions", MappingProxyType(normalized))

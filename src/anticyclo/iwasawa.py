@@ -21,6 +21,7 @@ of the characteristic polynomial of (generator - 1) is a multiple of d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence, Union
 
 from .cohomology import FinitePModule
@@ -186,7 +187,7 @@ def fit_invariants(exponents: Sequence[int], p: int) -> IwasawaInvariants:
     anchored residual; stable_from is the first index from which the
     formula matches the data all the way to the end.
     """
-    e = [int(x) for x in exponents]
+    e = [index(x) for x in exponents]
     L = len(e)
     if L < 4:
         raise ValueError("need at least 4 layer exponents to fit")

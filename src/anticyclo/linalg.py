@@ -11,7 +11,12 @@ which pivots on an entry of least valuation and so never divides by a
 non-unit.  The sampler ``random_unipotent_matrix`` runs no such test: it
 reads det U from the constant term of chi_U, the characteristic
 polynomial that ``intertwiner_solve`` needs anyway, and hands the pair
-(U, chi_U) to the solve on the matrix it returns.
+(U, chi_U) to the solve on the matrix it returns.  Its stream contract:
+the entries of U are the draws of ``randrange(p^(N-1))`` from a stock
+``random.Random``, read through ``getrandbits`` by the rejection rule
+of CPython's ``randrange``, so the matrices and the generator's state
+afterwards are those of r² ``randrange`` calls per attempt; a subclass
+that overrides ``randrange`` is not consulted.
 
 The headline decision procedure is ``intertwiner_solve``: whether an
 *invertible* D intertwines M with its zeta-th power.  When one exists
@@ -45,7 +50,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from math import gcd
-from operator import mul, or_
+from operator import index, mul, or_
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
@@ -68,7 +73,9 @@ SAMPLE_TRIALS = 512
 
 
 class PadicMatrix:
-    """Square matrix with entries in Z/p^N, stored as canonical residues."""
+    """Square matrix with entries in Z/p^N, stored as canonical residues.
+    Entries are taken through ``operator.index``: a float or a string
+    raises TypeError."""
 
     #: (S, chi_S mod p^(N-1)) with M = I + p·S, kept by ``_shift_charpoly``
     #: or seeded by ``random_unipotent_matrix``; a product never copies it,
@@ -85,8 +92,17 @@ class PadicMatrix:
         self.modulus = p**precision
         self.dim = r
         self.rows = tuple(
-            tuple(int(x) % self.modulus for x in row) for row in rows
+            tuple(index(x) % self.modulus for x in row) for row in rows
         )
+
+    @classmethod
+    def _canonical(cls, p: int, precision: int, rows: tuple[tuple[int, ...], ...]) -> "PadicMatrix":
+        """The matrix of square, non-empty ``rows`` already canonical in
+        [0, p^N), at a (p, N) the caller checked: no check and no second
+        reduction."""
+        M = cls.__new__(cls)
+        M.p, M.precision, M.modulus, M.dim, M.rows = p, precision, p**precision, len(rows), rows
+        return M
 
     @classmethod
     def identity(cls, p: int, precision: int, dim: int) -> "PadicMatrix":
@@ -557,19 +573,31 @@ def rank_divisibility_check(
 def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> PadicMatrix:
     """Random M ≡ I mod p with det(M - I) nonzero at precision.
 
-    Rejection-samples the p·(uniform) shift until the determinant of the
-    shift survives mod p^N; deterministic given the Random instance, with
-    dim² draws from range(p^(N-1)) per attempt, in row-major order.
+    Rejection-samples the p·(uniform) shift U until the determinant of
+    the shift survives mod p^N; deterministic given the Random instance.
+    Each attempt makes the dim² draws of ``rng.randrange(p^(N-1))``, in
+    row-major order, read straight from ``rng.getrandbits``: k = bit
+    length of p^(N-1) bits per try, tried again while >= p^(N-1), the
+    rule of CPython's ``Random._randbelow_with_getrandbits``.  So a stock
+    ``random.Random`` yields the values, and is left in the state, of
+    dim² ``randrange(p^(N-1))`` calls per attempt; a subclass that
+    overrides ``randrange`` is not consulted.
+
     Every entry of M - I has valuation >= 1, so det(M - I) has valuation
     >= dim and the requirement is only satisfiable when N > dim.  (p, N)
-    is checked first, so no p < 3 reaches the sampling loop.
+    and dim >= 1 are checked first, so no p < 3 and no empty matrix
+    reaches the sampling loop, and a call that raises draws nothing.
 
     The determinant is read from chi_U mod p^(N-1), whose constant term
     is (-1)^dim·det U: ``intertwiner_solve`` reads the same chi_U
     (``_shift_charpoly``), so the returned M keeps the pair (U, chi_U)
     and the solve computes no characteristic polynomial of its own.
+    Its entries p·x + δ_ij < p^N are canonical as drawn, so M is built
+    by ``PadicMatrix._canonical`` with no second reduction.
     """
     require_parameters(p, precision)
+    if dim < 1:
+        raise ValueError("matrix must be square and non-empty")
     if precision <= dim:
         raise PrecisionError(
             f"raise precision: det(M - I) always vanishes mod p^{precision} "
@@ -578,10 +606,21 @@ def random_unipotent_matrix(p: int, precision: int, dim: int, rng: Random) -> Pa
     # det(p·U) = p^dim·det U, so it survives mod p^N iff det U does mod
     # p^(N-dim), which divides the modulus p^(N-1) of chi_U
     m1 = p ** (precision - 1)
+    k = m1.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        U = [[rng.randrange(m1) for _ in range(dim)] for _ in range(dim)]
+        U = []
+        for _ in range(dim):
+            row = []
+            for _ in range(dim):
+                x = getrandbits(k)
+                while x >= m1:
+                    x = getrandbits(k)
+                row.append(x)
+            U.append(row)
         chi = charpoly(U, m1)
         if chi[0] % p ** (precision - dim):
-            M = PadicMatrix(p, precision, [[p * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(U)])
+            rows = tuple(tuple(p * x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(U))
+            M = PadicMatrix._canonical(p, precision, rows)
             M._shift = U, chi
             return M

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Union
 
 from .errors import NotInvertibleError
@@ -74,7 +75,7 @@ class PadicInt:
 
     def __post_init__(self):
         require_parameters(self.p, self.precision)
-        object.__setattr__(self, "residue", self.residue % self.p**self.precision)
+        object.__setattr__(self, "residue", index(self.residue) % self.p**self.precision)
 
     @property
     def modulus(self) -> int:

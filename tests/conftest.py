@@ -731,6 +731,22 @@ def charpoly_by_berkowitz(A, m):
     return tuple(coeffs[::-1])
 
 
+def unipotent_shift_by_randrange(p: int, precision: int, r: int, rng):
+    """(U, chi_U mod p^(N-1), attempts) of the Lemma 2 sampling loop read
+    through ``randrange``: each attempt makes r² calls
+    ``rng.randrange(p^(N-1))``, row by row, and the first U with
+    det(p·U) ≢ 0 mod p^N, that is chi_U(0) = ±det U ≢ 0 mod p^(N-r) with
+    chi_U from the Berkowitz recursion, is accepted."""
+    m1 = p ** (precision - 1)
+    attempts = 0
+    while True:
+        attempts += 1
+        U = [[rng.randrange(m1) for _ in range(r)] for _ in range(r)]
+        chi = charpoly_by_berkowitz(U, m1)
+        if chi[0] % p ** (precision - r):
+            return U, chi, attempts
+
+
 def no_visible_matrix_by_power(M, zeta):
     """chi_S(S') mod p^(N-1) for M = I + p·S, N >= 2, with
     S' = (M^zeta - I)/p read from the matrix ``mat_pow_zeta`` builds and

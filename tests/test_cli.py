@@ -221,17 +221,30 @@ def test_campaign_orbit_control_at_precision_floor():
 
 class BoundedRandom(random.Random):
     """A Random that raises after a few draws, so a sampling loop that can
-    never accept fails the test instead of hanging it."""
+    never accept fails the test instead of hanging it.  It bounds
+    ``getrandbits``, which the Lemma 2 sampler calls and ``randrange``
+    reads."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.draws = 0
 
-    def randrange(self, *args):
+    def getrandbits(self, k):
         self.draws += 1
         if self.draws > 100:
             raise RuntimeError("sampling loop did not terminate")
-        return super().randrange(*args)
+        return super().getrandbits(k)
+
+
+def test_bounded_random_counts_the_samplers_draws():
+    from anticyclo.linalg import random_unipotent_matrix
+
+    rng = BoundedRandom(0)
+    random_unipotent_matrix(3, 3, 2, rng)
+    assert rng.draws >= 4
+    rng.draws = 100
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        random_unipotent_matrix(3, 3, 2, rng)
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,17 @@ from conftest import (
 )
 
 
+def test_factors_and_action_entries_must_be_integers():
+    # operator.index, not int(): (9.9, 3) is no list of invariant factors
+    for factors in ((9.9, 3), (9.0, 3), ("9", 3)):
+        with pytest.raises(TypeError):
+            FinitePModule(3, factors)
+    for bad in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            FinitePModule(3, (9, 3), actions={"tau": [[1, 0], [bad, 1]]})
+    assert FinitePModule(3, (9, 3), actions={"tau": [[True, 0], [1, 1]]}).actions["tau"] == ((1, 0), (1, 1))
+
+
 def test_construction_validation():
     with pytest.raises(ValueError, match="descending"):
         FinitePModule(3, (3, 9))

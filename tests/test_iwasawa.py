@@ -245,6 +245,15 @@ def test_fit_error_paths():
         fit_invariants([100, 50, 25, 12], 3)
 
 
+def test_fit_takes_integer_exponents_only():
+    # operator.index, not int(): 1.5 is no layer exponent, even when its
+    # truncation would fit
+    assert fit_invariants([1, 2, 3, 4], 3) is not None
+    for bad in ([1.5, 2, 3, 4], [1, 2, 3, 4.0], ["1", 2, 3, 4]):
+        with pytest.raises(TypeError):
+            fit_invariants(bad, 3)
+
+
 @st.composite
 def _sequences_with_a_fittable_tail(draw):
     # Any integers, then a last layer that makes the last second difference

@@ -43,6 +43,7 @@ from conftest import (
     no_visible_matrix_by_power,
     padic_det,
     sylvester_solutions_mod_p,
+    unipotent_shift_by_randrange,
 )
 
 
@@ -550,19 +551,6 @@ def test_no_visible_solution_is_sound(monkeypatch):
     assert statuses.count("witness") >= 10 and "none" in statuses
 
 
-class _CountingRandom(random.Random):
-    """A Random that records the arguments and value of each randrange."""
-
-    def __init__(self, seed):
-        self.draws = []
-        super().__init__(seed)
-
-    def randrange(self, *args):
-        value = super().randrange(*args)
-        self.draws.append((args, value))
-        return value
-
-
 def test_one_charpoly_per_sampler_draw(monkeypatch, capsys):
     # the sampler's determinant test is chi_U(0), and the solve of a
     # sampled M reads that chi_U: a fixed lemma2-campaign runs one
@@ -574,12 +562,18 @@ def test_one_charpoly_per_sampler_draw(monkeypatch, capsys):
     runs = []
     monkeypatch.setattr(linalg, "charpoly", lambda A, m: runs.append(m) or charpoly(A, m))
     rngs = []
-    monkeypatch.setattr(cli, "Random", lambda seed: rngs.append(_CountingRandom(seed)) or rngs[-1])
+    monkeypatch.setattr(cli, "Random", lambda seed: rngs.append((seed, random.Random(seed))) or rngs[-1][1])
     argv = ["lemma2-campaign", "--p", "3", "--zeta", "-1", "--precision", "5", "--r", "2", "3", "4",
             "--trials", "40", "--seed", "2", "--format", "machine", "--no-timestamps"]
     assert main(argv) == 0
     controls = capsys.readouterr().out.count("constructed orbit control")
-    draws = sum(len(rng.draws) // r**2 for rng, r in zip(rngs, [2] * 40 + [3] * 40 + [4] * 40))
+    # the draws are counted by replaying each trial's generator through
+    # the randrange oracle, which must end in the same state
+    draws = 0
+    for (seed, rng), r in zip(rngs, [2] * 40 + [3] * 40 + [4] * 40):
+        ref = random.Random(seed)
+        draws += unipotent_shift_by_randrange(3, 5, r, ref)[2]
+        assert rng.getstate() == ref.getstate()
     assert controls == 2 and len(rngs) == 120 and draws > 120
     assert len(runs) == draws + controls
     # the solver runs none on a sampled M, and exactly one, at p^(N-1), on
@@ -616,9 +610,13 @@ def _sampled_grid(seed):
 
 
 def test_sampled_pair_equals_the_fresh_pair():
-    # the (U, chi_U) a sampled M keeps is the pair computed from its rows
+    # the (U, chi_U) a sampled M keeps is the pair computed from its rows;
+    # M is built without PadicMatrix.__init__, so it must be the matrix
+    # that __init__ builds from those rows, entries canonical in [0, p^N)
     for p, N, r, M in _sampled_grid(37):
         fresh = PadicMatrix(p, N, M.rows)
+        assert (M.p, M.precision, M.modulus, M.dim) == (fresh.p, fresh.precision, fresh.modulus, r)
+        assert all(type(x) is int and 0 <= x < p**N for row in M.rows for x in row)
         assert fresh._shift is None and M._shift is not None
         assert M._shift == _shift_charpoly(fresh)
         assert fresh._shift == M._shift  # kept on the fresh matrix too
@@ -651,26 +649,43 @@ def test_a_matrix_not_congruent_to_i_keeps_no_pair():
 
 
 def test_sampler_draws_r_squared_values_per_attempt_in_row_major_order():
-    # a stream guard: each attempt draws r² values from range(p^(N-1)),
-    # row by row, and only the last attempt is accepted, so a faster
-    # sampler cannot change the campaign's matrices silently
-    attempts = 0
-    for p in (3, 5, 7):
+    # a stream guard: the sampler reads randrange(p^(N-1)) through
+    # getrandbits, so its rows, its kept (U, chi_U) and the generator's
+    # state afterwards are those of r² randrange calls per attempt, row
+    # by row, with only the last attempt accepted; a faster sampler
+    # cannot change the campaign's matrices silently
+    attempts = cases = 0
+    for p in (3, 5, 7, 11):
         for r in range(1, 7):
-            for N in range(r + 1, r + 4):
-                rng = _CountingRandom(p * 1000 + r * 10 + N)
-                M = random_unipotent_matrix(p, N, r, rng)
-                assert len(rng.draws) % (r * r) == 0
-                assert {args for args, _ in rng.draws} == {(p ** (N - 1),)}
-                values = [v for _, v in rng.draws]
-                blocks = [values[k:k + r * r] for k in range(0, len(values), r * r)]
-                for k, block in enumerate(blocks):
-                    U = [block[i * r:(i + 1) * r] for i in range(r)]
-                    assert det_nonzero_mod(U, p, N - r) == (k == len(blocks) - 1)
-                shift = [[x // p for x in row] for row in minus_identity_matrix(M).rows]
-                assert shift == U
-                attempts += len(blocks)
-    assert attempts > 54
+            for N in range(r + 1, r + 5):
+                for _ in range(40):
+                    cases += 1
+                    rng, ref = random.Random(cases), random.Random(cases)
+                    M = random_unipotent_matrix(p, N, r, rng)
+                    U, chi, tries = unipotent_shift_by_randrange(p, N, r, ref)
+                    assert M.rows == tuple(tuple(p * x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(U))
+                    assert M._shift == (U, chi)
+                    assert rng.getstate() == ref.getstate()
+                    attempts += tries
+    assert cases == 3840 and attempts > cases
+
+
+def test_sampler_rejects_an_empty_dimension_before_any_draw():
+    for dim in (0, -1, -5):
+        rng = random.Random(dim)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="matrix must be square and non-empty"):
+            random_unipotent_matrix(3, 4, dim, rng)
+        assert rng.getstate() == state
+
+
+def test_padic_matrix_takes_integer_entries_only():
+    with pytest.raises(TypeError):
+        PadicMatrix(3, 2, [[1.5, 0.9], [3.7, "4"]])
+    for bad in (2.0, "4", 1.5):
+        with pytest.raises(TypeError):
+            PadicMatrix(3, 2, [[1, 0], [bad, 1]])
+    assert PadicMatrix(3, 2, [[True, -1], [10, 0]]).rows == ((1, 8), (1, 0))
 
 
 def test_campaign_builds_m_zeta_only_for_the_dense_system(monkeypatch, capsys):

@@ -73,6 +73,14 @@ def test_construction_normalizes_and_validates():
         PadicInt(3, 0, 1)
 
 
+def test_residue_must_be_an_integer():
+    # operator.index, not int(): a float or a string never truncates
+    for bad in (1.5, 2.0, "4"):
+        with pytest.raises(TypeError):
+            PadicInt(3, 2, bad)
+    assert PadicInt(3, 2, True).residue == 1
+
+
 def test_mixed_parameters_are_hard_errors():
     with pytest.raises(ValueError, match="mixed p-adic parameters"):
         pow_one_unit(PadicInt(3, 2, 4), teichmuller(2, 3, 3))
