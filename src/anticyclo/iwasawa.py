@@ -57,6 +57,8 @@ class ElementaryLambdaModule:
 
     poly_parts holds ascending integer coefficient tuples; distinguished
     means monic of degree >= 1 with all lower coefficients divisible by p.
+    Exponents and coefficients are taken through ``operator.index``: a
+    float raises TypeError.
     """
 
     p: int
@@ -65,10 +67,8 @@ class ElementaryLambdaModule:
 
     def __post_init__(self):
         require_odd_prime(self.p)
-        object.__setattr__(self, "mu_parts", tuple(int(m) for m in self.mu_parts))
-        object.__setattr__(
-            self, "poly_parts", tuple(tuple(int(c) for c in g) for g in self.poly_parts)
-        )
+        object.__setattr__(self, "mu_parts", tuple(map(index, self.mu_parts)))
+        object.__setattr__(self, "poly_parts", tuple(tuple(map(index, g)) for g in self.poly_parts))
         for m in self.mu_parts:
             if m < 1:
                 raise ValueError("mu-part exponents must be positive")
@@ -187,6 +187,7 @@ def fit_invariants(exponents: Sequence[int], p: int) -> IwasawaInvariants:
     anchored residual; stable_from is the first index from which the
     formula matches the data all the way to the end.
     """
+    require_odd_prime(p)
     e = [index(x) for x in exponents]
     L = len(e)
     if L < 4:

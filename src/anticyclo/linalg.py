@@ -23,26 +23,25 @@ The headline decision procedure is ``intertwiner_solve``: whether an
 and the 1-eigenspace of M vanishes at precision, the dimension of M is a
 multiple of the order of zeta (``rank_divisibility_check``).  Writing
 M = I + p·S and M^zeta = I + p·S', the solutions are the X with
-S'·X ≡ X·S mod p^(N-1), and S' ≡ zeta·S mod p.  Three stages decide it,
-each only when the one before is silent.  First, a similarity
-invariant: an invertible solution makes S mod p and zeta·S mod p
-similar over F_p, so when their characteristic polynomials differ there
-is none.  Second, every column of a solution lies in the kernel of
-chi_S(S') mod p^(N-1), an r×r system, so a kernel ≡ 0 mod p leaves no
-solution but 0 mod p.  Both read only S and one chi_S mod p^(N-1), the
-first through its reduction mod p; the second reads chi_S(S') as h(S)
-for a polynomial h of degree < r, found by polynomial arithmetic mod
-chi_S, so neither builds M^zeta.  Third, when that kernel is visible mod
-p, or N = 1, M^zeta is built and the dense r²×r² system of the equation
-is solved.  Its solutions are kept once, mod p^N, as a basis whose
-reduction mod p is the canonical echelon basis; each combination of
-them is one candidate, returned as it is once it is invertible mod p.
-A candidate whose support mod p misses a whole row or a whole column is
-singular, and is skipped before any determinant: the support of a
-combination lies in the union of the supports of the vectors it uses,
-read as one row and one column bitmask per vector.  When the union over
-the whole basis already misses a row or a column, every candidate is
-singular and the answer is "none" with no search.
+S'·X ≡ X·S mod p^(N-1), and S' ≡ zeta·S mod p.  An invertible solution
+makes S' and S similar over Z/p^(N-1), so one similarity invariant,
+chi_S' against chi_S, decides "none" first, read at two precisions.
+Mod p, chi_S' is the zeta-twist of chi_S mod p, so that reading needs
+only chi_S mod p^(N-1) and no M^zeta.  When the two agree mod p, M^zeta
+is built and chi_S' is compared with chi_S mod p^(N-1).  This covers the
+kernel of chi_S(S'), which holds every column of a solution: when
+chi_S' ≡ chi_S, Cayley-Hamilton gives chi_S(S') = chi_S'(S') = 0, so
+that kernel is ≡ 0 mod p only where the invariant already differs.  When
+the invariant agrees, or N = 1, the dense r²×r² system of the equation
+is solved with the same M^zeta.  Its solutions are kept once, mod p^N,
+as a basis whose reduction mod p is the canonical echelon basis; each
+combination of them is one candidate, returned as it is once it is
+invertible mod p.  A candidate whose support mod p misses a whole row or
+a whole column is singular, and is skipped before any determinant: the
+support of a combination lies in the union of the supports of the
+vectors it uses, read as one row and one column bitmask per vector.
+When the union over the whole basis already misses a row or a column,
+every candidate is singular and the answer is "none" with no search.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import PrecisionError, UndeterminedError
 from .padic import PadicExponent, PadicInt, pow_one_unit, require_parameters
-from .poly import binomial_row, poly_mod_monic
-from .snf import cokernel_mod, det_nonzero_mod, identity_matrix, kernel_mod, mat_mul, minus_identity
+from .poly import binomial_row
+from .snf import det_nonzero_mod, identity_matrix, kernel_mod, mat_mul, minus_identity
 
 #: Mod-p kernels of dimension up to this are searched exhaustively for an
 #: invertible element, one combo per projective point (unit multiples
@@ -332,8 +331,8 @@ def _kernel_space(M: PadicMatrix, B: PadicMatrix):
 
 def _shift_charpoly(M: PadicMatrix):
     """(S, chi_S mod p^(N-1)) for S = (M - I)/p, N >= 2: the shift and
-    the one characteristic polynomial that both tests of
-    ``intertwiner_solve`` read.
+    its characteristic polynomial, which ``intertwiner_solve`` reads mod p
+    and compares with chi_S'.
 
     The pair is kept on M.  ``random_unipotent_matrix`` seeds it from the
     U of M = I + p·U, whose chi_U its determinant test read.  Otherwise S
@@ -370,60 +369,20 @@ def _charpoly_twist_differs_mod_p(chi, zeta: PadicExponent, p: int) -> bool:
     return any(c * (1 - pow(z, r - i, p)) % p for i, c in enumerate(chi))
 
 
-def _no_visible_solution(chi, S, zeta: PadicExponent, p: int, precision: int) -> bool:
-    """True when every solution of M^zeta·X ≡ X·M mod p^N, N >= 2, is ≡ 0
-    mod p, read from one r×r system, given (S, chi) = ``_shift_charpoly(M)``;
-    False when its kernel is visible mod p.
-
-    With M = I + p·S and M^zeta = I + p·S', the equation holds iff
-    S'·X ≡ X·S mod p^(N-1).  Then chi_S(S')·X = X·chi_S(S) = 0, so every
-    column of a solution lies in ker chi_S(S') mod p^(N-1), whatever S is.
-    That kernel is ≡ 0 mod p exactly when the local SNF of chi_S(S') has
-    no zero pivot, i.e. no cokernel factor p^(N-1).
-    """
-    m1 = p ** (precision - 1)
-    return m1 not in cokernel_mod(_chi_at_zeta_shift(chi, S, zeta, p, precision), p, precision - 1)
-
-
-def _chi_at_zeta_shift(chi, S, zeta: PadicExponent, p: int, precision: int):
-    """chi_S(S') mod p^(N-1), S' = (M^zeta - I)/p, from (S, chi) =
-    ``_shift_charpoly(M)`` alone: M^zeta is never built.
-
-    The binomial series gives S' ≡ f(S) mod p^(N-1), with
-    f(x) = sum_(1<=k<N) C(zeta,k)·p^(k-1)·x^k.  Cayley-Hamilton holds
-    over Z/p^(N-1), so chi_S(S') ≡ h(S) with h = chi_S(f mod chi_S) mod
-    chi_S, of degree < r: one reduction of f and r Horner steps on
-    polynomials mod chi_S, then r - 1 matrix products.  The result
-    equals chi_S(S') mod p^(N-1) entry by entry.
-    """
-    m1 = p ** (precision - 1)
-    row = binomial_row(int(zeta), precision)
-    f = [0] + [c % (m1 * p) * p**k for k, c in enumerate(row[1:])]
-    f = [x % m1 for x in poly_mod_monic(f, chi)]
-    h = [1]
-    for a in reversed(chi[:-1]):
-        prod = [0] * (len(h) + len(f) - 1)
-        for i, x in enumerate(h):
-            for j, y in enumerate(f):
-                prod[i + j] += x * y
-        prod[0] += a
-        h = [x % m1 for x in poly_mod_monic(prod, chi)]
-    return _poly_at(h, S, m1)
-
-
 def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> IntertwinerResult:
     """Find an invertible D with M^zeta · D ≡ D · M mod p^N, if any.
 
     An invertible solution exists iff the reduction mod p of the solution
-    module, of dimension k, contains an invertible matrix.  Three stages
-    read that reduction, in order, and for N >= 2 the first two share one
-    S = (M-I)/p and one chi_S mod p^(N-1) (``_shift_charpoly``, kept on M
-    and already there on a sampled M) and never build M^zeta.  It holds no invertible matrix when S mod p and
-    zeta·S mod p have different characteristic polynomials
-    (``_charpoly_twist_differs_mod_p``); it is 0 when the r×r kernel of
-    chi_S(S') mod p^(N-1) is ≡ 0 mod p (``_no_visible_solution``);
-    otherwise, and always for N = 1, it is read from the dense r²×r²
-    kernel of D -> M^zeta·D - D·M (``_kernel_space``),
+    module, of dimension k, contains an invertible matrix.  For N >= 2
+    one similarity invariant is read first, with S = (M-I)/p and chi_S
+    mod p^(N-1) from ``_shift_charpoly`` (kept on M, and already there on
+    a sampled M): an invertible solution makes S' = (M^zeta - I)/p
+    similar to S over Z/p^(N-1).  So the answer is "none" when S mod p
+    and zeta·S mod p have different characteristic polynomials
+    (``_charpoly_twist_differs_mod_p``), before M^zeta is built, and
+    otherwise when chi_S' ≠ chi_S mod p^(N-1).  Past that, and always
+    for N = 1, the reduction is read from the dense r²×r² kernel of
+    D -> M^zeta·D - D·M (``_kernel_space``), with the same M^zeta,
     as vectors mod p^N reducing to the canonical RREF basis mod p.  Each
     combo of them is one candidate, returned as it is once it is
     invertible mod p.  Scaling by a unit keeps invertibility, so only the
@@ -447,21 +406,24 @@ def intertwiner_solve(M: PadicMatrix, zeta: PadicExponent, *, seed: int = 0) -> 
     Combos are tried in one stream: the projective scan alone when
     k <= EXHAUSTIVE_KERNEL_DIM and it has at most SAMPLE_TRIALS points;
     SAMPLE_TRIALS seeded samples then the projective scan when
-    k <= EXHAUSTIVE_KERNEL_DIM; the samples alone otherwise.  After the
-    stages, "none" is returned only from the union of the masks or after
-    a complete projective scan, and a sample-only search that finds
+    k <= EXHAUSTIVE_KERNEL_DIM; the samples alone otherwise.  Past the
+    invariant, "none" is returned only from the union of the masks or
+    after a complete projective scan, and a sample-only search that finds
     nothing returns "undetermined".
     """
     r = M.dim
     p = M.p
-    # N = 1: M = I, neither test can fire, and the dense system decides;
+    # N = 1: M = I, the invariant says nothing, and the dense system decides;
     # mat_pow_zeta checks M and zeta there
     if M.precision > 1:
-        S, chi = _shift_charpoly(M)
+        _, chi = _shift_charpoly(M)
         _require_zeta_power(M, zeta, M._shift is not None)
-        if _charpoly_twist_differs_mod_p(chi, zeta, p) or _no_visible_solution(chi, S, zeta, p, M.precision):
+        if _charpoly_twist_differs_mod_p(chi, zeta, p):
             return IntertwinerResult("none")
     B = mat_pow_zeta(M, zeta)
+    # an invertible solution makes S' = (M^zeta - I)/p similar to S over Z/p^(N-1)
+    if M.precision > 1 and charpoly([[x // p for x in row] for row in minus_identity(B.rows)], M.modulus // p) != chi:
+        return IntertwinerResult("none")
     basis = _kernel_space(M, B)
     row_masks, col_masks = _support_masks(basis, r, p)
     full = (1 << r) - 1
@@ -528,7 +490,7 @@ def orbit_block_construct(
         raise ValueError("need one eigenvalue seed per orbit")
     lams = []  # eigenvalue i·d + j is eta_i^(zeta^j)
     for seed in seeds:
-        eta = PadicInt(p, precision, int(seed))
+        eta = PadicInt(p, precision, seed)
         if eta.residue % p != 1 or eta.residue == 1:
             raise ValueError("eigenvalue seeds must be principal units ≠ 1")
         lams += [pow_one_unit(eta, zeta**j).residue for j in range(d)]

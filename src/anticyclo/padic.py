@@ -25,7 +25,9 @@ MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_odd_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError at or above the bound."""
+    """Deterministic Miller-Rabin; raises ValueError at or above the bound.
+    p is taken through ``operator.index``: a float raises TypeError."""
+    p = index(p)
     if p >= MILLER_RABIN_BOUND:
         raise ValueError(f"p = {p} is at or above {MILLER_RABIN_BOUND}, the bound of the deterministic primality test")
     if p < 3 or p % 2 == 0:
@@ -59,9 +61,10 @@ def require_odd_prime(p: int) -> None:
 def require_parameters(p: int, precision: int) -> None:
     """Raise ValueError unless p is an odd prime and precision a positive
     integer; every constructor of Z/p^N data calls this before any
-    arithmetic, so a bad p or N never reaches a modulus of 0 or 1."""
+    arithmetic, so a bad p or N never reaches a modulus of 0 or 1.  Both
+    are taken through ``operator.index``: a float raises TypeError."""
     require_odd_prime(p)
-    if precision < 1:
+    if index(precision) < 1:
         raise ValueError(f"precision must be a positive integer, got {precision}")
 
 

@@ -747,26 +747,6 @@ def unipotent_shift_by_randrange(p: int, precision: int, r: int, rng):
             return U, chi, attempts
 
 
-def no_visible_matrix_by_power(M, zeta):
-    """chi_S(S') mod p^(N-1) for M = I + p·S, N >= 2, with
-    S' = (M^zeta - I)/p read from the matrix ``mat_pow_zeta`` builds and
-    chi_S from the Berkowitz oracle: the r×r matrix of the visible-kernel
-    test as it was computed before that test stopped building M^zeta."""
-    from anticyclo.linalg import mat_pow_zeta
-
-    p, m1 = M.p, M.modulus // M.p
-    S = [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
-    B = mat_pow_zeta(M, zeta)
-    S_prime = [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(B.rows)]
-    r = M.dim
-    acc = [[0] * r for _ in range(r)]
-    power = [[int(i == j) for j in range(r)] for i in range(r)]
-    for c in charpoly_by_berkowitz(S, m1):
-        acc = [[(a + c * x) % m1 for a, x in zip(ra, rx)] for ra, rx in zip(acc, power)]
-        power = [[sum(power[i][k] * S_prime[k][j] for k in range(r)) % m1 for j in range(r)] for i in range(r)]
-    return acc
-
-
 # -- intertwiner search by full enumeration ------------------------------
 
 def enumerate_intertwiner(M, zeta):

@@ -245,6 +245,22 @@ def test_fit_error_paths():
         fit_invariants([100, 50, 25, 12], 3)
 
 
+def test_fit_requires_an_odd_prime():
+    # p = 1 used to divide by zero and p = 2 used to fit
+    for p in (1, 2, 4, 0, -3):
+        with pytest.raises(ValueError, match="odd prime"):
+            fit_invariants([1, 2, 3, 4], p)
+
+
+def test_elementary_module_takes_integers_only():
+    # operator.index, not int(): (1.5,) is no mu-part and 3.9 no
+    # coefficient, even where the truncation would build
+    for mu_parts, poly_parts in (((1.5,), ()), ((), ((3.9, 1),)), ((2.0,), ()), ((), (("3", 1),))):
+        with pytest.raises(TypeError):
+            ElementaryLambdaModule(3, mu_parts, poly_parts)
+    assert ElementaryLambdaModule(3, (True,), ((3, 1),)).mu_parts == (1,)
+
+
 def test_fit_takes_integer_exponents_only():
     # operator.index, not int(): 1.5 is no layer exponent, even when its
     # truncation would fit

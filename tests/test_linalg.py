@@ -11,9 +11,7 @@ from anticyclo.linalg import (
     EXHAUSTIVE_KERNEL_DIM,
     PadicMatrix,
     _charpoly_twist_differs_mod_p,
-    _chi_at_zeta_shift,
     _kernel_space,
-    _no_visible_solution,
     _shift_charpoly,
     _support_masks,
     charpoly,
@@ -40,7 +38,6 @@ from conftest import (
     mat_pow_zeta_by_series,
     matrix_power,
     minus_identity_matrix,
-    no_visible_matrix_by_power,
     padic_det,
     sylvester_solutions_mod_p,
     unipotent_shift_by_randrange,
@@ -326,6 +323,15 @@ def test_rank_divisibility_on_constructions():
     assert rank_divisibility_check(M, zeta) == "consistent"
 
 
+def test_orbit_construct_takes_integer_seeds_only():
+    # operator.index, not int(): the seed 4.9 never builds with eta = 4
+    for bad in (4.9, 4.0, "4"):
+        with pytest.raises(TypeError):
+            orbit_block_construct(3, 4, 1, -1, seeds=[bad])
+    M, _ = orbit_block_construct(3, 4, 1, -1, seeds=[4])
+    assert M.rows[0][0] == 4
+
+
 def test_orbit_construct_default_seeds_with_many_orbits():
     # With s >= p orbits the default seeds skip 1 + p^2·k, so every
     # eigenvalue has v(lambda - 1) = 1 and det(M - I) has valuation d·s.
@@ -464,12 +470,10 @@ def _path_cases(rng):
                     yield _conjugate(extra, rng), zeta
 
 
-def test_chi_at_zeta_shift_matches_the_power_route():
-    # h(S) from polynomial arithmetic mod chi_S is chi_S(S') mod p^(N-1)
-    # entry by entry, S' read from M^zeta: on the path cases, on random
-    # unipotent matrices at every N > r, on orbit blocks as built and
-    # conjugated, and on shifts ≡ 0 mod p
-    rng = random.Random(29)
+def _similarity_cases(rng):
+    """The path cases, then (M, zeta) at N = r+1..r+4 for p in {3, 5, 7},
+    r <= 4: random unipotent matrices, shifts ≡ 0 mod p, and orbit blocks
+    as built and conjugated."""
     cases = list(_path_cases(rng))
     for p, generator in ((3, 2), (5, 2), (7, 3)):
         for r in range(1, 5):
@@ -482,10 +486,72 @@ def test_chi_at_zeta_shift_matches_the_power_route():
                     if r % d == 0:
                         M, _ = orbit_block_construct(p, N, r // d, zeta)
                         cases += [(M, zeta), (_conjugate(M, rng), zeta)]
+    return cases
+
+
+def _shift_rows(A, p):
+    """(A - I)/p as integer rows, for integer rows A ≡ I mod p."""
+    return [[(x - (i == j)) // p for j, x in enumerate(row)] for i, row in enumerate(A)]
+
+
+def _similarity_test_fires(M, zeta):
+    """Whether chi_S' ≢ chi_S mod p^(N-1), N >= 2, with M = I + p·S and
+    M^zeta = I + p·S', both polynomials by the Berkowitz oracle: the test
+    that ``intertwiner_solve`` runs after the mod-p one."""
+    m1 = M.modulus // M.p
+    S_prime = _shift_rows(mat_pow_zeta(M, zeta).rows, M.p)
+    return charpoly_by_berkowitz(S_prime, m1) != charpoly_by_berkowitz(_shift_rows(M.rows, M.p), m1)
+
+
+def _solve_by_the_dense_system(M, zeta, monkeypatch, seed=1):
+    """``intertwiner_solve`` on a copy of M with no kept pair while every
+    characteristic polynomial reads as (): chi_S is then the empty tuple,
+    so neither the mod-p test nor the similarity test can fire, and the
+    dense system alone decides."""
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "charpoly", lambda A, m: ())
+        return intertwiner_solve(PadicMatrix(M.p, M.precision, M.rows), zeta, seed=seed)
+
+
+def test_similarity_test_subsumes_the_visible_kernel_test():
+    # every column of a solution lies in the kernel of chi_S(S') mod
+    # p^(N-1).  When chi_S' ≡ chi_S, Cayley-Hamilton over Z/p^(N-1) gives
+    # chi_S(S') = chi_S'(S') = 0, whose kernel is everything; so wherever
+    # that kernel is ≡ 0 mod p the similarity test fires, and some cases
+    # with a kernel visible mod p fire as well
+    cases = _similarity_cases(random.Random(29))
+    zero_kernel = fired = 0
     for M, zeta in cases:
-        S, chi = _shift_charpoly(M)
-        assert _chi_at_zeta_shift(chi, S, zeta, M.p, M.precision) == no_visible_matrix_by_power(M, zeta)
-    assert len(cases) > 500
+        p, N = M.p, M.precision
+        m1 = M.modulus // p
+        chi = charpoly_by_berkowitz(_shift_rows(M.rows, p), m1)
+        at_shift = evaluate_charpoly(chi, PadicMatrix(p, N - 1, _shift_rows(mat_pow_zeta(M, zeta).rows, p)))
+        fires = _similarity_test_fires(M, zeta)
+        if m1 not in cokernel_mod(at_shift.rows, p, N - 1):
+            zero_kernel += 1
+            assert fires, (M, zeta)
+        fired += fires
+    assert (zero_kernel, fired, len(cases)) == (183, 224, 567)
+
+
+def test_similarity_test_is_sound(monkeypatch):
+    # wherever the similarity test fires, the dense system alone finds no
+    # invertible solution; every status equals the dense system's, except
+    # that a sample-only "undetermined" may become a certified "none"
+    cases = _similarity_cases(random.Random(17))
+    fired = certified = witnesses = 0
+    for M, zeta in cases:
+        status = intertwiner_solve(M, zeta, seed=1).status
+        witnesses += status == "witness"
+        dense = _solve_by_the_dense_system(M, zeta, monkeypatch).status
+        if _similarity_test_fires(M, zeta):
+            fired += 1
+            assert status == "none" and dense != "witness", (M, zeta)
+            certified += dense == "undetermined"
+        else:
+            assert status == dense, (M, zeta)
+    assert (fired, certified, len(cases)) == (229, 0, 567)
+    assert witnesses >= 10
 
 
 def test_random_unipotent_matrix_criterion_matches_the_full_determinant():
@@ -532,30 +598,30 @@ def _count_dense_calls(monkeypatch):
     return calls
 
 
-def test_no_visible_solution_is_sound(monkeypatch):
-    rng = random.Random(17)
-    cases = list(_path_cases(rng))
-    certified = 0
-    statuses = []
-    for M, zeta in cases:
-        B = mat_pow_zeta(M, zeta)
-        statuses.append(intertwiner_solve(M, zeta, seed=1).status)
-        S, chi = _shift_charpoly(M)
-        if _no_visible_solution(chi, S, zeta, M.p, M.precision):
-            certified += 1
-            assert _kernel_space(M, B) == []
-    monkeypatch.setattr(linalg, "_no_visible_solution", lambda chi, S, zeta, p, precision: False)
-    monkeypatch.setattr(linalg, "_charpoly_twist_differs_mod_p", lambda chi, zeta, p: False)
-    assert statuses == [intertwiner_solve(M, zeta, seed=1).status for M, zeta in cases]
-    assert (certified, len(cases)) == (30, 111)
-    assert statuses.count("witness") >= 10 and "none" in statuses
+def _count_mod_p_passes(monkeypatch):
+    """The chi of each solve that the mod-p test leaves open, recorded
+    while the test runs as it does."""
+    passes = []
+
+    def counted(chi, zeta, p):
+        differs = _charpoly_twist_differs_mod_p(chi, zeta, p)
+        if not differs:
+            passes.append(chi)
+        return differs
+
+    monkeypatch.setattr(linalg, "_charpoly_twist_differs_mod_p", counted)
+    return passes
 
 
-def test_one_charpoly_per_sampler_draw(monkeypatch, capsys):
+_CAMPAIGN = ["lemma2-campaign", "--p", "3", "--zeta", "-1", "--precision", "5", "--r", "2", "3", "4",
+             "--trials", "40", "--seed", "2", "--format", "machine", "--no-timestamps"]
+
+
+def test_one_charpoly_per_draw_and_per_solve_past_the_mod_p_test(monkeypatch, capsys):
     # the sampler's determinant test is chi_U(0), and the solve of a
     # sampled M reads that chi_U: a fixed lemma2-campaign runs one
-    # charpoly per draw, sampler and solver together, plus one per orbit
-    # control (a matrix built from rows)
+    # charpoly per draw, one per orbit control (a matrix built from rows),
+    # and one chi_S' per solve that the mod-p test leaves open
     from anticyclo import cli
     from anticyclo.cli import main
 
@@ -563,9 +629,8 @@ def test_one_charpoly_per_sampler_draw(monkeypatch, capsys):
     monkeypatch.setattr(linalg, "charpoly", lambda A, m: runs.append(m) or charpoly(A, m))
     rngs = []
     monkeypatch.setattr(cli, "Random", lambda seed: rngs.append((seed, random.Random(seed))) or rngs[-1][1])
-    argv = ["lemma2-campaign", "--p", "3", "--zeta", "-1", "--precision", "5", "--r", "2", "3", "4",
-            "--trials", "40", "--seed", "2", "--format", "machine", "--no-timestamps"]
-    assert main(argv) == 0
+    passes = _count_mod_p_passes(monkeypatch)
+    assert main(_CAMPAIGN) == 0
     controls = capsys.readouterr().out.count("constructed orbit control")
     # the draws are counted by replaying each trial's generator through
     # the randrange oracle, which must end in the same state
@@ -575,25 +640,29 @@ def test_one_charpoly_per_sampler_draw(monkeypatch, capsys):
         draws += unipotent_shift_by_randrange(3, 5, r, ref)[2]
         assert rng.getstate() == ref.getstate()
     assert controls == 2 and len(rngs) == 120 and draws > 120
-    assert len(runs) == draws + controls
-    # the solver runs none on a sampled M, and exactly one, at p^(N-1), on
-    # the same matrix built from rows; N = 1 runs none
+    assert controls < len(passes) < 120 + controls
+    assert len(runs) == draws + controls + len(passes)
+    # the solver runs at most one, chi_S' at p^(N-1), on a sampled M, and
+    # one more, chi_S, on the same matrix built from rows; N = 1 runs none
     cases = list(_path_cases(random.Random(17)))
     rng = random.Random(5)
     for p in (3, 5, 7):
         for r in range(1, 7):
             cases.append((random_unipotent_matrix(p, r + 2, r, rng), -1))
-    sampled = 0
+    sampled = opened = 0
     for M, zeta in cases:
-        if M._shift is not None:
+        kept = M._shift is not None
+        past = [M.modulus // M.p] * (not _charpoly_twist_differs_mod_p(_shift_charpoly(M)[1], zeta, M.p))
+        if kept:
             sampled += 1
             runs.clear()
             intertwiner_solve(M, zeta, seed=1)
-            assert runs == []
+            assert runs == past
         runs.clear()
         intertwiner_solve(PadicMatrix(M.p, M.precision, M.rows), zeta, seed=1)
-        assert runs == [M.modulus // M.p]
-    assert sampled >= 40
+        assert runs == [M.modulus // M.p] + past
+        opened += bool(past)
+    assert sampled >= 40 and 0 < opened < len(cases)
     calls = _count_dense_calls(monkeypatch)
     runs.clear()
     assert intertwiner_solve(PadicMatrix.identity(5, 1, 2), -1).status == "witness"
@@ -688,27 +757,27 @@ def test_padic_matrix_takes_integer_entries_only():
     assert PadicMatrix(3, 2, [[True, -1], [10, 0]]).rows == ((1, 8), (1, 0))
 
 
-def test_campaign_builds_m_zeta_only_for_the_dense_system(monkeypatch, capsys):
-    # a fixed lemma2-campaign: M^zeta is built once per solve that reaches
-    # the dense system (its witness check reuses it) and once per orbit
-    # construction, never for a solve that the r×r tests decide
+def test_campaign_builds_m_zeta_only_past_the_mod_p_test(monkeypatch, capsys):
+    # a fixed lemma2-campaign: M^zeta is built once per solve that the
+    # mod-p test leaves open (the similarity test, the dense system and
+    # the witness check share it) and once per orbit construction; the
+    # dense system runs only on solves that the similarity test leaves open
     from anticyclo.cli import main
 
     dense = _count_dense_calls(monkeypatch)
+    passes = _count_mod_p_passes(monkeypatch)
     powers = []
     monkeypatch.setattr(linalg, "mat_pow_zeta", lambda M, zeta: powers.append(M) or mat_pow_zeta(M, zeta))
-    argv = ["lemma2-campaign", "--p", "3", "--zeta", "-1", "--precision", "5", "--r", "2", "3", "4",
-            "--trials", "40", "--seed", "2", "--format", "machine", "--no-timestamps"]
-    assert main(argv) == 0
+    assert main(_CAMPAIGN) == 0
     controls = capsys.readouterr().out.count("constructed orbit control")
     assert controls == 2
-    assert len(powers) == len(dense) + controls
-    assert 0 < len(dense) < 3 * 40
+    assert len(powers) == len(passes) + controls
+    assert 0 < len(dense) < len(passes) < 3 * 40 + controls
 
 
 def test_spectra_test_is_sound(monkeypatch):
     # whenever S̄ and zeta·S̄ have different characteristic polynomials,
-    # the dense system alone (both r×r stages switched off) finds no
+    # the dense system alone (both similarity tests silent) finds no
     # invertible solution; it fires on the 23 cases whose spectra are
     # disjoint and on 6 more
     cases = list(_path_cases(random.Random(17)))
@@ -718,10 +787,8 @@ def test_spectra_test_is_sound(monkeypatch):
             assert zeta != 1
             fired.append((M, zeta))
     assert (len(fired), len(cases)) == (29, 111)
-    monkeypatch.setattr(linalg, "_no_visible_solution", lambda chi, S, zeta, p, precision: False)
-    monkeypatch.setattr(linalg, "_charpoly_twist_differs_mod_p", lambda chi, zeta, p: False)
     for M, zeta in fired:
-        assert intertwiner_solve(M, zeta, seed=1).status == "none"
+        assert _solve_by_the_dense_system(M, zeta, monkeypatch).status == "none"
     # at N = 1, M = I: S̄ = 0, chi_S̄ = T^2 and the test cannot fire
     for p, generator in ((3, 2), (5, 2), (7, 3)):
         chi = charpoly([[0, 0], [0, 0]], p)
@@ -823,12 +890,18 @@ def test_kernel_space_basis_contract():
 
 
 def test_dense_fallback_cases(monkeypatch):
+    # M = I + p^2·A: S ≡ 0 mod p passes the mod-p test, and S' ≡ -S mod
+    # p^(N-1) with a trace ≢ 0 mod p^(N-1) gives chi_S' ≠ chi_S, so "none"
+    # comes before the dense system, which alone says "none" too
     rng = random.Random(23)
     shift = [[3 * 3 * rng.randrange(9) for _ in range(3)] for _ in range(3)]
+    deep = identity_plus(3, 4, shift)
+    calls = _count_dense_calls(monkeypatch)
+    assert intertwiner_solve(deep, -1).status == "none"
+    assert calls == [] and _similarity_test_fires(deep, -1)
+    assert _solve_by_the_dense_system(deep, -1, monkeypatch).status == "none"
     fallbacks = [
         (PadicMatrix.identity(3, 1, 2), "witness"),  # N = 1
-        # M = I + p^2·A: S ≡ 0 mod p
-        (identity_plus(3, 4, shift), "none"),
         # p = 3, s = 2: the orbits repeat the residues of S mod p
         (orbit_block_construct(3, 6, 2, -1)[0], "witness"),
         # a visible kernel: the dense system is its one basis producer
@@ -850,9 +923,8 @@ def test_coprime_characteristic_polynomials_give_none(monkeypatch):
     M = identity_plus(p, N, [[p * x for x in row] for row in S])
     minus_S = PadicMatrix(p, 1, [[-x for x in row] for row in S])
     assert cokernel_mod(evaluate_charpoly(charpoly(S, p), minus_S).rows, p, 1) == ()
-    shift, chi = _shift_charpoly(M)
-    assert _charpoly_twist_differs_mod_p(chi, -1, p)
-    assert _no_visible_solution(chi, shift, -1, p, N)
+    assert _charpoly_twist_differs_mod_p(_shift_charpoly(M)[1], -1, p)
+    assert _similarity_test_fires(M, -1)
     calls = _count_dense_calls(monkeypatch)
     powers = []
     monkeypatch.setattr(linalg, "mat_pow_zeta", lambda M, zeta: powers.append(M) or mat_pow_zeta(M, zeta))
@@ -881,10 +953,12 @@ def test_intertwiner_above_gate_without_samples_is_undetermined(monkeypatch):
 
 
 def test_support_union_certifies_none_above_the_gate(monkeypatch):
-    # M = I + 3^4·E11 at p = 3, N = 5: S̄ = 0 passes both r×r stages and
+    # M = I + 3^4·E11 at p = 3, N = 5: S̄ = 0 passes the mod-p test and
     # the kernel has dimension 9, but no basis vector touches row or
-    # column 0 mod p, so every combo is singular: "none" with no
-    # determinant, where a sample-only search returned "undetermined"
+    # column 0 mod p, so every combo is singular: the dense system alone
+    # says "none" with no determinant, where a sample-only search returned
+    # "undetermined".  chi_S' = T^3·(T - 54) ≠ T^3·(T - 27) = chi_S mod
+    # 3^4, so the solve itself says "none" before the dense system
     p, N, r = 3, 5, 4
     M = identity_plus(p, N, [[p**4, 0, 0, 0]] + [[0] * r] * (r - 1))
     basis = _kernel_space(M, mat_pow_zeta(M, -1))
@@ -892,8 +966,10 @@ def test_support_union_certifies_none_above_the_gate(monkeypatch):
     row_masks, col_masks = _support_masks(basis, r, p)
     assert reduce(or_, row_masks) == reduce(or_, col_masks) == 0b1110
     calls = _record_determinant_tests(monkeypatch)
+    assert _solve_by_the_dense_system(M, -1, monkeypatch).status == "none"
+    dense = _count_dense_calls(monkeypatch)
     assert intertwiner_solve(M, -1).status == "none"
-    assert calls == []
+    assert calls == [] and dense == [] and _similarity_test_fires(M, -1)
 
 
 def test_similarity_invariant_certifies_none_above_the_gate(monkeypatch):
@@ -914,7 +990,9 @@ def test_similarity_invariant_certifies_none_above_the_gate(monkeypatch):
     # the kernel has dimension 12 (maps between the two eigenspaces) and
     # touches every row and column, and chi_S̄ = (T - 1)^3·(T + 1)^2 is not
     # its twist; the rank check is "consistent" where it raised
-    # UndeterminedError
+    # UndeterminedError.  With the mod-p test off, chi_S' ≠ chi_S mod
+    # p^(N-1) still says "none" before the dense system; the dense system
+    # alone can only sample, and says "undetermined"
     N = 6
     lam = [4, 4, 4, pow(4, -1, p**N), pow(4, -1, p**N)]
     M = PadicMatrix(p, N, [[x if i == j else 0 for j in range(5)] for i, x in enumerate(lam)])
@@ -923,10 +1001,16 @@ def test_similarity_invariant_certifies_none_above_the_gate(monkeypatch):
     assert intertwiner_solve(M, -1).status == "none"
     assert rank_divisibility_check(M, -1) == "consistent"
     assert dense == []
+    assert _solve_by_the_dense_system(M, -1, monkeypatch).status == "undetermined"
+    dense.clear()
     monkeypatch.setattr(linalg, "_charpoly_twist_differs_mod_p", lambda chi, zeta, p: False)
-    assert intertwiner_solve(M, -1).status == "undetermined"
-    with pytest.raises(UndeterminedError):
-        rank_divisibility_check(M, -1)
+    assert intertwiner_solve(M, -1).status == "none"
+    assert rank_divisibility_check(M, -1) == "consistent"
+    assert dense == [] and _similarity_test_fires(M, -1)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "charpoly", lambda A, m: ())
+        with pytest.raises(UndeterminedError):
+            rank_divisibility_check(PadicMatrix(p, N, M.rows), -1)
 
 
 def test_random_unipotent_matrix_needs_headroom():

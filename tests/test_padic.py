@@ -81,6 +81,30 @@ def test_residue_must_be_an_integer():
     assert PadicInt(3, 2, True).residue == 1
 
 
+def test_p_and_precision_must_be_integers():
+    # operator.index, not a comparison: 3.0 is no prime and 2.0 no
+    # precision, so no float reaches a modulus or an order
+    from anticyclo.metacyclic import MetacyclicGroup
+
+    with pytest.raises(TypeError):
+        is_odd_prime(3.0)
+    assert is_odd_prime(3) and not is_odd_prime(True)
+    bad = [
+        lambda: PadicInt(3, 2.0, 5),
+        lambda: PadicInt(3.0, 2, 5),
+        lambda: PadicMatrix(3.0, 2.0, [[4, 1], [0, 4]]),
+        lambda: PadicMatrix(3, "2", [[4, 1], [0, 4]]),
+        lambda: MetacyclicGroup(3.0, 1),
+        lambda: FinitePModule(3.0, (9, 3)),
+        lambda: teichmuller(2, 3, 2.0),
+    ]
+    for build in bad:
+        with pytest.raises(TypeError):
+            build()
+    assert MetacyclicGroup(3, 1).order == 27
+    assert repr(PadicInt(3, 2, 5)) == "PadicInt(5 mod 3^2)"
+
+
 def test_mixed_parameters_are_hard_errors():
     with pytest.raises(ValueError, match="mixed p-adic parameters"):
         pow_one_unit(PadicInt(3, 2, 4), teichmuller(2, 3, 3))
